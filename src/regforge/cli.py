@@ -19,27 +19,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .lti import (
-    StateSpaceModel,
     char_poly,
     dc_gain,
     eigenvalues,
     feedback_interconnect,
     is_hurwitz,
-    ss_to_tf,
     tf_to_ss,
 )
-from .observer import (
-    CONVENTIONS,
-    build_observer_controller,
-    design_observer_gain,
-    observer_error_dynamics,
-)
+from .observer import CONVENTIONS, build_observer_controller, design_observer_gain
 from .output import line_chart_svg, read_timeseries_csv, write_timeseries_csv
 from .plant import (
     PUBLISHED_OPEN_LOOP,
@@ -47,27 +41,33 @@ from .plant import (
     REFERENCE_PARAMS,
     generator_tf,
     plant_tf,
-    preset_tf,
     rounded_plant_tf,
     steady_state_report,
     turbine_tf,
 )
 from .report import RunReport, fmt, fmt_vector
-from .riccati import CostWeights, solve_care
-from .scenario import ControllerSpec, Scenario, load_plant_params, load_scenario
-from .sim import (
-    SimConfig,
-    closed_loop_step,
-    electrical_trace,
-    observer_feedback_step,
-    simulate,
-    state_feedback_step,
-    step_metrics,
+from .scenario import (
+    ControllerSpec,
+    load_plant_params,
+    load_scenario,
+    preset_scenario,
+    run_scenario,
+    scenario_care,
 )
+from .sim import SimConfig, step_metrics
 
 REPRODUCE_INFLOW = 5.0
 REPRODUCE_REFERENCE = 220.0
 STABLE_OBSERVER_POLES = (-5.0, -6.0)
+FORMAT_KINDS = {"csv": ("csv",), "svg": ("svg",), "both": ("csv", "svg")}
+
+# The paper's figure-8 designs: LQR weights, and observer weights with the
+# published observer gain H.
+FIGURE8_SPECS = {
+    "lqr": ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0),
+    "observer": ControllerSpec(kind="observer", q_diag=np.array([8.0, 8.0]), r=1.0,
+                               h=np.array([2.0, -0.5])),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", help="output directory (default: $REGFORGE_OUT or .)")
-        p.add_argument("--format", choices=("csv", "svg", "both"), default="csv",
-                       help="artifact format for trajectory outputs")
+        p.add_argument("--format", choices=tuple(FORMAT_KINDS),
+                       help="artifact format for trajectory outputs (default: the "
+                            "scenario's outputs; csv for reproduce)")
 
     p_plant = sub.add_parser("plant", help="derive plant models from physical parameters")
     p_plant.add_argument("--params", help="parameter file (defaults to the reference set)")
@@ -130,13 +131,25 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _wants(args, kind: str, scenario_outputs=()) -> bool:
-    fmt_choice = getattr(args, "format", "csv")
-    if kind == "csv":
-        return fmt_choice in ("csv", "both") or "csv" in scenario_outputs
-    if kind == "svg":
-        return fmt_choice in ("svg", "both") or "svg" in scenario_outputs
-    return True
+def _write_artifacts(args, run, ylabel: str, svg_series=None, svg_title="") -> list:
+    name = run.scenario.name
+    # --format, when given, decides; otherwise the scenario's outputs do.
+    kinds = run.scenario.outputs if args.format is None else FORMAT_KINDS[args.format]
+    out = _out_dir(args)
+    written = []
+    if "csv" in kinds:
+        csv_path = out / f"{name}.csv"
+        write_timeseries_csv(csv_path, run.series, run.electrical)
+        written.append(csv_path)
+    if "svg" in kinds:
+        svg_path = out / f"{name}.svg"
+        data = svg_series or [("y", run.series.times, run.series.outputs)]
+        svg_path.write_text(
+            line_chart_svg(data, title=svg_title or name, xlabel="time [s]", ylabel=ylabel),
+            encoding="utf-8",
+        )
+        written.append(svg_path)
+    return written
 
 
 def _efficiency_warnings(report: RunReport, params) -> None:
@@ -183,13 +196,6 @@ def cmd_plant(args) -> int:
 # synthesize
 
 
-def _synthesize_gain(scn_plant: StateSpaceModel, spec: ControllerSpec):
-    weights = CostWeights.diagonal(spec.q_diag, spec.r)
-    solution = solve_care(scn_plant.a, scn_plant.b, weights)
-    k = np.linalg.solve(weights.r, scn_plant.b.T @ solution.p)
-    return k, solution
-
-
 def cmd_synthesize(args) -> int:
     scn = load_scenario(args.scenario)
     spec = scn.controller
@@ -200,7 +206,8 @@ def cmd_synthesize(args) -> int:
     report.add_tf("plant", scn.plant_tf)
     report.add_stability("plant", is_hurwitz(char_poly(plant.a)))
 
-    k, solution = _synthesize_gain(plant, spec)
+    solution = scenario_care(scn)
+    k = solution.k
     report.add_gain("K", k)
     report.add_line(f"CARE residual      : {solution.residual_norm:.3e} "
                     f"({solution.iterations} iterations)")
@@ -211,9 +218,8 @@ def cmd_synthesize(args) -> int:
         controller = build_observer_controller(plant, k, spec.h, convention)
         report.add_line(f"convention         : {convention}")
         report.add_ss("compensator", controller.model)
-        a_err, err_ok = observer_error_dynamics(plant, spec.h)
         report.add_line(f"A-HC char poly     : {controller.audit.error_poly}")
-        report.add_stability("A-HC", err_ok)
+        report.add_stability("A-HC", controller.audit.error_hurwitz)
         loop = feedback_interconnect(plant, controller.model)
         eig = np.sort_complex(eigenvalues(loop.a))
         eig = np.where(np.abs(eig.imag) < 1e-9, eig.real + 0.0j, eig)
@@ -221,7 +227,7 @@ def cmd_synthesize(args) -> int:
         report.add_line("closed-loop eigenvalues (unity feedback, reported not asserted): "
                         + "[" + ", ".join(labels) + "]")
         report.add_stability("closed loop", is_hurwitz(char_poly(loop.a)))
-        if not err_ok:
+        if not controller.audit.error_hurwitz:
             report.warn(
                 "observer error dynamics A-HC are not Hurwitz with the supplied H; the "
                 "standard observer architecture cannot settle and the published response "
@@ -235,102 +241,42 @@ def cmd_synthesize(args) -> int:
 # simulate
 
 
-def _write_artifacts(args, name: str, series, electrical=None, svg_series=None,
-                     svg_title="", ylabel="", scenario_outputs=()):
-    out = _out_dir(args)
-    written = []
-    if _wants(args, "csv", scenario_outputs):
-        csv_path = out / f"{name}.csv"
-        write_timeseries_csv(csv_path, series, electrical)
-        written.append(csv_path)
-    if _wants(args, "svg", scenario_outputs):
-        svg_path = out / f"{name}.svg"
-        data = svg_series or [("y", series.times, series.outputs)]
-        svg_path.write_text(
-            line_chart_svg(data, title=svg_title or name, xlabel="time [s]", ylabel=ylabel or "output"),
-            encoding="utf-8",
-        )
-        written.append(svg_path)
-    return written
-
-
-def _simulate_open_loop(args, scn: Scenario, report: RunReport) -> tuple[int, list]:
-    series = simulate(scn.plant_model, scn.sim)
-    elec = electrical_trace(scn.plant_params, series) if scn.plant_params else None
-    if series.diverged:
-        report.warn(f"simulation diverged at t = {series.times[-1]:.3f} s; series truncated")
-    else:
-        report.add_metrics(step_metrics(series))
-    if scn.plant_params is not None:
-        report.add_line()
-        report.add_line(f"steady-state circuit report at {scn.sim.input_amplitude:g} g/s:")
-        report.add_electrical(steady_state_report(scn.plant_params, scn.sim.input_amplitude))
-        _efficiency_warnings(report, scn.plant_params)
-    files = _write_artifacts(
-        args, scn.name, series, electrical=elec,
-        svg_title=scn.name, ylabel="terminal voltage [V]",
-        scenario_outputs=scn.outputs,
-    )
-    return (2 if series.diverged else 0), files
-
-
-def _simulate_closed_loop(args, scn: Scenario, report: RunReport) -> tuple[int, list]:
-    if scn.reference is None:
-        raise ValidationError("closed-loop scenario needs a reference")
-    plant = scn.plant_model
-    spec = scn.controller
-    reference = scn.reference
-
-    if spec.kind == "lqr":
-        k, solution = _synthesize_gain(plant, spec)
-        report.add_gain("K", k)
-        report.add_line(f"CARE residual      : {solution.residual_norm:.3e}")
-        result = state_feedback_step(plant, k, reference, scn.sim)
-        report.add_line(f"reference prescaler N = {fmt(result.prescaler)}")
-    elif spec.kind == "observer":
-        k, solution = _synthesize_gain(plant, spec)
-        report.add_gain("K", k)
-        report.add_gain("H", spec.h)
-        convention = args.convention or spec.convention
-        report.add_line(f"convention         : {convention}")
-        _, err_ok = observer_error_dynamics(plant, spec.h)
-        report.add_stability("A-HC", err_ok)
-        if convention == "standard-luenberger":
-            result = observer_feedback_step(plant, k, spec.h, reference, scn.sim)
-            report.add_line(f"reference prescaler N = {fmt(result.prescaler)}")
-        else:
-            controller = build_observer_controller(plant, k, spec.h, convention)
-            result = closed_loop_step(plant, controller.model, reference, scn.sim)
-    else:  # explicit state-space controller
-        result = closed_loop_step(plant, spec.model, reference, scn.sim)
-
-    report.add_stability("closed loop", result.hurwitz)
-    if result.series.diverged:
-        report.warn(f"simulation diverged at t = {result.series.times[-1]:.3f} s; series truncated")
-    else:
-        report.add_metrics(result.metrics)
-    files = _write_artifacts(
-        args, scn.name, result.series,
-        svg_title=scn.name, ylabel="output voltage [V]",
-        scenario_outputs=scn.outputs,
-    )
-    return (2 if result.series.diverged else 0), files
-
-
 def cmd_simulate(args) -> int:
     scn = load_scenario(args.scenario)
+    spec = scn.controller
     report = RunReport(scenario=scn.name)
     report.add_tf("plant", scn.plant_tf)
     report.add_stability("plant", is_hurwitz(char_poly(scn.plant_model.a))
                          if scn.plant_model.n_states else True)
-    if scn.controller.kind == "none":
-        code, files = _simulate_open_loop(args, scn, report)
+    run = run_scenario(scn, args.convention)
+
+    if spec.kind == "lqr":
+        report.add_gain("K", run.care.k)
+        report.add_line(f"CARE residual      : {run.care.residual_norm:.3e}")
+    elif spec.kind == "observer":
+        report.add_gain("K", run.care.k)
+        report.add_gain("H", spec.h)
+        report.add_line(f"convention         : {run.convention}")
+        report.add_stability("A-HC", run.audit.error_hurwitz)
+    if run.result is not None:
+        if run.result.prescaler is not None:
+            report.add_line(f"reference prescaler N = {fmt(run.result.prescaler)}")
+        report.add_stability("closed loop", run.result.hurwitz)
+    if run.series.diverged:
+        report.warn(f"simulation diverged at t = {run.series.times[-1]:.3f} s; series truncated")
     else:
-        code, files = _simulate_closed_loop(args, scn, report)
-    for f in files:
+        report.add_metrics(run.metrics)
+    if spec.kind == "none" and scn.plant_params is not None:
+        report.add_line()
+        report.add_line(f"steady-state circuit report at {scn.sim.input_amplitude:g} g/s:")
+        report.add_electrical(steady_state_report(scn.plant_params, scn.sim.input_amplitude))
+        _efficiency_warnings(report, scn.plant_params)
+
+    ylabel = "terminal voltage [V]" if spec.kind == "none" else "output voltage [V]"
+    for f in _write_artifacts(args, run, ylabel):
         report.add_line(f"wrote {f}")
     print(report.to_text(), end="")
-    return code
+    return 2 if run.series.diverged else 0
 
 
 # --------------------------------------------------------------------------
@@ -350,17 +296,15 @@ def cmd_metrics(args) -> int:
 
 
 def _open_loop_figure(args, figure: int, preset: str, report: RunReport) -> list:
-    tf = preset_tf(preset)
-    model = tf_to_ss(tf)
     cfg = SimConfig(dt=1e-3, duration=20.0, input_amplitude=REPRODUCE_INFLOW)
-    series = simulate(model, cfg)
-    elec = electrical_trace(REFERENCE_PARAMS, series)
-    metrics = step_metrics(series)
+    run = run_scenario(preset_scenario(f"figure{figure}-{preset}", preset, ControllerSpec(), cfg))
+    tf = run.scenario.plant_tf
+    elec = run.electrical
     circuit = steady_state_report(REFERENCE_PARAMS, REPRODUCE_INFLOW)
 
     report.add_line()
     report.add_line(f"[{preset}] plant: {tf}")
-    report.add_line(f"[{preset}] simulated steady state: {fmt(metrics.steady_state)} V "
+    report.add_line(f"[{preset}] simulated steady state: {fmt(run.metrics.steady_state)} V "
                     f"(dc chain: {fmt(dc_gain(tf) * REPRODUCE_INFLOW)} V)")
     if figure == 5:
         report.add_line(f"[{preset}] output power at steady state: {fmt(elec.p_out[-1])} W "
@@ -373,71 +317,59 @@ def _open_loop_figure(args, figure: int, preset: str, report: RunReport) -> list
                         f"(published reading {fmt(PUBLISHED_OPEN_LOOP['p_in'])} W)")
     report.add_line(f"[{preset}] circuit efficiency: {fmt(circuit.efficiency)} %")
 
-    svg_pick = {
-        4: ("terminal voltage [V]", [("v_out", series.times, series.outputs)]),
+    ylabel, svg_series = {
+        4: ("terminal voltage [V]", [("v_out", elec.times, run.series.outputs)]),
         5: ("output power [W]", [("p_out", elec.times, elec.p_out)]),
         6: ("induced EMF [V]", [("e_g", elec.times, elec.e_g)]),
         7: ("input power [W]", [("p_in", elec.times, elec.p_in)]),
-    }
-    ylabel, svg_series = svg_pick[figure]
-    return _write_artifacts(
-        args, f"figure{figure}-{preset}", series, electrical=elec,
-        svg_series=svg_series, svg_title=f"figure {figure} ({preset})", ylabel=ylabel,
-    )
+    }[figure]
+    return _write_artifacts(args, run, ylabel, svg_series, svg_title=f"figure {figure} ({preset})")
 
 
 def _figure8_legs(args, preset: str, report: RunReport) -> list:
-    tf = preset_tf(preset)
-    plant = tf_to_ss(tf)
     cfg = SimConfig(dt=1e-3, duration=15.0)
+    ylabel = "output voltage [V]"
     files = []
 
-    run_lqr = args.controller in ("lqr", "both")
-    run_obs = args.controller in ("observer", "both")
+    def leg(name: str, spec: ControllerSpec):
+        return run_scenario(preset_scenario(f"figure8-{name}-{preset}", preset, spec, cfg,
+                                            REPRODUCE_REFERENCE))
 
-    if run_lqr:
-        k, _ = _synthesize_gain(plant, ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0))
-        result = state_feedback_step(plant, k, REPRODUCE_REFERENCE, cfg)
+    if args.controller in ("lqr", "both"):
+        run = leg("lqr", FIGURE8_SPECS["lqr"])
         report.add_line()
-        report.add_line(f"[{preset}] lqr leg: K = {fmt_vector(k)}, N = {fmt(result.prescaler)}")
-        report.add_metrics(result.metrics)
-        files += _write_artifacts(
-            args, f"figure8-lqr-{preset}", result.series,
-            svg_title=f"figure 8 lqr ({preset})", ylabel="output voltage [V]",
-        )
+        report.add_line(f"[{preset}] lqr leg: K = {fmt_vector(run.care.k)}, "
+                        f"N = {fmt(run.result.prescaler)}")
+        report.add_metrics(run.metrics)
+        files += _write_artifacts(args, run, ylabel, svg_title=f"figure 8 lqr ({preset})")
 
-    if run_obs:
-        k, _ = _synthesize_gain(plant, ControllerSpec(kind="observer", q_diag=np.array([8.0, 8.0]), r=1.0))
-        h_published = np.array([[2.0], [-0.5]])
-        _, err_ok = observer_error_dynamics(plant, h_published)
+    if args.controller in ("observer", "both"):
+        spec = FIGURE8_SPECS["observer"]
+        run = leg("observer-published", spec)
         report.add_line()
-        report.add_line(f"[{preset}] observer leg: K = {fmt_vector(k)}, published H = "
-                        f"{fmt_vector(h_published)}")
-        report.add_line(f"[{preset}] A-HC char poly: {char_poly(plant.a - h_published @ plant.c)}")
-        report.add_stability("A-HC (published H)", err_ok)
-        result = observer_feedback_step(plant, k, h_published, REPRODUCE_REFERENCE, cfg)
-        if result.series.diverged:
+        report.add_line(f"[{preset}] observer leg: K = {fmt_vector(run.care.k)}, published H = "
+                        f"{fmt_vector(spec.h)}")
+        report.add_line(f"[{preset}] A-HC char poly: {run.audit.error_poly}")
+        report.add_stability("A-HC (published H)", run.audit.error_hurwitz)
+        if run.series.diverged:
             report.warn(
                 f"[{preset}] published-H observer loop diverged at "
-                f"t = {result.series.times[-1]:.3f} s; the published 7 s settling time is "
+                f"t = {run.series.times[-1]:.3f} s; the published 7 s settling time is "
                 f"not reproducible under the standard observer architecture"
             )
         else:
-            report.add_metrics(result.metrics)
-        files += _write_artifacts(
-            args, f"figure8-observer-published-{preset}", result.series,
-            svg_title=f"figure 8 observer, published H ({preset})", ylabel="output voltage [V]",
-        )
+            report.add_metrics(run.metrics)
+        files += _write_artifacts(args, run, ylabel,
+                                  svg_title=f"figure 8 observer, published H ({preset})")
 
+        plant = run.scenario.plant_model
         h_stable = design_observer_gain(plant.a, plant.c, STABLE_OBSERVER_POLES)
-        result2 = observer_feedback_step(plant, k, h_stable, REPRODUCE_REFERENCE, cfg)
+        run = leg("observer-stable", replace(spec, h=h_stable))
         report.add_line(f"[{preset}] stable replacement H = {fmt_vector(h_stable)} "
                         f"(error poles {STABLE_OBSERVER_POLES})")
-        report.add_metrics(result2.metrics)
-        files += _write_artifacts(
-            args, f"figure8-observer-stable-{preset}", result2.series,
-            svg_title=f"figure 8 observer, stable H ({preset})", ylabel="output voltage [V]",
-        )
+        report.add_metrics(run.metrics)
+        files += _write_artifacts(args, run, ylabel,
+                                  svg_title=f"figure 8 observer, stable H ({preset})")
     return files
 
 

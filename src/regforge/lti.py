@@ -90,12 +90,6 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.pad(self.coeffs, (n - len(self.coeffs), 0))
-        b = np.pad(other.coeffs, (n - len(other.coeffs), 0))
-        return Polynomial(a + b)
-
     def scaled(self, factor: float) -> "Polynomial":
         return Polynomial(self.coeffs * factor)
 
@@ -188,12 +182,6 @@ class TransferFunction:
     @property
     def is_strictly_proper(self) -> bool:
         return self.num.is_zero or self.num.degree < self.den.degree
-
-    def poles(self) -> np.ndarray:
-        return self.den.roots()
-
-    def zeros(self) -> np.ndarray:
-        return self.num.roots()
 
     def normalized(self) -> "TransferFunction":
         """Equivalent form with a monic denominator."""

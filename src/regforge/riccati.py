@@ -14,7 +14,8 @@ A is already Hurwitz, otherwise it comes from pole placement at
 Tolerances: iteration aims for a residual of 1e-12 so that scalar cases
 agree with the analytic root to 1e-10; success requires the Frobenius
 residual norm <= 1e-8, P symmetric (enforced by averaging each step) and
-positive semidefinite, and A - BK Hurwitz.
+positive semidefinite, and A - BK Hurwitz for the returned gain
+K = R^-1 B' P.
 """
 
 from __future__ import annotations
@@ -85,16 +86,18 @@ class CostWeights:
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """Stabilizing CARE solution with convergence diagnostics."""
+    """Stabilizing CARE solution, its LQR gain K = R^-1 B' P, and diagnostics."""
 
     p: np.ndarray
+    k: np.ndarray
     residual_norm: float
     iterations: int
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        for name in ("p", "k"):
+            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -164,9 +167,11 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
     if r.shape != (m, m):
         raise ValidationError(f"R must be {m}x{m}, got {r.shape}")
 
+    # P = 0 is not a Newton-Kleinman iterate, so the first iterate is always
+    # taken, and k always holds R^-1 B' P for the p beside it.
     k = _initial_stabilizing_gain(a, b)
     p = np.zeros((n, n))
-    residual = float(np.linalg.norm(care_residual(a, b, p, q, r)))
+    residual = float("inf")
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         a_cl = a - b @ k
@@ -193,14 +198,9 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
             raise NumericalError("Riccati solution is not positive semidefinite")
         if not is_hurwitz(char_poly(a - b @ k)):
             raise NumericalError("closed loop A - BK is not Hurwitz after synthesis")
-    return RiccatiSolution(p=p, residual_norm=residual, iterations=iterations)
+    return RiccatiSolution(p=p, k=k, residual_norm=residual, iterations=iterations)
 
 
 def lqr_gain(a, b, weights: CostWeights) -> np.ndarray:
     """Optimal state-feedback gain K = R^-1 B' P as an m x n matrix."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-    solution = solve_care(a, b, weights)
-    return np.linalg.solve(weights.r, b.T @ solution.p)
+    return solve_care(a, b, weights).k

@@ -32,6 +32,10 @@ Scenario file keys::
     sim.duration = 15
     sim.amplitude = 5               # open-loop input level
     outputs = csv report            # any of csv svg report
+
+``outputs`` names the artifacts ``simulate`` writes when ``--format`` is
+not given; ``--format``, when given, decides instead. ``report`` is
+accepted but changes nothing: the text report is always printed.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .lti import StateSpaceModel, TransferFunction, ss_to_tf, tf_to_ss
-from .observer import CONVENTIONS
+from .observer import CONVENTIONS, ObserverAudit, build_observer_controller
 from .plant import (
     GeneratorParams,
     PlantParams,
@@ -53,7 +57,10 @@ from .plant import (
     plant_tf as physical_plant_tf,
     preset_tf,
 )
-from .sim import SimConfig
+from .riccati import CostWeights, RiccatiSolution, solve_care
+from .sim import ClosedLoopResult, ElectricalTrace, SimConfig, StepMetrics, TimeSeries
+from .sim import closed_loop_step, electrical_trace, observer_feedback_step, simulate
+from .sim import state_feedback_step, step_metrics
 
 __all__ = [
     "parse_kv_file",
@@ -62,9 +69,14 @@ __all__ = [
     "ControllerSpec",
     "Scenario",
     "load_scenario",
+    "preset_scenario",
+    "ScenarioRun",
+    "scenario_care",
+    "run_scenario",
 ]
 
 OUTPUT_KINDS = ("csv", "svg", "report")
+DEFAULT_OUTPUTS = ("csv", "report")
 
 PARAM_KEYS = (
     "turbine.tau_t",
@@ -182,7 +194,15 @@ class Scenario:
     outputs: tuple[str, ...]
 
 
+def _preset_plant(name: str):
+    tf = preset_tf(name)
+    # Both presets describe the same physical machine, so the
+    # electrical report always uses the reference parameters.
+    return tf_to_ss(tf), tf, REFERENCE_PARAMS, name
+
+
 def _resolve_plant(mapping, used: set[str]):
+    """(plant_model, plant_tf, plant_params, preset), the plant fields of a Scenario."""
     sources = []
     if "plant.preset" in mapping:
         sources.append("preset")
@@ -200,10 +220,7 @@ def _resolve_plant(mapping, used: set[str]):
         name = mapping["plant.preset"]
         if name not in PRESETS:
             raise ValidationError(f"plant.preset: unknown preset {name!r}; choose one of {PRESETS}")
-        tf = preset_tf(name)
-        # Both presets describe the same physical machine, so the
-        # electrical report always uses the reference parameters.
-        return tf_to_ss(tf), tf, REFERENCE_PARAMS, name
+        return _preset_plant(name)
     if "params" in sources:
         for key in PARAM_KEYS:
             used.add("plant." + key)
@@ -286,7 +303,7 @@ def load_scenario(path) -> Scenario:
     name = mapping.get("name", Path(path).stem)
     used.add("name")
 
-    plant_model, plant_tf, plant_params, preset = _resolve_plant(mapping, used)
+    plant = _resolve_plant(mapping, used)
     controller = _resolve_controller(mapping, used)
 
     reference = None
@@ -313,7 +330,9 @@ def load_scenario(path) -> Scenario:
     )
     used.update(("sim.dt", "sim.duration", "sim.input_kind", "sim.amplitude"))
 
-    outputs = tuple(mapping.get("outputs", "csv report").replace(",", " ").split())
+    outputs = (
+        tuple(mapping["outputs"].replace(",", " ").split()) if "outputs" in mapping else DEFAULT_OUTPUTS
+    )
     used.add("outputs")
     for out in outputs:
         if out not in OUTPUT_KINDS:
@@ -323,14 +342,71 @@ def load_scenario(path) -> Scenario:
     if unknown:
         raise ValidationError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
 
-    return Scenario(
-        name=name,
-        plant_model=plant_model,
-        plant_tf=plant_tf,
-        plant_params=plant_params,
-        preset=preset,
-        controller=controller,
-        sim=sim,
-        reference=reference,
-        outputs=outputs,
-    )
+    return Scenario(name, *plant, controller, sim, reference, outputs)
+
+
+def preset_scenario(name: str, preset: str, controller: ControllerSpec, sim: SimConfig,
+                    reference: float | None = None) -> Scenario:
+    """In-code scenario on a plant preset, with the default outputs."""
+    return Scenario(name, *_preset_plant(preset), controller, sim, reference, DEFAULT_OUTPUTS)
+
+
+@dataclass(frozen=True, eq=False)
+class ScenarioRun:
+    """Everything one scenario run computed.
+
+    `metrics` is None for a diverged run. `electrical` is set for open-loop
+    runs of a plant with physical parameters. `care` is set for lqr and
+    observer controllers; `convention` and `audit` (the A - BK and A - HC
+    verdicts) for observer controllers; `result` for every closed loop.
+    """
+
+    scenario: Scenario
+    series: TimeSeries
+    metrics: StepMetrics | None
+    electrical: ElectricalTrace | None = None
+    care: RiccatiSolution | None = None
+    convention: str | None = None
+    audit: ObserverAudit | None = None
+    result: ClosedLoopResult | None = None
+
+
+def scenario_care(scn: Scenario) -> RiccatiSolution:
+    """CARE solution (and LQR gain) for the scenario's cost weights."""
+    weights = CostWeights.diagonal(scn.controller.q_diag, scn.controller.r)
+    return solve_care(scn.plant_model.a, scn.plant_model.b, weights)
+
+
+def run_scenario(scn: Scenario, convention: str | None = None) -> ScenarioRun:
+    """Synthesize, simulate and measure one scenario.
+
+    `convention` overrides the scenario's observer wiring; closed loops
+    step to the scenario's reference.
+    """
+    plant = scn.plant_model
+    spec = scn.controller
+    if spec.kind == "none":
+        series = simulate(plant, scn.sim)
+        electrical = electrical_trace(scn.plant_params, series) if scn.plant_params else None
+        metrics = None if series.diverged else step_metrics(series)
+        return ScenarioRun(scn, series, metrics, electrical=electrical)
+    if scn.reference is None:
+        raise ValidationError("closed-loop scenario needs a reference")
+
+    care = audit = wiring = None
+    if spec.kind == "lqr":
+        care = scenario_care(scn)
+        result = state_feedback_step(plant, care.k, scn.reference, scn.sim)
+    elif spec.kind == "observer":
+        care = scenario_care(scn)
+        wiring = convention or spec.convention
+        controller = build_observer_controller(plant, care.k, spec.h, wiring)
+        audit = controller.audit
+        if wiring == "standard-luenberger":
+            result = observer_feedback_step(plant, care.k, spec.h, scn.reference, scn.sim)
+        else:
+            result = closed_loop_step(plant, controller.model, scn.reference, scn.sim)
+    else:  # explicit state-space controller
+        result = closed_loop_step(plant, spec.model, scn.reference, scn.sim)
+    return ScenarioRun(scn, result.series, result.metrics, care=care,
+                       convention=wiring, audit=audit, result=result)

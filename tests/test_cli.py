@@ -80,6 +80,17 @@ class TestSynthesizeCommand:
         assert "B = [2; -0.5]" in out
         assert "C = [1.772, 2]" in out
 
+    def test_zero_q_on_unstable_plant(self, capsys, tmp_path):
+        scn = tmp_path / "zero-q.cfg"
+        scn.write_text(
+            "plant.tf.num = 1\nplant.tf.den = 1 1 -2\n"
+            "controller.type = lqr\ncontroller.q_diag = 0 0\ncontroller.r = 1\n"
+        )
+        code, out = run(capsys, "synthesize", "--scenario", str(scn))
+        assert code == 0
+        assert "K = [2, 4]" in out
+        assert "stability[A-BK]: stable (Hurwitz)" in out
+
     def test_open_loop_scenario_rejected(self, capsys):
         code = main(["synthesize", "--scenario", str(SCENARIOS / "open-loop.cfg")])
         assert code == 1
@@ -120,6 +131,27 @@ class TestSimulateCommand:
         assert code == 0
         svg = (tmp_path / "open-loop.svg").read_text()
         assert svg.startswith("<svg ")
+
+    def test_format_flag_overrides_scenario_outputs(self, capsys, tmp_path):
+        code, out = run(
+            capsys, "simulate", "--scenario", str(SCENARIOS / "open-loop.cfg"),
+            "--out", str(tmp_path), "--format", "svg",
+        )
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["open-loop.svg"]
+        assert [l for l in out.splitlines() if l.startswith("wrote ")] == [
+            f"wrote {tmp_path / 'open-loop.svg'}"
+        ]
+
+    def test_scenario_outputs_decide_without_flag(self, capsys, tmp_path):
+        scn = tmp_path / "svg-only.cfg"
+        scn.write_text(
+            (SCENARIOS / "open-loop.cfg").read_text().replace("outputs = csv report", "outputs = svg")
+        )
+        out_dir = tmp_path / "out"
+        code, _ = run(capsys, "simulate", "--scenario", str(scn), "--out", str(out_dir))
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["open-loop.svg"]
 
     def test_missing_scenario_file_exit_3(self, capsys, tmp_path):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.cfg")])

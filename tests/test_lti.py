@@ -43,10 +43,6 @@ class TestPolynomial:
         prod = Polynomial([2.0, 1.0]) * Polynomial([7.0, 14.0])
         npt.assert_allclose(prod.coeffs, [14.0, 35.0, 14.0])
 
-    def test_addition_with_padding(self):
-        total = Polynomial([1.0, 0.0, 0.0]) + Polynomial([2.0, 3.0])
-        npt.assert_allclose(total.coeffs, [1.0, 2.0, 3.0])
-
     def test_roots_match_numpy_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

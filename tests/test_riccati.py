@@ -98,6 +98,25 @@ class TestSolveCare:
         assert is_hurwitz(char_poly(a - b @ k))
         assert sol.residual_norm <= 1e-8
 
+    @pytest.mark.parametrize("a, b", [
+        (np.array([[1.0, 0.0], [0.0, -2.0]]), np.array([[1.0], [1.0]])),
+        (np.array([[0.5]]), np.array([[1.0]])),
+    ])
+    def test_zero_q_unstable_plant_matches_scipy(self, a, b):
+        # With Q = 0 the residual at P = 0 is already zero; the stabilizing
+        # solution must still move the unstable pole.
+        linalg = pytest.importorskip("scipy.linalg")
+        q = np.zeros_like(a)
+        sol = solve_care(a, b, CostWeights(q, [[1.0]]))
+        npt.assert_allclose(sol.p, linalg.solve_continuous_are(a, b, q, np.eye(1)), atol=1e-10)
+        assert is_hurwitz(char_poly(a - b @ sol.k))
+
+    @pytest.mark.parametrize("q_diag, r", [([8.0, 8.0], 1.0), ([3.0, 3.0], 5.0)])
+    def test_gain_is_r_inverse_bt_p(self, q_diag, r):
+        weights = CostWeights.diagonal(q_diag, r)
+        sol = solve_care(PLANT_A, PLANT_B, weights)
+        npt.assert_array_equal(sol.k, np.linalg.solve(weights.r, PLANT_B.T @ sol.p))
+
     def test_scalar_oracle_500_random(self):
         rng = np.random.default_rng(11)
         for _ in range(500):
@@ -136,6 +155,12 @@ class TestLqrGain:
     def test_zero_q_on_stable_plant(self):
         k = lqr_gain(PLANT_A, PLANT_B, CostWeights(np.zeros((2, 2)), [[1.0]]))
         npt.assert_allclose(k, np.zeros((1, 2)), atol=1e-12)
+
+    def test_zero_q_on_unstable_plant(self):
+        a = np.array([[1.0, 0.0], [0.0, -2.0]])
+        b = np.array([[1.0], [1.0]])
+        k = lqr_gain(a, b, CostWeights(np.zeros((2, 2)), [[1.0]]))
+        npt.assert_allclose(k, [[2.0, 0.0]], atol=1e-10)
 
     def test_property_suite_random_systems(self):
         rng = np.random.default_rng(13)

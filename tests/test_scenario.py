@@ -1,8 +1,21 @@
+from pathlib import Path
+
+import numpy as np
 import numpy.testing as npt
 import pytest
 
 from regforge.errors import ValidationError
-from regforge.scenario import load_plant_params, load_scenario, parse_kv_file
+from regforge.scenario import (
+    ControllerSpec,
+    load_plant_params,
+    load_scenario,
+    parse_kv_file,
+    preset_scenario,
+    run_scenario,
+)
+from regforge.sim import SimConfig
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write(tmp_path, name, text):
@@ -156,9 +169,34 @@ class TestScenario:
             )))
 
     def test_repo_scenarios_parse(self):
-        from pathlib import Path
-
-        base = Path(__file__).resolve().parent.parent / "scenarios"
         for name in ("open-loop.cfg", "paper-lqr.cfg", "paper-observer.cfg"):
-            scn = load_scenario(base / name)
+            scn = load_scenario(SCENARIOS / name)
             assert scn.name
+
+
+class TestRunScenario:
+    def test_open_loop_has_electrical_trace(self):
+        run = run_scenario(load_scenario(SCENARIOS / "open-loop.cfg"))
+        assert run.care is None and run.result is None
+        assert run.electrical is not None
+        assert run.metrics.steady_state == pytest.approx(5 * 256 / 14, rel=1e-3)
+
+    def test_lqr_gain_comes_from_care(self):
+        run = run_scenario(load_scenario(SCENARIOS / "paper-lqr.cfg"))
+        b = run.scenario.plant_model.b
+        npt.assert_array_equal(run.care.k, np.linalg.solve([[5.0]], b.T @ run.care.p))
+        assert run.result.prescaler is not None
+        assert run.metrics.steady_state == pytest.approx(220.0, rel=1e-3)
+
+    def test_convention_override(self):
+        scn = load_scenario(SCENARIOS / "paper-observer.cfg")
+        run = run_scenario(scn, "paper-numeric")
+        assert run.convention == "paper-numeric"
+        assert not run.audit.error_hurwitz
+        assert run.result.prescaler is None
+        assert run_scenario(scn).convention == "standard-luenberger"
+
+    def test_closed_loop_needs_reference(self):
+        spec = ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0)
+        with pytest.raises(ValidationError, match="reference"):
+            run_scenario(preset_scenario("no-ref", "exact", spec, SimConfig(duration=1.0)))
