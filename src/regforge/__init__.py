@@ -44,18 +44,14 @@ from .plant import (
 )
 from .riccati import CostWeights, RiccatiSolution, care_residual, lqr_gain, solve_care, solve_lyapunov
 from .sim import (
-    ClosedLoopResult,
     ElectricalTrace,
     SimConfig,
     StepMetrics,
     TimeSeries,
-    closed_loop_step,
     electrical_trace,
-    observer_feedback_step,
     reference_prescaler,
     simulate,
     state_feedback_loop,
-    state_feedback_step,
     step_metrics,
 )
 

@@ -25,15 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .lti import (
-    char_poly,
-    dc_gain,
-    eigenvalues,
-    feedback_interconnect,
-    is_hurwitz,
-    tf_to_ss,
-)
-from .observer import CONVENTIONS, build_observer_controller, design_observer_gain
+from .lti import char_poly, dc_gain, eigenvalues, is_hurwitz, tf_to_ss
+from .observer import CONVENTIONS, design_observer_gain
 from .output import line_chart_svg, read_timeseries_csv, write_timeseries_csv
 from .plant import (
     PUBLISHED_OPEN_LOOP,
@@ -48,11 +41,11 @@ from .plant import (
 from .report import RunReport, fmt, fmt_vector
 from .scenario import (
     ControllerSpec,
+    closed_loop,
     load_plant_params,
     load_scenario,
     preset_scenario,
     run_scenario,
-    scenario_care,
 )
 from .sim import SimConfig, step_metrics
 
@@ -116,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="plant model preset (default: run both and report both)")
     p_rep.add_argument("--controller", choices=("lqr", "observer", "both"), default="both",
                        help="closed-loop design(s) for figure 8")
-    p_rep.add_argument("--convention", choices=CONVENTIONS, default="standard-luenberger",
-                       help="compensator wiring used in figure-8 reports")
     add_common(p_rep)
     p_rep.set_defaults(func=cmd_reproduce)
 
@@ -206,28 +197,26 @@ def cmd_synthesize(args) -> int:
     report.add_tf("plant", scn.plant_tf)
     report.add_stability("plant", is_hurwitz(char_poly(plant.a)))
 
-    solution = scenario_care(scn)
-    k = solution.k
-    report.add_gain("K", k)
-    report.add_line(f"CARE residual      : {solution.residual_norm:.3e} "
-                    f"({solution.iterations} iterations)")
-    report.add_stability("A-BK", is_hurwitz(char_poly(plant.a - plant.b @ k)))
+    loop = closed_loop(scn, args.convention)
+    care = loop.care
+    report.add_gain("K", care.k)
+    report.add_line(f"CARE residual      : {care.residual_norm:.3e} "
+                    f"({care.iterations} iterations)")
+    report.add_stability("A-BK", is_hurwitz(char_poly(plant.a - plant.b @ care.k)))
 
-    if spec.kind == "observer":
-        convention = args.convention or spec.convention
-        controller = build_observer_controller(plant, k, spec.h, convention)
-        report.add_line(f"convention         : {convention}")
-        report.add_ss("compensator", controller.model)
-        report.add_line(f"A-HC char poly     : {controller.audit.error_poly}")
-        report.add_stability("A-HC", controller.audit.error_hurwitz)
-        loop = feedback_interconnect(plant, controller.model)
-        eig = np.sort_complex(eigenvalues(loop.a))
+    observer = loop.observer
+    if observer is not None:
+        report.add_line(f"convention         : {observer.convention}")
+        report.add_ss("compensator", observer.model)
+        report.add_line(f"A-HC char poly     : {observer.audit.error_poly}")
+        report.add_stability("A-HC", observer.audit.error_hurwitz)
+        eig = np.sort_complex(eigenvalues(loop.model.a))
         eig = np.where(np.abs(eig.imag) < 1e-9, eig.real + 0.0j, eig)
         labels = [f"{z.real:.4g}" if z.imag == 0 else f"{z.real:.4g}{z.imag:+.4g}j" for z in eig]
-        report.add_line("closed-loop eigenvalues (unity feedback, reported not asserted): "
+        report.add_line("closed-loop eigenvalues (reported not asserted): "
                         + "[" + ", ".join(labels) + "]")
-        report.add_stability("closed loop", is_hurwitz(char_poly(loop.a)))
-        if not controller.audit.error_hurwitz:
+        report.add_stability("closed loop", loop.hurwitz)
+        if not observer.audit.error_hurwitz:
             report.warn(
                 "observer error dynamics A-HC are not Hurwitz with the supplied H; the "
                 "standard observer architecture cannot settle and the published response "
@@ -250,18 +239,19 @@ def cmd_simulate(args) -> int:
                          if scn.plant_model.n_states else True)
     run = run_scenario(scn, args.convention)
 
+    loop = run.loop
     if spec.kind == "lqr":
-        report.add_gain("K", run.care.k)
-        report.add_line(f"CARE residual      : {run.care.residual_norm:.3e}")
+        report.add_gain("K", loop.care.k)
+        report.add_line(f"CARE residual      : {loop.care.residual_norm:.3e}")
     elif spec.kind == "observer":
-        report.add_gain("K", run.care.k)
+        report.add_gain("K", loop.care.k)
         report.add_gain("H", spec.h)
-        report.add_line(f"convention         : {run.convention}")
-        report.add_stability("A-HC", run.audit.error_hurwitz)
-    if run.result is not None:
-        if run.result.prescaler is not None:
-            report.add_line(f"reference prescaler N = {fmt(run.result.prescaler)}")
-        report.add_stability("closed loop", run.result.hurwitz)
+        report.add_line(f"convention         : {loop.observer.convention}")
+        report.add_stability("A-HC", loop.observer.audit.error_hurwitz)
+    if loop is not None:
+        if loop.prescaler is not None:
+            report.add_line(f"reference prescaler N = {fmt(loop.prescaler)}")
+        report.add_stability("closed loop", loop.hurwitz)
     if run.series.diverged:
         report.warn(f"simulation diverged at t = {run.series.times[-1]:.3f} s; series truncated")
     else:
@@ -338,8 +328,8 @@ def _figure8_legs(args, preset: str, report: RunReport) -> list:
     if args.controller in ("lqr", "both"):
         run = leg("lqr", FIGURE8_SPECS["lqr"])
         report.add_line()
-        report.add_line(f"[{preset}] lqr leg: K = {fmt_vector(run.care.k)}, "
-                        f"N = {fmt(run.result.prescaler)}")
+        report.add_line(f"[{preset}] lqr leg: K = {fmt_vector(run.loop.care.k)}, "
+                        f"N = {fmt(run.loop.prescaler)}")
         report.add_metrics(run.metrics)
         files += _write_artifacts(args, run, ylabel, svg_title=f"figure 8 lqr ({preset})")
 
@@ -347,10 +337,11 @@ def _figure8_legs(args, preset: str, report: RunReport) -> list:
         spec = FIGURE8_SPECS["observer"]
         run = leg("observer-published", spec)
         report.add_line()
-        report.add_line(f"[{preset}] observer leg: K = {fmt_vector(run.care.k)}, published H = "
+        audit = run.loop.observer.audit
+        report.add_line(f"[{preset}] observer leg: K = {fmt_vector(run.loop.care.k)}, published H = "
                         f"{fmt_vector(spec.h)}")
-        report.add_line(f"[{preset}] A-HC char poly: {run.audit.error_poly}")
-        report.add_stability("A-HC (published H)", run.audit.error_hurwitz)
+        report.add_line(f"[{preset}] A-HC char poly: {audit.error_poly}")
+        report.add_stability("A-HC (published H)", audit.error_hurwitz)
         if run.series.diverged:
             report.warn(
                 f"[{preset}] published-H observer loop diverged at "

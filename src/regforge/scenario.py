@@ -30,6 +30,7 @@ Scenario file keys::
     reference = 220                 # closed loop only
     sim.dt = 0.001
     sim.duration = 15
+    sim.input_kind = step           # step | constant | zero; open loop only
     sim.amplitude = 5               # open-loop input level
     outputs = csv report            # any of csv svg report
 
@@ -40,14 +41,22 @@ accepted but changes nothing: the text report is always printed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .lti import StateSpaceModel, TransferFunction, ss_to_tf, tf_to_ss
-from .observer import CONVENTIONS, ObserverAudit, build_observer_controller
+from .errors import NumericalError, ValidationError
+from .lti import (
+    StateSpaceModel,
+    TransferFunction,
+    char_poly,
+    feedback_interconnect,
+    is_hurwitz,
+    ss_to_tf,
+    tf_to_ss,
+)
+from .observer import CONVENTIONS, ObserverBasedController, build_observer_controller, luenberger_loop
 from .plant import (
     GeneratorParams,
     PlantParams,
@@ -58,9 +67,8 @@ from .plant import (
     preset_tf,
 )
 from .riccati import CostWeights, RiccatiSolution, solve_care
-from .sim import ClosedLoopResult, ElectricalTrace, SimConfig, StepMetrics, TimeSeries
-from .sim import closed_loop_step, electrical_trace, observer_feedback_step, simulate
-from .sim import state_feedback_step, step_metrics
+from .sim import ElectricalTrace, SimConfig, StepMetrics, TimeSeries, electrical_trace
+from .sim import reference_prescaler, simulate, state_feedback_loop, step_metrics
 
 __all__ = [
     "parse_kv_file",
@@ -70,10 +78,18 @@ __all__ = [
     "Scenario",
     "load_scenario",
     "preset_scenario",
+    "ClosedLoop",
+    "closed_loop",
     "ScenarioRun",
-    "scenario_care",
     "run_scenario",
 ]
+
+# Initial estimation error of an observer-based loop, relative to the
+# reference. A perfectly synchronized estimate keeps an unstable error mode
+# invisible forever in exact arithmetic (which is how an unstable observer
+# design can still produce a clean simulated trace); the offset makes the
+# audit verdict observable while leaving stable designs untouched.
+ESTIMATE_OFFSET = 1e-6
 
 OUTPUT_KINDS = ("csv", "svg", "report")
 DEFAULT_OUTPUTS = ("csv", "report")
@@ -352,29 +368,80 @@ def preset_scenario(name: str, preset: str, controller: ControllerSpec, sim: Sim
 
 
 @dataclass(frozen=True, eq=False)
+class ClosedLoop:
+    """A scenario's controller closed around its plant.
+
+    `model` maps the reference r to the plant output; `x0` is its initial
+    state. `care` is set for lqr and observer controllers, `observer` (the
+    compensator, its wiring convention and the A - BK / A - HC audit) for
+    observer controllers. `prescaler` is the reference gain N of the lqr
+    and standard-luenberger loops; when none exists, `model` takes N = 1
+    and `prescaler_error` says why.
+    """
+
+    model: StateSpaceModel
+    hurwitz: bool
+    x0: np.ndarray
+    care: RiccatiSolution | None = None
+    observer: ObserverBasedController | None = None
+    prescaler: float | None = None
+    prescaler_error: str | None = None
+
+
+def closed_loop(scn: Scenario, convention: str | None = None) -> ClosedLoop:
+    """Close the scenario's controller around its plant.
+
+    `convention` overrides the scenario's observer wiring. lqr closes
+    u = N r - K x; standard-luenberger closes the observer loop with
+    u = N r - K x_hat, its estimate offset from the plant state by
+    ESTIMATE_OFFSET of the reference; the other conventions and ss
+    controllers close unity feedback around the compensator.
+    """
+    plant = scn.plant_model
+    spec = scn.controller
+    if spec.kind == "none":
+        raise ValidationError("scenario has no controller to close the loop with")
+    care = observer = prescaler = prescaler_error = None
+    compensator = spec.model
+    if spec.kind != "ss":
+        care = solve_care(plant.a, plant.b, CostWeights.diagonal(spec.q_diag, spec.r))
+        if spec.kind == "observer":
+            observer = build_observer_controller(plant, care.k, spec.h, convention or spec.convention)
+        if observer is not None and observer.convention != "standard-luenberger":
+            compensator = observer.model
+    n = plant.n_states
+    if compensator is not None:
+        loop = feedback_interconnect(plant, compensator)
+        x0 = np.zeros(loop.n_states)
+    else:
+        try:
+            prescaler = reference_prescaler(plant, care.k)
+        except NumericalError as exc:
+            prescaler_error = str(exc)
+        gain = 1.0 if prescaler is None else prescaler
+        if observer is None:
+            loop, x0 = state_feedback_loop(plant, care.k, gain), np.zeros(n)
+        else:
+            loop = luenberger_loop(plant, care.k, spec.h, gain)
+            offset = ESTIMATE_OFFSET * abs(scn.reference or 0.0)
+            x0 = np.concatenate([np.zeros(n), np.full(n, -offset)])
+    return ClosedLoop(loop, is_hurwitz(char_poly(loop.a)), x0, care, observer,
+                      prescaler, prescaler_error)
+
+
+@dataclass(frozen=True, eq=False)
 class ScenarioRun:
     """Everything one scenario run computed.
 
     `metrics` is None for a diverged run. `electrical` is set for open-loop
-    runs of a plant with physical parameters. `care` is set for lqr and
-    observer controllers; `convention` and `audit` (the A - BK and A - HC
-    verdicts) for observer controllers; `result` for every closed loop.
+    runs of a plant with physical parameters, `loop` for closed-loop runs.
     """
 
     scenario: Scenario
     series: TimeSeries
     metrics: StepMetrics | None
     electrical: ElectricalTrace | None = None
-    care: RiccatiSolution | None = None
-    convention: str | None = None
-    audit: ObserverAudit | None = None
-    result: ClosedLoopResult | None = None
-
-
-def scenario_care(scn: Scenario) -> RiccatiSolution:
-    """CARE solution (and LQR gain) for the scenario's cost weights."""
-    weights = CostWeights.diagonal(scn.controller.q_diag, scn.controller.r)
-    return solve_care(scn.plant_model.a, scn.plant_model.b, weights)
+    loop: ClosedLoop | None = None
 
 
 def run_scenario(scn: Scenario, convention: str | None = None) -> ScenarioRun:
@@ -383,30 +450,17 @@ def run_scenario(scn: Scenario, convention: str | None = None) -> ScenarioRun:
     `convention` overrides the scenario's observer wiring; closed loops
     step to the scenario's reference.
     """
-    plant = scn.plant_model
-    spec = scn.controller
-    if spec.kind == "none":
-        series = simulate(plant, scn.sim)
+    if scn.controller.kind == "none":
+        series = simulate(scn.plant_model, scn.sim)
         electrical = electrical_trace(scn.plant_params, series) if scn.plant_params else None
         metrics = None if series.diverged else step_metrics(series)
         return ScenarioRun(scn, series, metrics, electrical=electrical)
     if scn.reference is None:
         raise ValidationError("closed-loop scenario needs a reference")
-
-    care = audit = wiring = None
-    if spec.kind == "lqr":
-        care = scenario_care(scn)
-        result = state_feedback_step(plant, care.k, scn.reference, scn.sim)
-    elif spec.kind == "observer":
-        care = scenario_care(scn)
-        wiring = convention or spec.convention
-        controller = build_observer_controller(plant, care.k, spec.h, wiring)
-        audit = controller.audit
-        if wiring == "standard-luenberger":
-            result = observer_feedback_step(plant, care.k, spec.h, scn.reference, scn.sim)
-        else:
-            result = closed_loop_step(plant, controller.model, scn.reference, scn.sim)
-    else:  # explicit state-space controller
-        result = closed_loop_step(plant, spec.model, scn.reference, scn.sim)
-    return ScenarioRun(scn, result.series, result.metrics, care=care,
-                       convention=wiring, audit=audit, result=result)
+    loop = closed_loop(scn, convention)
+    if loop.prescaler_error is not None:
+        raise NumericalError(loop.prescaler_error)
+    cfg = replace(scn.sim, input_kind="step", input_amplitude=scn.reference)
+    series = simulate(loop.model, cfg, loop.x0)
+    metrics = None if series.diverged else step_metrics(series)
+    return ScenarioRun(scn, series, metrics, loop=loop)

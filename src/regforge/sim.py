@@ -17,9 +17,9 @@ The settling band used everywhere is +/-2 % of the steady-state value
 like-for-like). Steady state is the mean of the final 5 % of samples.
 
 A bare state-feedback regulator drives its output to zero, not to a
-voltage target, so tracking runs insert an explicit reference prescaler
-N = 1 / (C (-(A-BK))^-1 B) ahead of the loop; the value is reported with
-the run.
+voltage target, so tracking loops take an explicit reference prescaler
+N = 1 / (C (-(A-BK))^-1 B) ahead of the loop (`reference_prescaler`,
+`state_feedback_loop`).
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .lti import StateSpaceModel, char_poly, feedback_interconnect, is_hurwitz
-from .observer import luenberger_loop
+from .lti import StateSpaceModel
 from .plant import PlantParams
 
 __all__ = [
@@ -38,15 +37,11 @@ __all__ = [
     "TimeSeries",
     "StepMetrics",
     "ElectricalTrace",
-    "ClosedLoopResult",
     "simulate",
     "step_metrics",
     "electrical_trace",
     "reference_prescaler",
     "state_feedback_loop",
-    "closed_loop_step",
-    "state_feedback_step",
-    "observer_feedback_step",
     "SETTLING_BAND",
 ]
 
@@ -139,15 +134,6 @@ class ElectricalTrace:
     p_in: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ClosedLoopResult:
-    series: TimeSeries
-    metrics: StepMetrics | None
-    loop: StateSpaceModel
-    hurwitz: bool
-    prescaler: float | None = None
-
-
 def _rk4_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     eye = np.eye(n)
@@ -221,7 +207,9 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
     if ss_value == 0.0:
         return StepMetrics(0.0, 0.0, None, None, settled=False)
 
-    overshoot = max(0.0, 100.0 * (float(np.max(y)) - ss_value) / abs(ss_value))
+    # Overshoot is the peak beyond the steady state, in its direction.
+    direction = np.sign(ss_value)
+    overshoot = max(0.0, 100.0 * (float(np.max(direction * y)) - abs(ss_value)) / abs(ss_value))
 
     band = SETTLING_BAND * abs(ss_value)
     outside = np.abs(y - ss_value) > band
@@ -269,14 +257,19 @@ def electrical_trace(p: PlantParams, ts: TimeSeries) -> ElectricalTrace:
 
 
 def reference_prescaler(plant: StateSpaceModel, k) -> float:
-    """Feedforward gain N = 1/(C (-(A-BK))^-1 B) making dc output equal r."""
+    """Feedforward gain N = 1/(C (-(A-BK))^-1 B) making dc output equal r.
+
+    A dc gain within rounding of zero (relative to |C| |(-(A-BK))^-1 B|)
+    counts as zero: its reciprocal would be rounding noise.
+    """
     k = np.atleast_2d(np.asarray(k, dtype=float))
     a_cl = plant.a - plant.b @ k
     try:
-        dc = (plant.c @ np.linalg.solve(-a_cl, plant.b)).item()
+        x_dc = np.linalg.solve(-a_cl, plant.b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("closed loop has a pole at the origin; no prescaler exists") from exc
-    if dc == 0.0:
+    dc = (plant.c @ x_dc).item()
+    if abs(dc) <= 1e-12 * np.linalg.norm(plant.c) * np.linalg.norm(x_dc):
         raise NumericalError("closed-loop dc gain is zero; no prescaler exists")
     return 1.0 / dc
 
@@ -287,66 +280,3 @@ def state_feedback_loop(plant: StateSpaceModel, k, reference_gain: float = 1.0) 
     return StateSpaceModel(
         plant.a - plant.b @ k, float(reference_gain) * plant.b, plant.c, plant.d
     )
-
-
-def _run_loop(loop: StateSpaceModel, reference: float, cfg: SimConfig,
-              prescaler: float | None, x0=None) -> ClosedLoopResult:
-    run_cfg = SimConfig(
-        dt=cfg.dt,
-        duration=cfg.duration,
-        input_kind="step",
-        input_amplitude=float(reference),
-        divergence_limit=cfg.divergence_limit,
-    )
-    series = simulate(loop, run_cfg, x0=x0)
-    metrics = None if series.diverged else step_metrics(series)
-    return ClosedLoopResult(
-        series=series,
-        metrics=metrics,
-        loop=loop,
-        hurwitz=is_hurwitz(char_poly(loop.a)),
-        prescaler=prescaler,
-    )
-
-
-def closed_loop_step(
-    plant: StateSpaceModel, controller: StateSpaceModel, reference: float, cfg: SimConfig
-) -> ClosedLoopResult:
-    """Step the unity-feedback interconnection to a reference level."""
-    loop = feedback_interconnect(plant, controller)
-    return _run_loop(loop, reference, cfg, prescaler=None)
-
-
-def state_feedback_step(
-    plant: StateSpaceModel, k, reference: float, cfg: SimConfig, prescale: bool = True
-) -> ClosedLoopResult:
-    """Step the state-feedback regulator, prescaled to track the reference."""
-    n_gain = reference_prescaler(plant, k) if prescale else 1.0
-    loop = state_feedback_loop(plant, k, n_gain)
-    return _run_loop(loop, reference, cfg, prescaler=n_gain)
-
-
-def observer_feedback_step(
-    plant: StateSpaceModel,
-    k,
-    h,
-    reference: float,
-    cfg: SimConfig,
-    prescale: bool = True,
-    estimation_error: float = 1e-6,
-) -> ClosedLoopResult:
-    """Step the observer-based (standard-luenberger) loop to a reference.
-
-    The estimate starts offset from the plant state by estimation_error
-    (relative to the reference). A perfectly synchronized estimate keeps
-    an unstable error mode invisible forever in exact arithmetic, which
-    is precisely how an unstable observer design can still produce a
-    clean simulated trace; the seed makes the audit verdict observable
-    while leaving stable designs untouched.
-    """
-    n_gain = reference_prescaler(plant, k) if prescale else 1.0
-    loop = luenberger_loop(plant, k, h, n_gain)
-    n = plant.n_states
-    x0 = np.zeros(2 * n)
-    x0[n:] = -abs(estimation_error) * abs(float(reference)) * np.ones(n)
-    return _run_loop(loop, reference, cfg, prescaler=n_gain, x0=x0)

@@ -19,7 +19,8 @@ from regforge.observer import (
 )
 from regforge.plant import REFERENCE_PARAMS, preset_tf, steady_state_report
 from regforge.riccati import CostWeights, care_residual, lqr_gain, solve_care
-from regforge.sim import SimConfig, observer_feedback_step, simulate, step_metrics
+from regforge.scenario import ControllerSpec, preset_scenario, run_scenario
+from regforge.sim import SimConfig, simulate, step_metrics
 
 from oracles import (
     care_2x2_bruteforce,
@@ -158,11 +159,11 @@ def test_criterion_07_observer_audit_and_separation(capsys, tmp_path):
     separation_ok = worst <= 1e-8
 
     # (d) stable replacement H from dual placement settles at 220 V
-    k_high = lqr_gain(PLANT_A, PLANT_B, CostWeights.diagonal([8.0, 8.0], 1.0))
     h_stable = design_observer_gain(PLANT_A, PLANT_C, [-5.0, -6.0])
-    result = observer_feedback_step(
-        plant, k_high, h_stable, 220.0, SimConfig(dt=1e-3, duration=15.0)
-    )
+    spec = ControllerSpec(kind="observer", q_diag=np.array([8.0, 8.0]), r=1.0, h=h_stable)
+    result = run_scenario(preset_scenario(
+        "stable-h", "paper-rounded", spec, SimConfig(dt=1e-3, duration=15.0), 220.0
+    ))
     settle_ok = (
         result.metrics is not None
         and result.metrics.settled

@@ -2,10 +2,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import numpy.testing as npt
+
 from regforge.cli import main
+from regforge.lti import char_poly, tf_to_ss
+from regforge.plant import rounded_plant_tf
+from regforge.riccati import CostWeights, lqr_gain
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# s/(s^2 + 3 s + 2): the plant zero at the origin leaves the state-feedback
+# loop with zero dc gain, which rounds to about -7e-18 rather than 0.
+ZERO_DC_SCENARIO = (
+    "plant.tf.num = 1 0\nplant.tf.den = 1 3 2\n"
+    "controller.type = lqr\ncontroller.q_diag = 1 1\ncontroller.r = 1\nreference = 1\n"
+)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -68,8 +81,24 @@ class TestSynthesizeCommand:
         assert "K = [1.772, 2]" in out
         assert "A = [-4.272, -39; 1, 9]" in out
         assert "stability[A-HC]: NOT Hurwitz" in out
-        assert "closed-loop eigenvalues (unity feedback, reported not asserted)" in out
+        assert "closed-loop eigenvalues (reported not asserted)" in out
+        assert "unity feedback" not in out
         assert any("not Hurwitz" in l for l in out.splitlines() if l.startswith("WARNING"))
+
+    def test_observer_eigenvalues_are_the_separation_spectrum(self, capsys):
+        # the standard-luenberger loop that simulate runs has the spectrum
+        # eig(A - BK) and eig(A - HC)
+        code, out = run(capsys, "synthesize", "--scenario", str(SCENARIOS / "paper-observer.cfg"))
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("closed-loop eigenvalues"))
+        printed = [complex(z.replace(" ", "")) for z in line.split("[", 1)[1].rstrip("]").split(",")]
+        plant = tf_to_ss(rounded_plant_tf())
+        k = lqr_gain(plant.a, plant.b, CostWeights.diagonal([8.0, 8.0], 1.0))
+        h = np.array([[2.0], [-0.5]])
+        product = char_poly(plant.a - plant.b @ k) * char_poly(plant.a - h @ plant.c)
+        npt.assert_allclose(np.sort_complex(printed), np.sort_complex(np.roots(product.coeffs)),
+                            atol=1e-3)
+        assert "stability[closed loop]: NOT Hurwitz" in out
 
     def test_paper_numeric_convention_matrices(self, capsys):
         code, out = run(
@@ -90,6 +119,17 @@ class TestSynthesizeCommand:
         assert code == 0
         assert "K = [2, 4]" in out
         assert "stability[A-BK]: stable (Hurwitz)" in out
+
+    def test_zero_dc_gain_plant_still_synthesizes(self, capsys, tmp_path):
+        scn = tmp_path / "zero-dc.cfg"
+        scn.write_text(ZERO_DC_SCENARIO)
+        code, out = run(capsys, "synthesize", "--scenario", str(scn))
+        assert code == 0
+        assert out.splitlines()[3:] == [
+            "K = [0.236068, 0.236068]",
+            "CARE residual      : 2.390e-16 (4 iterations)",
+            "stability[A-BK]: stable (Hurwitz)",
+        ]
 
     def test_open_loop_scenario_rejected(self, capsys):
         code = main(["synthesize", "--scenario", str(SCENARIOS / "open-loop.cfg")])
@@ -122,6 +162,16 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert any("diverged" in l for l in out.splitlines() if l.startswith("WARNING"))
+
+    def test_zero_dc_gain_has_no_prescaler(self, capsys, tmp_path):
+        scn = tmp_path / "zero-dc.cfg"
+        scn.write_text(ZERO_DC_SCENARIO)
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--scenario", str(scn), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "no prescaler exists" in captured.err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_svg_format(self, capsys, tmp_path):
         code, _ = run(
@@ -221,6 +271,13 @@ class TestReproduceCommand:
         code, _ = run(capsys, "reproduce", "--figure", "4", "--preset", "exact")
         assert code == 0
         assert (tmp_path / "envout" / "figure4-exact.csv").exists()
+
+    def test_convention_option_removed(self, capsys, tmp_path):
+        code = main(["reproduce", "--figure", "8", "--preset", "paper-rounded",
+                     "--convention", "paper-numeric", "--out", str(tmp_path)])
+        assert code == 1
+        assert "--convention" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_bad_figure_rejected(self, capsys):
         code = main(["reproduce", "--figure", "9"])

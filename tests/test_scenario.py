@@ -4,9 +4,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from regforge.errors import ValidationError
+from regforge.errors import NumericalError, ValidationError
+from regforge.lti import char_poly
 from regforge.scenario import (
+    ESTIMATE_OFFSET,
     ControllerSpec,
+    closed_loop,
     load_plant_params,
     load_scenario,
     parse_kv_file,
@@ -177,26 +180,62 @@ class TestScenario:
 class TestRunScenario:
     def test_open_loop_has_electrical_trace(self):
         run = run_scenario(load_scenario(SCENARIOS / "open-loop.cfg"))
-        assert run.care is None and run.result is None
+        assert run.loop is None
         assert run.electrical is not None
         assert run.metrics.steady_state == pytest.approx(5 * 256 / 14, rel=1e-3)
 
     def test_lqr_gain_comes_from_care(self):
         run = run_scenario(load_scenario(SCENARIOS / "paper-lqr.cfg"))
         b = run.scenario.plant_model.b
-        npt.assert_array_equal(run.care.k, np.linalg.solve([[5.0]], b.T @ run.care.p))
-        assert run.result.prescaler is not None
+        care = run.loop.care
+        npt.assert_array_equal(care.k, np.linalg.solve([[5.0]], b.T @ care.p))
+        assert run.loop.prescaler is not None
         assert run.metrics.steady_state == pytest.approx(220.0, rel=1e-3)
 
     def test_convention_override(self):
         scn = load_scenario(SCENARIOS / "paper-observer.cfg")
         run = run_scenario(scn, "paper-numeric")
-        assert run.convention == "paper-numeric"
-        assert not run.audit.error_hurwitz
-        assert run.result.prescaler is None
-        assert run_scenario(scn).convention == "standard-luenberger"
+        assert run.loop.observer.convention == "paper-numeric"
+        assert not run.loop.observer.audit.error_hurwitz
+        assert run.loop.prescaler is None
+        assert run_scenario(scn).loop.observer.convention == "standard-luenberger"
 
     def test_closed_loop_needs_reference(self):
         spec = ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0)
         with pytest.raises(ValidationError, match="reference"):
             run_scenario(preset_scenario("no-ref", "exact", spec, SimConfig(duration=1.0)))
+
+
+class TestClosedLoopBuilder:
+    def test_standard_luenberger_is_the_separation_loop(self):
+        scn = load_scenario(SCENARIOS / "paper-observer.cfg")
+        loop = closed_loop(scn)
+        a, b, c = scn.plant_model.a, scn.plant_model.b, scn.plant_model.c
+        k, h = loop.care.k, scn.controller.h.reshape(-1, 1)
+        product = char_poly(a - b @ k) * char_poly(a - h @ c)
+        npt.assert_allclose(char_poly(loop.model.a).coeffs, product.coeffs, atol=1e-9)
+        assert not loop.hurwitz
+        npt.assert_array_equal(loop.x0, [0.0, 0.0, -ESTIMATE_OFFSET * 220, -ESTIMATE_OFFSET * 220])
+
+    def test_lqr_loop_is_prescaled_state_feedback(self):
+        scn = load_scenario(SCENARIOS / "paper-lqr.cfg")
+        loop = closed_loop(scn)
+        assert loop.observer is None and loop.prescaler_error is None
+        npt.assert_array_equal(loop.model.b, loop.prescaler * scn.plant_model.b)
+        npt.assert_array_equal(loop.x0, [0.0, 0.0])
+
+    def test_missing_prescaler_is_recorded_then_raised_by_run(self, tmp_path):
+        scn = load_scenario(write(tmp_path, "s.cfg", (
+            "plant.tf.num = 1 0\nplant.tf.den = 1 3 2\ncontroller.type = lqr\n"
+            "controller.q_diag = 1 1\ncontroller.r = 1\nreference = 1\n"
+        )))
+        loop = closed_loop(scn)
+        assert loop.hurwitz
+        assert loop.prescaler is None
+        assert "no prescaler exists" in loop.prescaler_error
+        with pytest.raises(NumericalError, match="no prescaler exists"):
+            run_scenario(scn)
+
+    def test_open_loop_has_no_closed_loop(self):
+        with pytest.raises(ValidationError, match="no controller"):
+            closed_loop(load_scenario(SCENARIOS / "open-loop.cfg"))

@@ -1,21 +1,22 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from regforge.errors import ValidationError
-from regforge.lti import StateSpaceModel, TransferFunction, dc_gain, tf_to_ss
+from regforge.errors import NumericalError, ValidationError
+from regforge.lti import StateSpaceModel, TransferFunction, dc_gain, ss_to_tf, tf_to_ss
 from regforge.observer import design_observer_gain
 from regforge.plant import REFERENCE_PARAMS, plant_tf, rounded_plant_tf
+from regforge.scenario import DEFAULT_OUTPUTS, ControllerSpec, Scenario, preset_scenario, run_scenario
 from regforge.sim import (
     SimConfig,
     TimeSeries,
-    closed_loop_step,
     electrical_trace,
-    observer_feedback_step,
     reference_prescaler,
     simulate,
     state_feedback_loop,
-    state_feedback_step,
     step_metrics,
 )
 
@@ -24,6 +25,12 @@ from oracles import random_controllable_siso
 K_HIGH = np.array([[1.7720018726587652, 2.0]])
 K_LOW = np.array([[0.21658284935643368, 0.2649110640673518]])
 H_PUB = np.array([[2.0], [-0.5]])
+# The paper's LQR weights (giving K_LOW) and observer weights (giving K_HIGH).
+LQR_LOW = ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0)
+
+
+def observer_spec(h) -> ControllerSpec:
+    return ControllerSpec(kind="observer", q_diag=np.array([8.0, 8.0]), r=1.0, h=np.asarray(h))
 
 
 def first_order(tau=2.0):
@@ -161,6 +168,30 @@ class TestStepMetrics:
         expected = 100.0 * np.exp(-np.pi * 0.5 / np.sqrt(0.75))
         assert m.overshoot_pct == pytest.approx(expected, abs=0.05)
 
+    def test_negative_step_overshoot(self):
+        # zeta = 0.4: both step directions overshoot by exp(-pi zeta / sqrt(1 - zeta^2))
+        model = tf_to_ss(TransferFunction([1.0], [1.0, 0.8, 1.0]))
+        up = step_metrics(simulate(model, SimConfig(dt=1e-3, duration=30.0)))
+        down = step_metrics(simulate(model, SimConfig(dt=1e-3, duration=30.0, input_amplitude=-1.0)))
+        expected = 100.0 * np.exp(-np.pi * 0.4 / np.sqrt(0.84))
+        assert up.overshoot_pct == pytest.approx(expected, abs=0.05)
+        assert down.overshoot_pct == up.overshoot_pct
+        assert down.steady_state == -up.steady_state
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(100, 300),
+                  elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)))
+    def test_negation_symmetry(self, y):
+        t = np.arange(len(y)) * 1e-2
+        empty = np.zeros((len(y), 0))
+        m = step_metrics(TimeSeries(times=t, inputs=np.ones(len(y)), outputs=y, states=empty))
+        neg = step_metrics(TimeSeries(times=t, inputs=-np.ones(len(y)), outputs=-y, states=empty))
+        assert neg.steady_state == -m.steady_state
+        assert neg.overshoot_pct == m.overshoot_pct
+        assert neg.settling_time == m.settling_time
+        assert neg.rise_time == m.rise_time
+        assert (neg.settled, neg.degenerate) == (m.settled, m.degenerate)
+
     def test_unsettled_flagged(self):
         # slow system cut off mid-rise
         ts = simulate(tf_to_ss(TransferFunction([1.0], [50.0, 1.0])),
@@ -215,15 +246,14 @@ class TestElectricalTrace:
 
 class TestClosedLoop:
     def test_integrator_unit_feedback(self):
-        res = closed_loop_step(
-            tf_to_ss(TransferFunction([1.0], [1.0, 0.0])),
-            StateSpaceModel.static_gain(1.0),
-            1.0,
-            SimConfig(dt=1e-3, duration=10.0),
-        )
-        assert res.hurwitz
-        assert res.metrics.steady_state == pytest.approx(1.0, abs=1e-3)
-        assert res.metrics.settling_time == pytest.approx(np.log(50.0), abs=0.05)
+        plant = TransferFunction([1.0], [1.0, 0.0])
+        spec = ControllerSpec(kind="ss", model=StateSpaceModel.static_gain(1.0))
+        scn = Scenario("integrator", tf_to_ss(plant), plant, None, None, spec,
+                       SimConfig(dt=1e-3, duration=10.0), 1.0, DEFAULT_OUTPUTS)
+        run = run_scenario(scn)
+        assert run.loop.hurwitz
+        assert run.metrics.steady_state == pytest.approx(1.0, abs=1e-3)
+        assert run.metrics.settling_time == pytest.approx(np.log(50.0), abs=0.05)
 
     def test_prescaler_value(self):
         plant = tf_to_ss(rounded_plant_tf())
@@ -232,45 +262,47 @@ class TestClosedLoop:
         # so the state-feedback loop dc gain is 18/(1 + k2)
         assert n_gain == pytest.approx((1.0 + K_LOW[0, 1]) / 18.0, rel=1e-12)
 
+    def test_prescaler_rejects_rounded_zero_dc_gain(self):
+        # the plant zero at the origin makes C (-(A-BK))^-1 B vanish; in
+        # floating point it rounds to about -7e-18, not 0
+        plant = tf_to_ss(TransferFunction([1.0, 0.0], [1.0, 3.0, 2.0]))
+        k = np.array([[0.2360679774997898, 0.2360679774997898]])
+        with pytest.raises(NumericalError, match="no prescaler exists"):
+            reference_prescaler(plant, k)
+
     def test_state_feedback_tracks_reference(self):
-        plant = tf_to_ss(rounded_plant_tf())
-        res = state_feedback_step(plant, K_LOW, 220.0, SimConfig(dt=1e-3, duration=30.0))
-        assert res.hurwitz
-        assert res.metrics.steady_state == pytest.approx(220.0, rel=1e-3)
+        run = run_scenario(preset_scenario("lqr", "paper-rounded", LQR_LOW,
+                                           SimConfig(dt=1e-3, duration=30.0), 220.0))
+        assert run.loop.hurwitz
+        assert run.metrics.steady_state == pytest.approx(220.0, rel=1e-3)
 
     def test_state_feedback_loop_dc_is_one_after_prescale(self):
         plant = tf_to_ss(rounded_plant_tf())
-        from regforge.lti import ss_to_tf
-
         loop = state_feedback_loop(plant, K_LOW, reference_prescaler(plant, K_LOW))
         assert dc_gain(ss_to_tf(loop)) == pytest.approx(1.0, rel=1e-12)
 
     def test_observer_loop_published_gain_diverges(self):
-        plant = tf_to_ss(rounded_plant_tf())
-        res = observer_feedback_step(plant, K_HIGH, H_PUB, 220.0,
-                                     SimConfig(dt=1e-3, duration=15.0))
-        assert not res.hurwitz
-        assert res.series.diverged
-        assert res.metrics is None
+        run = run_scenario(preset_scenario("published", "paper-rounded", observer_spec(H_PUB),
+                                           SimConfig(dt=1e-3, duration=15.0), 220.0))
+        assert not run.loop.hurwitz
+        assert run.series.diverged
+        assert run.metrics is None
 
     def test_observer_loop_stable_replacement_settles(self):
         plant = tf_to_ss(rounded_plant_tf())
         h = design_observer_gain(plant.a, plant.c, [-5.0, -6.0])
-        res = observer_feedback_step(plant, K_HIGH, h, 220.0,
-                                     SimConfig(dt=1e-3, duration=15.0))
-        assert res.hurwitz
-        assert not res.series.diverged
-        assert res.metrics.settled
-        assert res.metrics.steady_state == pytest.approx(220.0, rel=1e-3)
+        run = run_scenario(preset_scenario("stable", "paper-rounded", observer_spec(h),
+                                           SimConfig(dt=1e-3, duration=15.0), 220.0))
+        assert run.loop.hurwitz
+        assert not run.series.diverged
+        assert run.metrics.settled
+        assert run.metrics.steady_state == pytest.approx(220.0, rel=1e-3)
 
     def test_divergence_of_unity_feedback_compensator_loop(self):
         # the printed compensator wired into a plain unity feedback loop is
         # unstable as well; the run must flag, not crash
-        from regforge.observer import build_observer_controller
-
-        plant = tf_to_ss(rounded_plant_tf())
-        ctrl = build_observer_controller(plant, K_HIGH, H_PUB, "paper-numeric")
-        res = closed_loop_step(plant, ctrl.model, 220.0,
-                               SimConfig(dt=1e-3, duration=15.0))
-        assert not res.hurwitz
-        assert res.series.diverged
+        scn = preset_scenario("paper-numeric", "paper-rounded", observer_spec(H_PUB),
+                              SimConfig(dt=1e-3, duration=15.0), 220.0)
+        run = run_scenario(scn, "paper-numeric")
+        assert not run.loop.hurwitz
+        assert run.series.diverged
