@@ -192,19 +192,18 @@ def cmd_synthesize(args) -> int:
     spec = scn.controller
     if spec.kind not in ("lqr", "observer"):
         raise ValidationError("synthesize needs a scenario with an lqr or observer controller")
-    plant = scn.plant_model
     report = RunReport(scenario=scn.name)
     report.add_tf("plant", scn.plant_tf)
-    report.add_stability("plant", is_hurwitz(char_poly(plant.a)))
+    report.add_stability("plant", is_hurwitz(char_poly(scn.plant_model.a)))
 
     loop = closed_loop(scn, args.convention)
-    care = loop.care
+    care, observer = loop.care, loop.observer
     report.add_gain("K", care.k)
     report.add_line(f"CARE residual      : {care.residual_norm:.3e} "
                     f"({care.iterations} iterations)")
-    report.add_stability("A-BK", is_hurwitz(char_poly(plant.a - plant.b @ care.k)))
+    # Without an observer the loop matrix is A - BK itself.
+    report.add_stability("A-BK", observer.audit.state_feedback_hurwitz if observer else loop.hurwitz)
 
-    observer = loop.observer
     if observer is not None:
         report.add_line(f"convention         : {observer.convention}")
         report.add_ss("compensator", observer.model)

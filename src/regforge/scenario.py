@@ -402,18 +402,18 @@ def closed_loop(scn: Scenario, convention: str | None = None) -> ClosedLoop:
     if spec.kind == "none":
         raise ValidationError("scenario has no controller to close the loop with")
     care = observer = prescaler = prescaler_error = None
-    compensator = spec.model
+    compensator = spec.model  # set for ss controllers only
     if spec.kind != "ss":
         care = solve_care(plant.a, plant.b, CostWeights.diagonal(spec.q_diag, spec.r))
         if spec.kind == "observer":
             observer = build_observer_controller(plant, care.k, spec.h, convention or spec.convention)
         if observer is not None and observer.convention != "standard-luenberger":
             compensator = observer.model
-    n = plant.n_states
     if compensator is not None:
         loop = feedback_interconnect(plant, compensator)
         x0 = np.zeros(loop.n_states)
     else:
+        n = plant.n_states
         try:
             prescaler = reference_prescaler(plant, care.k)
         except NumericalError as exc:

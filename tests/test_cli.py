@@ -124,12 +124,12 @@ class TestSynthesizeCommand:
         scn = tmp_path / "zero-dc.cfg"
         scn.write_text(ZERO_DC_SCENARIO)
         code, out = run(capsys, "synthesize", "--scenario", str(scn))
+        lines = out.splitlines()
         assert code == 0
-        assert out.splitlines()[3:] == [
-            "K = [0.236068, 0.236068]",
-            "CARE residual      : 2.390e-16 (4 iterations)",
-            "stability[A-BK]: stable (Hurwitz)",
-        ]
+        assert len(lines) == 6
+        assert lines[3] == "K = [0.236068, 0.236068]"
+        assert lines[4].startswith("CARE residual")
+        assert lines[5] == "stability[A-BK]: stable (Hurwitz)"
 
     def test_open_loop_scenario_rejected(self, capsys):
         code = main(["synthesize", "--scenario", str(SCENARIOS / "open-loop.cfg")])
