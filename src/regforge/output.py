@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 MAX_SVG_POINTS = 1000
+CSV_CHUNK_ROWS = 4096
 _PALETTE = ("#1f6fb4", "#d94f30", "#3a9648", "#8450a8", "#b58900", "#3c3c3c")
 
 
@@ -46,10 +47,15 @@ def write_timeseries_csv(path, ts: TimeSeries, electrical: ElectricalTrace | Non
             raise ValidationError("electrical trace does not match the trajectory length")
         header += ["i_a", "e_g", "p_out", "p_in"]
         columns += [electrical.i_a, electrical.e_g, electrical.p_out, electrical.p_in]
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(format_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    # One %-template per row formats exactly like format_value per cell;
+    # rows go out in chunks so no full copy of the table is held as text.
+    template = ",".join(["%.9g"] * len(columns)) + "\n"
+    table = np.column_stack(columns)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), CSV_CHUNK_ROWS):
+            chunk = table[start:start + CSV_CHUNK_ROWS].tolist()
+            fh.write("".join([template % tuple(row) for row in chunk]))
 
 
 def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:

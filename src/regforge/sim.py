@@ -2,15 +2,22 @@
 
 Integration is classical 4th-order Runge-Kutta. For an LTI system driven
 by a piecewise-constant input the four stages collapse to the exact
-per-step affine map
+per-step affine map x+ = M x + g u with
 
-    x+ = (I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24) x
-         + h (I + hA/2 + (hA)^2/6 + (hA)^3/24) B u
+    M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24
+    g = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) B
 
-which is precomputed once, so a 20 s run at dt = 1e-3 stays well under a
-second. Runs that blow up are truncated and flagged rather than raised:
-a sample is divergent when it stops being finite or exceeds the
-configured magnitude limit.
+`simulate` advances up to SCAN_BLOCK steps with one batched product,
+x[k+1+j] = P[j] x[k] + S[j] for P[j] = M^(j+1) and S[j] = sum_{i<=j} M^i g u:
+the sequential-block form of the prefix scan for linear recurrences
+(Blelloch 1990, "Prefix sums and their applications"). The tables P and S
+are built once per call by doubling, in log2(SCAN_BLOCK) batched products.
+They stop growing at the first power of M that is non-finite or beyond
+POWER_LIMIT, so a fast unstable mode gets shorter blocks instead of
+inf * 0 = NaN samples. Runs that blow up are truncated and flagged rather
+than raised: each block is checked as a whole, and the run ends at its
+first sample whose state or output is non-finite or exceeds the configured
+magnitude limit, the sample a step-by-step loop would stop at.
 
 The settling band used everywhere is +/-2 % of the steady-state value
 (declared in all outputs so published settling figures are compared
@@ -48,6 +55,10 @@ __all__ = [
 SETTLING_BAND = 0.02
 STEADY_STATE_FRACTION = 0.05
 INPUT_KINDS = ("step", "constant", "zero")
+# Steps advanced per batched product in `simulate`, and the largest
+# magnitude a power of the step map may reach in its tables.
+SCAN_BLOCK = 512
+POWER_LIMIT = 1e100
 
 
 @dataclass(frozen=True)
@@ -145,12 +156,39 @@ def _rk4_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.n
     return m, g
 
 
+def _scan_tables(m: np.ndarray, gu: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """P[j] = M^(j+1) and S[j] = sum_{i<=j} M^i gu for j < rows, by doubling.
+
+    Growth stops at the first power of M that is non-finite or larger than
+    POWER_LIMIT, so the tables may come back shorter than `rows` (never
+    shorter than one row).
+    """
+    n = len(gu)
+    p = np.empty((rows, n, n))
+    s = np.empty((rows, n))
+    p[0] = m
+    s[0] = gu
+    h = 1
+    while h < rows:
+        new = slice(h, h + min(h, rows - h))
+        take = new.stop - h
+        np.matmul(p[:take], p[h - 1], out=p[new])
+        np.matmul(p[:take], s[h - 1], out=s[new])
+        s[new] += s[:take]
+        if not np.max(np.abs(p[new]), initial=0.0) <= POWER_LIMIT:
+            ok = np.all(np.abs(p[new]) <= POWER_LIMIT, axis=(1, 2))
+            h += int(np.argmin(ok))
+            break
+        h = new.stop
+    return p[:h], s[:h]
+
+
 def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     """Step/constant/zero-input response, from rest unless x0 is given.
 
     Returns the full trajectory, or a truncated one with the diverged
-    flag set as soon as any state or output sample goes non-finite or
-    beyond cfg.divergence_limit.
+    flag set at the first sample whose state or output goes non-finite
+    or beyond cfg.divergence_limit.
     """
     if ss.n_inputs != 1 or ss.n_outputs != 1:
         raise ValidationError("simulate drives single-input single-output models")
@@ -158,35 +196,42 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     steps = cfg.n_steps
     u = 0.0 if cfg.input_kind == "zero" else float(cfg.input_amplitude)
     m, g = _rk4_maps(ss.a, ss.b, cfg.dt)
-    gu = (g * u).ravel() if n else np.zeros(0)
+    gu = (g * u).ravel()
     d_term = ss.d[0, 0] * u
 
     times = np.arange(steps + 1) * cfg.dt
     states = np.zeros((steps + 1, n))
-    outputs = np.zeros(steps + 1)
+    outputs = np.empty(steps + 1)
     c_row = ss.c.ravel()
-    if x0 is None:
-        x = np.zeros(n)
-    else:
-        x = np.asarray(x0, dtype=float).reshape(n).copy()
-    states[0] = x
-    outputs[0] = c_row @ x + d_term
-    limit = cfg.divergence_limit
+    if x0 is not None:
+        states[0] = np.asarray(x0, dtype=float).reshape(n)
+    outputs[0] = c_row @ states[0] + d_term
+    # |v| <= limit holds exactly for the finite samples within the divergence limit.
+    limit = np.fmin(cfg.divergence_limit, np.finfo(float).max)
     diverged = False
     filled = steps + 1
-    for i in range(1, steps + 1):
-        x = m @ x + gu
-        y = c_row @ x + d_term
-        states[i] = x
-        outputs[i] = y
-        if not (np.all(np.isfinite(x)) and np.isfinite(y)) or np.max(np.abs(x), initial=abs(y)) > limit:
-            diverged = True
-            filled = i + 1
-            break
-    inputs = np.full(filled, u)
+    k = 0
+    # Overflow on the way to divergence is expected; the block check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, s = _scan_tables(m, gu, min(SCAN_BLOCK, steps))
+        p_rows = p.reshape(len(p) * n, n)
+        while k < steps:
+            rows = min(len(p), steps - k)
+            xs = states[k + 1:k + 1 + rows]
+            np.matmul(p_rows[:rows * n], states[k], out=xs.reshape(rows * n))
+            xs += s[:rows]
+            ys = outputs[k + 1:k + 1 + rows]
+            np.matmul(xs, c_row, out=ys)
+            ys += d_term
+            if not (np.max(np.abs(xs), initial=0.0) <= limit and np.max(np.abs(ys)) <= limit):
+                ok = (np.abs(ys) <= limit) & np.all(np.abs(xs) <= limit, axis=1)
+                diverged = True
+                filled = k + int(np.argmin(ok)) + 2
+                break
+            k += rows
     return TimeSeries(
         times=times[:filled],
-        inputs=inputs,
+        inputs=np.full(filled, u),
         outputs=outputs[:filled],
         states=states[:filled],
         diverged=diverged,
@@ -204,7 +249,9 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
 
     tail = max(1, int(round(STEADY_STATE_FRACTION * len(y))))
     ss_value = float(np.mean(y[-tail:]))
-    if ss_value == 0.0:
+    # A steady state lost in rounding against the peak counts as zero:
+    # normalizing by it would overflow.
+    if abs(ss_value) <= np.finfo(float).eps * np.max(np.abs(y)):
         return StepMetrics(0.0, 0.0, None, None, settled=False)
 
     # Overshoot is the peak beyond the steady state, in its direction.

@@ -5,13 +5,14 @@ import pytest
 from regforge.errors import ValidationError
 from regforge.lti import TransferFunction, tf_to_ss
 from regforge.output import (
+    CSV_CHUNK_ROWS,
     format_value,
     line_chart_svg,
     read_timeseries_csv,
     write_timeseries_csv,
 )
 from regforge.plant import REFERENCE_PARAMS
-from regforge.sim import SimConfig, electrical_trace, simulate
+from regforge.sim import ElectricalTrace, SimConfig, TimeSeries, electrical_trace, simulate
 
 
 def sample_series(duration=0.5):
@@ -43,6 +44,24 @@ class TestCsv:
         write_timeseries_csv(path, series, trace)
         header = path.read_text().splitlines()[0]
         assert header == "t,u,y,x1,x2,i_a,e_g,p_out,p_in"
+
+    def test_bytes_match_format_value_per_cell(self, tmp_path):
+        # rows across chunk boundaries, with every awkward value in each column
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.797e308, -1e-300, 1.0 / 3.0, 123456789.5]
+        rows = 2 * CSV_CHUNK_ROWS + 3
+        rng = np.random.default_rng(7)
+        cols = rng.normal(scale=1e3, size=(8, rows))
+        for i in range(8):
+            cols[i, i * 1000:i * 1000 + len(special)] = special
+            cols[i, -len(special):] = special
+        t = np.arange(rows) * 1e-3
+        series = TimeSeries(times=t, inputs=cols[0], outputs=cols[1], states=cols[2:4].T)
+        trace = ElectricalTrace(t, *cols[4:8])
+        path = tmp_path / "run.csv"
+        write_timeseries_csv(path, series, trace)
+        lines = ["t,u,y,x1,x2,i_a,e_g,p_out,p_in"]
+        lines += [",".join(format_value(v) for v in row) for row in zip(t, *cols)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_round_trip_sample_identical(self, tmp_path):
         # write -> read -> write again must give identical bytes

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -9,12 +11,22 @@ from regforge.errors import NumericalError, ValidationError
 from regforge.lti import StateSpaceModel, TransferFunction, dc_gain, ss_to_tf, tf_to_ss
 from regforge.observer import design_observer_gain
 from regforge.plant import REFERENCE_PARAMS, plant_tf, rounded_plant_tf
-from regforge.scenario import DEFAULT_OUTPUTS, ControllerSpec, Scenario, preset_scenario, run_scenario
+from regforge.scenario import (
+    DEFAULT_OUTPUTS,
+    ControllerSpec,
+    Scenario,
+    closed_loop,
+    preset_scenario,
+    run_scenario,
+)
 from regforge.sim import (
+    SCAN_BLOCK,
     SimConfig,
+    StepMetrics,
     TimeSeries,
     electrical_trace,
     reference_prescaler,
+    _rk4_maps,
     simulate,
     state_feedback_loop,
     step_metrics,
@@ -35,6 +47,50 @@ def observer_spec(h) -> ControllerSpec:
 
 def first_order(tau=2.0):
     return tf_to_ss(TransferFunction([1.0], [tau, 1.0]))
+
+
+def stepwise_simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
+    """Reference for `simulate`: one RK4 step map product per sample."""
+    n = ss.n_states
+    u = 0.0 if cfg.input_kind == "zero" else float(cfg.input_amplitude)
+    m, g = _rk4_maps(ss.a, ss.b, cfg.dt)
+    gu = (g * u).ravel()
+    d_term = ss.d[0, 0] * u
+    c_row = ss.c.ravel()
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n).copy()
+    states, outputs = [x], [c_row @ x + d_term]
+    diverged = False
+    # without a finite divergence limit the state may overflow before it stops
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.n_steps):
+            x = m @ x + gu
+            y = c_row @ x + d_term
+            states.append(x)
+            outputs.append(y)
+            if not (np.all(np.isfinite(x)) and np.isfinite(y)) or np.max(np.abs(x), initial=abs(y)) > cfg.divergence_limit:
+                diverged = True
+                break
+    samples = len(outputs)
+    return TimeSeries(times=np.arange(samples) * cfg.dt, inputs=np.full(samples, u),
+                      outputs=np.array(outputs), states=np.array(states).reshape(samples, n),
+                      diverged=diverged)
+
+
+def assert_matches_stepwise(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
+    """Same samples and divergence flag; values within 1e-9 of each column's peak."""
+    ts = simulate(ss, cfg, x0)
+    ref = stepwise_simulate(ss, cfg, x0)
+    assert (ts.n_samples, ts.diverged) == (ref.n_samples, ref.diverged)
+    npt.assert_array_equal(ts.times, ref.times)
+    npt.assert_array_equal(ts.inputs, ref.inputs)
+    for got, want in [(ts.outputs, ref.outputs)] + [(ts.states[:, i], ref.states[:, i])
+                                                    for i in range(ss.n_states)]:
+        finite = np.isfinite(want)
+        npt.assert_array_equal(np.isfinite(got), finite)
+        npt.assert_array_equal(got[~finite], want[~finite])
+        scale = np.max(np.abs(want[finite]), initial=0.0)
+        assert np.max(np.abs(got[finite] - want[finite]), initial=0.0) <= 1e-9 * scale
+    return ts
 
 
 class TestSimConfig:
@@ -116,6 +172,80 @@ class TestSimulate:
             assert m.steady_state == pytest.approx(expected, rel=5e-3)
 
 
+def scan_model(rng, n: int, unstable: bool) -> StateSpaceModel:
+    """Random n-state SISO model, its slowest mode at -0.5 or its fastest at +2 + 0.3 n."""
+    if n == 0:
+        return StateSpaceModel.static_gain(2e6 if unstable else 1.5)
+    a, b = random_controllable_siso(rng, n)
+    shift = np.max(np.linalg.eigvals(a).real)
+    a = a - (shift - (2.0 + 0.3 * n if unstable else -0.5)) * np.eye(n)
+    return StateSpaceModel(a, b, rng.normal(size=(1, n)), [[rng.normal()]])
+
+
+class TestBlockedScan:
+    """`simulate` against the stepwise loop it replaces."""
+
+    STEP_COUNTS = (1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("unstable", [False, True], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_stepwise(self, n, unstable):
+        rng = np.random.default_rng(100 + n)
+        ss = scan_model(rng, n, unstable)
+        truncated = 0
+        for x0 in (None, rng.normal(size=n)):
+            for kind in ("step", "constant", "zero"):
+                for steps in self.STEP_COUNTS:
+                    cfg = SimConfig(dt=1e-2, duration=steps * 1e-2, input_kind=kind,
+                                    input_amplitude=-1.7, divergence_limit=1e6)
+                    assert cfg.n_steps == steps
+                    truncated += assert_matches_stepwise(ss, cfg, x0).diverged
+        if unstable:
+            # every longest run diverges, except the one from rest with zero input
+            assert truncated >= 5
+        else:
+            assert truncated == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_published_observer_loop(self):
+        loop = closed_loop(preset_scenario("published", "paper-rounded", observer_spec(H_PUB),
+                                           SimConfig(dt=1e-3, duration=15.0), 220.0))
+        cfg = SimConfig(dt=1e-3, duration=15.0, input_amplitude=220.0)
+        ts = assert_matches_stepwise(loop.model, cfg, loop.x0)
+        assert ts.diverged and ts.n_samples > 5 * SCAN_BLOCK
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ss,cfg,x0", [
+        # h lambda = 5: the step map grows 65x a sample, its powers pass 1e100 at 55
+        (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]), SimConfig(dt=0.1, duration=100.0), None),
+        # the same mode with no magnitude limit runs until the state overflows
+        (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]),
+         SimConfig(dt=0.1, duration=100.0, input_kind="zero", divergence_limit=np.inf), [1.0]),
+        # a 1e-300 seed on that mode: the map's 170th power overflows before
+        # the state reaches the limit at sample 172, so blocks must stay short
+        (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]),
+         SimConfig(dt=0.1, duration=100.0, input_kind="zero"), [1e-300]),
+        (StateSpaceModel([[30.0]], [[1.0]], [[1.0]]),
+         SimConfig(dt=1e-3, duration=100.0, input_kind="zero"), [1e-300]),
+        (StateSpaceModel([[0.0, 1.0], [-900.0, 20.0]], [[0.0], [1.0]], [[1.0, 0.0]]),
+         SimConfig(dt=1e-2, duration=50.0), [1e-300, 0.0]),
+        # an input so large that the sum table overflows behind the first sample
+        (first_order(), SimConfig(dt=1e-3, duration=10.0, input_amplitude=1e300), None),
+    ], ids=["fast-mode", "fast-mode-no-limit", "tiny-seed-fast-mode", "tiny-seed", "tiny-seed-oscillating",
+            "huge-input"])
+    def test_overflow_cases(self, ss, cfg, x0):
+        assert assert_matches_stepwise(ss, cfg, x0).diverged
+
+    @pytest.mark.filterwarnings("error")
+    def test_unexcited_fast_mode_stays_finite(self):
+        # the x' = 50 x mode is never excited, but its powers overflow within
+        # one block; inf * 0 must not turn the run into NaN
+        ss = StateSpaceModel([[50.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], [[0.0, 1.0]])
+        ts = assert_matches_stepwise(ss, SimConfig(dt=0.1, duration=100.0), [0.0, 1.0])
+        assert not ts.diverged and ts.n_samples == 1001
+
+
 class TestStepMetrics:
     def test_needs_enough_samples(self):
         short = TimeSeries(
@@ -178,7 +308,20 @@ class TestStepMetrics:
         assert down.overshoot_pct == up.overshoot_pct
         assert down.steady_state == -up.steady_state
 
+    def test_subnormal_steady_state_counts_as_zero(self):
+        # tail mean 1e-319 against a peak of 1e3: y / steady state would overflow
+        y = np.zeros(100)
+        y[10] = 1e3
+        y[-1] = 5e-319
+        ts = TimeSeries(times=np.arange(100) * 1e-2, inputs=np.ones(100), outputs=y,
+                        states=np.zeros((100, 0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = step_metrics(ts)
+        assert m == StepMetrics(0.0, 0.0, None, None, settled=False)
+
     @settings(max_examples=200, deadline=None)
+    @example(np.concatenate([[1e3], np.zeros(98), [5e-319]]))
     @given(arrays(np.float64, st.integers(100, 300),
                   elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)))
     def test_negation_symmetry(self, y):
