@@ -170,8 +170,8 @@ def _scan_tables(m: np.ndarray, gu: np.ndarray, rows: int) -> tuple[np.ndarray, 
     s[0] = gu
     h = 1
     while h < rows:
-        new = slice(h, h + min(h, rows - h))
-        take = new.stop - h
+        take = min(h, rows - h)
+        new = slice(h, h + take)
         np.matmul(p[:take], p[h - 1], out=p[new])
         np.matmul(p[:take], s[h - 1], out=s[new])
         s[new] += s[:take]
@@ -179,7 +179,7 @@ def _scan_tables(m: np.ndarray, gu: np.ndarray, rows: int) -> tuple[np.ndarray, 
             ok = np.all(np.abs(p[new]) <= POWER_LIMIT, axis=(1, 2))
             h += int(np.argmin(ok))
             break
-        h = new.stop
+        h += take
     return p[:h], s[:h]
 
 
