@@ -216,34 +216,33 @@ class TestBlockedScan:
         assert ts.diverged and ts.n_samples > 5 * SCAN_BLOCK
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("ss,cfg,x0", [
+    @pytest.mark.parametrize("ss,cfg,x0,diverges", [
         # h lambda = 5: the step map grows 65x a sample, its powers pass 1e100 at 55
-        (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]), SimConfig(dt=0.1, duration=100.0), None),
+        (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]), SimConfig(dt=0.1, duration=100.0), None, True),
         # the same mode with no magnitude limit runs until the state overflows
         (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]),
-         SimConfig(dt=0.1, duration=100.0, input_kind="zero", divergence_limit=np.inf), [1.0]),
+         SimConfig(dt=0.1, duration=100.0, input_kind="zero", divergence_limit=np.inf), [1.0], True),
         # a 1e-300 seed on that mode: the map's 170th power overflows before
         # the state reaches the limit at sample 172, so blocks must stay short
         (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]),
-         SimConfig(dt=0.1, duration=100.0, input_kind="zero"), [1e-300]),
+         SimConfig(dt=0.1, duration=100.0, input_kind="zero"), [1e-300], True),
+        # the mode is never excited, but its powers overflow within one
+        # block; inf * 0 must not turn the run into NaN
+        (StateSpaceModel([[50.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], [[0.0, 1.0]]),
+         SimConfig(dt=0.1, duration=100.0), [0.0, 1.0], False),
+        # tiny seeds on slower modes grow through many full blocks
         (StateSpaceModel([[30.0]], [[1.0]], [[1.0]]),
-         SimConfig(dt=1e-3, duration=100.0, input_kind="zero"), [1e-300]),
+         SimConfig(dt=1e-3, duration=100.0, input_kind="zero"), [1e-300], True),
         (StateSpaceModel([[0.0, 1.0], [-900.0, 20.0]], [[0.0], [1.0]], [[1.0, 0.0]]),
-         SimConfig(dt=1e-2, duration=50.0), [1e-300, 0.0]),
+         SimConfig(dt=1e-2, duration=50.0), [1e-300, 0.0], True),
         # an input so large that the sum table overflows behind the first sample
-        (first_order(), SimConfig(dt=1e-3, duration=10.0, input_amplitude=1e300), None),
-    ], ids=["fast-mode", "fast-mode-no-limit", "tiny-seed-fast-mode", "tiny-seed", "tiny-seed-oscillating",
-            "huge-input"])
-    def test_overflow_cases(self, ss, cfg, x0):
-        assert assert_matches_stepwise(ss, cfg, x0).diverged
-
-    @pytest.mark.filterwarnings("error")
-    def test_unexcited_fast_mode_stays_finite(self):
-        # the x' = 50 x mode is never excited, but its powers overflow within
-        # one block; inf * 0 must not turn the run into NaN
-        ss = StateSpaceModel([[50.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], [[0.0, 1.0]])
-        ts = assert_matches_stepwise(ss, SimConfig(dt=0.1, duration=100.0), [0.0, 1.0])
-        assert not ts.diverged and ts.n_samples == 1001
+        (first_order(), SimConfig(dt=1e-3, duration=10.0, input_amplitude=1e300), None, True),
+    ], ids=["fast-mode", "fast-mode-no-limit", "tiny-seed-fast-mode", "unexcited-fast-mode", "tiny-seed",
+            "tiny-seed-oscillating", "huge-input"])
+    def test_overflow_cases(self, ss, cfg, x0, diverges):
+        ts = assert_matches_stepwise(ss, cfg, x0)
+        assert ts.diverged == diverges
+        assert diverges or ts.n_samples == cfg.n_steps + 1
 
 
 class TestStepMetrics:
