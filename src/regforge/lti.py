@@ -6,10 +6,12 @@ an immutable value; every operation is a pure function, so concurrent use
 needs no synchronization.
 
 Numerics are deliberately elementary: characteristic polynomials come from
-the Faddeev-LeVerrier recursion, eigenvalues from Durand-Kerner root
-finding on that polynomial, and stability verdicts from a Routh-Hurwitz
-table. All systems in this toolkit are small (n <= 6), where these methods
-are exact up to rounding.
+the Faddeev-LeVerrier recursion, general (non-symmetric) spectra from
+Durand-Kerner root finding on that polynomial, and stability verdicts from
+a Routh-Hurwitz table. Symmetric spectra (the semidefiniteness checks on
+the LQR weights and the Riccati solution) are computed by cyclic Jacobi in
+`riccati` instead. All systems in this toolkit are small (n <= 6), where
+these methods are exact up to rounding.
 """
 
 from __future__ import annotations

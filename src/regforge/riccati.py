@@ -16,10 +16,17 @@ agree with the analytic root to 1e-10; success requires the Frobenius
 residual norm <= 1e-8, P symmetric (enforced by averaging each step) and
 positive semidefinite, and A - BK Hurwitz for the returned gain
 K = R^-1 B' P.
+
+Semidefiniteness of Q, R and P is judged from their spectra, computed by
+cyclic Jacobi rotations (`_symmetric_eigenvalues`): exact on diagonal
+weights and quadratically convergent on repeated eigenvalues, where a
+polynomial root finder stalls. Hurwitz checks go through char_poly and the
+Routh table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +48,52 @@ RESIDUAL_SUCCESS = 1e-8
 RESIDUAL_TARGET = 1e-12
 MAX_ITERATIONS = 50
 PSD_TOLERANCE = 1e-9
+JACOBI_TOLERANCE = 1e-15
+JACOBI_MAX_SWEEPS = 30
 
 
 def _symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
-    # Real spectrum of a symmetric matrix through the toolkit's own
-    # char_poly + root finder, consistent with everything else here.
-    return char_poly(m).roots().real
+    # Cyclic Jacobi (Golub and Van Loan, Matrix Computations, 8.5): sweep the
+    # pairs (p, q) in row order and zero each a_pq with one rotation, until
+    # the off-diagonal Frobenius norm is within JACOBI_TOLERANCE of ||M||.
+    # The matrix is first scaled by a power of two to max|a| in [0.5, 1), so
+    # no square can overflow; a diagonal input takes no sweep and is
+    # returned exactly.
+    n = m.shape[0]
+    peak = float(np.max(np.abs(m), initial=0.0))
+    if not math.isfinite(peak):
+        raise NumericalError("symmetric eigenvalue input is not finite")
+    exponent = math.frexp(peak)[1]
+    a = np.ldexp(m, -exponent).tolist()
+    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
+    limit = JACOBI_TOLERANCE**2 * sum(x * x for row in a for x in row)
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        if 2.0 * sum(a[p][q] * a[p][q] for p, q in pairs) <= limit:
+            break
+        if sweep == JACOBI_MAX_SWEEPS:
+            raise NumericalError(f"Jacobi rotations did not converge in {sweep} sweeps")
+        for p, q in pairs:
+            apq = a[p][q]
+            if apq == 0.0:
+                continue
+            # t = sign(theta) / (|theta| + hypot(1, theta)) for
+            # theta = d / (2 a_pq), multiplied through by 2 |a_pq| so that
+            # theta, which overflows for a nearly zeroed pair, is never formed.
+            d = a[q][q] - a[p][p]
+            t = math.copysign(2.0, d) * apq / (abs(d) + math.hypot(d, 2.0 * apq))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = 0.0
+            for r in range(n):
+                if r != p and r != q:
+                    g, h = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = c * g - s * h
+                    a[r][q] = a[q][r] = s * g + c * h
+    if sweep == 0:
+        return np.diag(m).copy()
+    return np.ldexp([a[i][i] for i in range(n)], exponent)
 
 
 @dataclass(frozen=True)
@@ -66,6 +113,8 @@ class CostWeights:
         r = np.atleast_2d(np.asarray(r, dtype=float))
         if q.shape[0] != q.shape[1] or r.shape[0] != r.shape[1]:
             raise ValidationError("cost weights must be square matrices")
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(r))):
+            raise ValidationError("cost weights must be finite")
         q = 0.5 * (q + q.T)
         r = 0.5 * (r + r.T)
         if q.size and np.min(_symmetric_eigenvalues(q)) < -PSD_TOLERANCE:
@@ -107,8 +156,11 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n) or q.shape != (n, n):
         raise ValidationError("Lyapunov equation needs square A and Q of equal size")
+    # kron(A', I) + kron(I, A') as one broadcast product, indexed [i, k, j, l].
+    at = a.T
     eye = np.eye(n)
-    lhs = np.kron(a.T, eye) + np.kron(eye, a.T)
+    lhs = at[:, None, :, None] * eye[None, :, None, :] + eye[:, None, :, None] * at[None, :, None, :]
+    lhs = lhs.reshape(n * n, n * n)
     try:
         vec_p = np.linalg.solve(lhs, -q.reshape(n * n))
     except np.linalg.LinAlgError as exc:

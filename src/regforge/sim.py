@@ -82,6 +82,10 @@ class SimConfig:
             raise ValidationError(f"input_kind must be one of {INPUT_KINDS}")
         if not np.isfinite(self.input_amplitude):
             raise ValidationError("input amplitude must be finite")
+        if not self.divergence_limit > 0.0:
+            raise ValidationError(
+                f"divergence limit must be positive (inf for none), got {self.divergence_limit!r}"
+            )
 
     @property
     def n_steps(self) -> int:

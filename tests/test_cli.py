@@ -131,6 +131,13 @@ class TestSynthesizeCommand:
         assert lines[4].startswith("CARE residual")
         assert lines[5] == "stability[A-BK]: stable (Hurwitz)"
 
+    def test_non_finite_weight_rejected(self, capsys, tmp_path):
+        scn = tmp_path / "nan-q.cfg"
+        scn.write_text(ZERO_DC_SCENARIO.replace("q_diag = 1 1", "q_diag = nan 3"))
+        code = main(["synthesize", "--scenario", str(scn)])
+        assert code == 1
+        assert "cost weights must be finite" in capsys.readouterr().err
+
     def test_open_loop_scenario_rejected(self, capsys):
         code = main(["synthesize", "--scenario", str(SCENARIOS / "open-loop.cfg")])
         assert code == 1

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regforge.errors import NumericalError, ValidationError
 from regforge.lti import (
@@ -250,6 +252,34 @@ class TestIsHurwitz:
                 continue  # too close to the axis to compare verdicts fairly
             assert is_hurwitz(Polynomial(coeffs)) == bool(np.all(roots.real < 0.0))
             checked += 1
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.floats(-3.0, 3.0),
+    )
+    def test_char_poly_verdict_agrees_with_eigvals(self, n, seed, shift):
+        a = np.random.default_rng(seed).normal(size=(n, n)) - shift * np.eye(n)
+        real = np.linalg.eigvals(a).real
+        assume(np.min(np.abs(real)) > 1e-9)
+        assert is_hurwitz(char_poly(a)) == bool(np.all(real < 0.0))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Faddeev-LeVerrier returns +1.7e-17 for the constant coefficient, "
+        "whose exact value is -2e-16, so the Routh table misses the eigenvalue at +3.5e-9",
+    )
+    def test_char_poly_verdict_with_two_eigenvalues_near_origin(self):
+        a = np.array([
+            [0.0, 1e-8, 4.0, 0.0],
+            [0.0, 0.0, -2.0, 0.0],
+            [0.5, 2.0, -1.0, 1e-8],
+            [-1.0, 0.0, 0.0, 0.0],
+        ])
+        assert np.max(np.linalg.eigvals(a).real) > 3e-9
+        assert not is_hurwitz(char_poly(a))
 
 
 class TestFeedback:

@@ -1,11 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from regforge.errors import ValidationError
+from regforge import riccati
+from regforge.errors import NumericalError, ValidationError
 from regforge.lti import char_poly, is_hurwitz
 from regforge.riccati import (
     CostWeights,
+    _symmetric_eigenvalues,
     care_residual,
     lqr_gain,
     solve_care,
@@ -47,6 +51,103 @@ class TestCostWeights:
     def test_zero_q_allowed(self):
         CostWeights(np.zeros((2, 2)), [[1.0]])
 
+    @pytest.mark.parametrize(
+        "q, r",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], [[1.0]]),
+            ([[np.inf, 0.0], [0.0, 1.0]], [[1.0]]),
+            (np.eye(2), [[np.nan]]),
+        ],
+    )
+    def test_non_finite_rejected(self, q, r):
+        with pytest.raises(ValidationError, match="cost weights must be finite"):
+            CostWeights(q, r)
+
+
+def _rotation(n: int, seed: int) -> np.ndarray:
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return q
+
+
+def _rotated(spectrum, seed: int = 0) -> np.ndarray:
+    u = _rotation(len(spectrum), seed)
+    m = u @ np.diag(spectrum) @ u.T
+    return 0.5 * (m + m.T)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n matrices, n = 1..6, of five kinds (the first drawn element)."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "repeated", "diagonal", "tiny-off", "scaled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "diagonal":
+        diag = draw(st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n))
+        return kind, np.diag(diag)
+    if kind == "repeated":
+        values = rng.normal(size=draw(st.integers(1, n)))
+        return kind, _rotated(rng.choice(values, size=n), seed=int(rng.integers(2**32)))
+    if kind == "tiny-off":
+        m = np.diag(rng.normal(size=n))
+        exponents = rng.uniform(-300.0, -20.0, size=(n, n))
+        off = np.triu(rng.choice([-1.0, 1.0], size=(n, n)) * 10.0**exponents, 1)
+        return kind, m + off + off.T
+    x = rng.normal(size=(n, n))
+    if kind == "scaled":
+        x = x * 10.0 ** draw(st.integers(-150, 150))
+    return kind, x + x.T
+
+
+@pytest.mark.filterwarnings("error")
+class TestSymmetricEigenvalues:
+    @settings(max_examples=300, deadline=None)
+    @example(("tiny-off", np.array([[1.0, 0.5, 1e-300], [0.5, 2.0, 1e-160], [1e-300, 1e-160, 3.0]])))
+    @example(("scaled", np.array([[1e150, -3e149], [-3e149, 1e150]])))
+    @given(symmetric_matrices())
+    def test_matches_eigvalsh(self, case):
+        kind, m = case
+        got = np.sort(_symmetric_eigenvalues(m))
+        if kind == "diagonal":
+            assert got.tobytes() == np.sort(np.diag(m)).tobytes()
+        else:
+            peak = np.max(np.abs(m))
+            npt.assert_allclose(got, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-13 * peak)
+
+    def test_repeated_eigenvalue_is_exact_on_identity(self):
+        assert _symmetric_eigenvalues(np.eye(4)).tobytes() == np.ones(4).tobytes()
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(riccati, "JACOBI_MAX_SWEEPS", 0)
+        with pytest.raises(NumericalError, match="did not converge"):
+            _symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        npt.assert_array_equal(_symmetric_eigenvalues(np.diag([3.0, 3.0])), [3.0, 3.0])
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(NumericalError):
+            _symmetric_eigenvalues(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    # PSD_TOLERANCE is 1e-9: an eigenvalue of -5e-10 is accepted, -2e-9 is not.
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    @pytest.mark.parametrize(
+        "spectrum",
+        [[1.0, 1.0, 1.0, 1.0, -5e-10], [100.0, 100.0, 100.0, -5e-10]],
+        ids=["I4+(-5e-10)", "100I3+(-5e-10)"],
+    )
+    def test_near_singular_q_accepted(self, spectrum, rotate):
+        q = _rotated(spectrum, seed=len(spectrum)) if rotate else np.diag(spectrum)
+        CostWeights(q, [[1.0]])
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    @pytest.mark.parametrize(
+        "spectrum",
+        [[1.0, 1.0, 1.0, 1.0, -2e-9], [9.0, 9.0, -2e-9]],
+        ids=["I4+(-2e-9)", "diag(9,9,-2e-9)"],
+    )
+    def test_indefinite_q_rejected(self, spectrum, rotate):
+        q = _rotated(spectrum, seed=len(spectrum)) if rotate else np.diag(spectrum)
+        with pytest.raises(ValidationError, match="Q must be positive semidefinite"):
+            CostWeights(q, [[1.0]])
+
 
 class TestLyapunov:
     def test_known_scalar(self):
@@ -63,6 +164,27 @@ class TestLyapunov:
             q = s @ s.T
             p = solve_lyapunov(a, q)
             npt.assert_allclose(a.T @ p + p @ a + q, np.zeros((n, n)), atol=1e-9)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_system_matrix_is_kron_sum_byte_for_byte(self, n, monkeypatch):
+        # solve_lyapunov assembles kron(A', I) + kron(I, A') by broadcasting;
+        # capture its matrix and compare the bytes, signed zeros included.
+        captured = []
+
+        def spy(lhs, rhs):
+            captured.append(lhs.copy())
+            return np.zeros_like(rhs)
+
+        monkeypatch.setattr(riccati.np.linalg, "solve", spy)
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            a = rng.normal(size=(n, n))
+            a[rng.random((n, n)) < 0.3] = -0.0
+            a[rng.random((n, n)) < 0.2] = 0.0
+            captured.clear()
+            solve_lyapunov(a, np.eye(n))
+            eye = np.eye(n)
+            assert captured[0].tobytes() == (np.kron(a.T, eye) + np.kron(eye, a.T)).tobytes()
 
 
 class TestSolveCare:

@@ -104,6 +104,14 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             SimConfig(input_kind="ramp")
 
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0, 0.0])
+    def test_divergence_limit_must_be_positive(self, limit):
+        with pytest.raises(ValidationError, match="divergence limit"):
+            SimConfig(divergence_limit=limit)
+
+    def test_infinite_divergence_limit_means_none(self):
+        assert SimConfig(divergence_limit=float("inf")).divergence_limit == float("inf")
+
 
 class TestSimulate:
     def test_first_order_analytic(self):
