@@ -109,9 +109,6 @@ class TestSimConfig:
         with pytest.raises(ValidationError, match="divergence limit"):
             SimConfig(divergence_limit=limit)
 
-    def test_infinite_divergence_limit_means_none(self):
-        assert SimConfig(divergence_limit=float("inf")).divergence_limit == float("inf")
-
 
 class TestSimulate:
     def test_first_order_analytic(self):
