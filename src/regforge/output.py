@@ -5,6 +5,17 @@ formatted with 9 significant digits, ``.`` decimal separator, ``\\n`` line
 endings. The formatting is deterministic, so identical runs produce
 byte-identical files and golden-file comparisons are meaningful.
 
+The reader accepts UTF-8 text whose first non-blank line is a header naming
+at least ``t``, ``u`` and ``y``, followed by one or more rows with exactly
+as many comma-separated cells as the header. Lines holding only whitespace
+are skipped (``\\r\\n`` and ``\\r`` line endings read as ``\\n``). Each cell
+is a decimal or exponent float literal, ``nan`` or ``inf`` in any case and
+sign, optionally padded with whitespace, parsed by numpy's C tokenizer to
+the same float64 that ``float()`` gives. Underscore digit separators and
+non-ASCII digits, which ``float()`` also accepts, are rejected. Anything
+else (no header, no data row, a ragged row, an empty or malformed cell,
+bytes that are not UTF-8) raises ``ValidationError`` naming the file.
+
 SVG output is a minimal static line chart (axes, tick labels, series
 polylines, legend) written directly; figures here are verification
 artifacts, not an interactive UI, so no plotting dependency is worth its
@@ -13,7 +24,7 @@ weight. Long series are strided down to at most 1000 points per polyline.
 
 from __future__ import annotations
 
-from pathlib import Path
+import itertools
 
 import numpy as np
 
@@ -47,34 +58,46 @@ def write_timeseries_csv(path, ts: TimeSeries, electrical: ElectricalTrace | Non
             raise ValidationError("electrical trace does not match the trajectory length")
         header += ["i_a", "e_g", "p_out", "p_in"]
         columns += [electrical.i_a, electrical.e_g, electrical.p_out, electrical.p_in]
-    # One %-template per row formats exactly like format_value per cell;
-    # rows go out in chunks so no full copy of the table is held as text.
+    # The row template formats exactly like format_value per cell; each chunk
+    # is one % over the template repeated per row, so no full copy of the
+    # table is held as text.
     template = ",".join(["%.9g"] * len(columns)) + "\n"
     table = np.column_stack(columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), CSV_CHUNK_ROWS):
-            chunk = table[start:start + CSV_CHUNK_ROWS].tolist()
-            fh.write("".join([template % tuple(row) for row in chunk]))
+            chunk = table[start:start + CSV_CHUNK_ROWS]
+            fh.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:
-    """Read a trajectory CSV back into a TimeSeries plus extra columns."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValidationError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    required = ("t", "u", "y")
-    for name in required:
-        if name not in header:
-            raise ValidationError(f"{path}: missing column {name!r}")
+    """Read a trajectory CSV back into a TimeSeries plus extra columns.
+
+    The rows stream from the file into numpy's C tokenizer; see the module
+    docstring for what is accepted.
+    """
     try:
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: malformed numeric cell: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ValidationError(f"{path}: rows do not match the header width")
+        with open(path, encoding="utf-8") as fh:
+            header_line = next((ln for ln in fh if not ln.isspace()), None)
+            if header_line is None:
+                raise ValidationError(f"{path}: empty CSV")
+            header = header_line.rstrip("\n").split(",")
+            for name in ("t", "u", "y"):
+                if name not in header:
+                    raise ValidationError(f"{path}: missing column {name!r}")
+            rows = _rows(path, fh, len(header))
+            first = next(rows, None)
+            if first is None:
+                raise ValidationError(f"{path}: no data rows")
+            try:
+                data = np.loadtxt(itertools.chain((first,), rows),
+                                  delimiter=",", comments=None, ndmin=2)
+            except (ValidationError, UnicodeDecodeError):
+                raise
+            except ValueError as exc:
+                raise ValidationError(f"{path}: malformed numeric cell: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     cols = {name: data[:, i] for i, name in enumerate(header)}
     state_names = sorted((n for n in header if n.startswith("x") and n[1:].isdigit()),
                          key=lambda n: int(n[1:]))
@@ -86,6 +109,20 @@ def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:
     ts = TimeSeries(times=cols["t"], inputs=cols["u"], outputs=cols["y"], states=states)
     extras = {n: cols[n] for n in header if n not in ("t", "u", "y") and n not in state_names}
     return ts, extras
+
+
+def _rows(path, lines, width: int):
+    """Yield the non-blank lines, checking that each has ``width`` cells.
+
+    numpy would report a ragged row as a bad cell or a changed column
+    count; counting commas here gives one message for every width mismatch.
+    """
+    for ln in lines:
+        if ln.isspace():
+            continue
+        if ln.count(",") != width - 1:
+            raise ValidationError(f"{path}: rows do not match the header width")
+        yield ln
 
 
 def _strided(x: np.ndarray) -> np.ndarray:
@@ -176,7 +213,10 @@ def line_chart_svg(series, title: str, xlabel: str, ylabel: str,
     # series + legend
     for i, ((name, _, _), x, y) in enumerate(zip(series, xs, ys)):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+        # sx and sy scale whole arrays with the same float operations as a
+        # scalar, and one % formats every point of the polyline.
+        xy = np.column_stack((sx(x), sy(y))).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * len(x)) % tuple(xy)
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

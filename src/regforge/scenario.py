@@ -110,7 +110,10 @@ def parse_kv_file(path) -> dict[str, str]:
     """Read a flat key-value file into an ordered mapping of strings."""
     path = Path(path)
     mapping: dict[str, str] = {}
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from regforge.cli import main
 from regforge.lti import char_poly, tf_to_ss
 from regforge.plant import rounded_plant_tf
 from regforge.riccati import CostWeights, lqr_gain
+from test_output import MALFORMED_CSVS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -214,6 +216,13 @@ class TestSimulateCommand:
         code = main(["simulate", "--scenario", str(tmp_path / "nope.cfg")])
         assert code == 3
 
+    def test_non_utf8_scenario_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes((SCENARIOS / "paper-lqr.cfg").read_bytes() + b"# caf\xe9\n")
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
 
 class TestMetricsCommand:
     def test_round_trip_metrics(self, capsys, tmp_path):
@@ -223,6 +232,14 @@ class TestMetricsCommand:
         assert code == 0
         assert "settling time" in out
         assert "steady state       : 219.9" in out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSVS))
+    def test_malformed_csv_exit_1(self, capsys, tmp_path, case):
+        content, message = MALFORMED_CSVS[case]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert main(["metrics", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
 
 class TestReproduceCommand:

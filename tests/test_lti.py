@@ -156,6 +156,25 @@ class TestSsToTf:
             assert np.max(np.abs(back.den.coeffs - ref.den.coeffs)) < 1e-9 * scale
             assert np.max(np.abs(back.num.coeffs - num_ref)) < 1e-9 * scale
 
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_round_trip_property(self, n, num_deg, seed):
+        # Gaussian coefficients, biproper included. Faddeev-LeVerrier's error
+        # in the coefficient of s^(n-j) grows like r^j with r the largest
+        # monic denominator coefficient, so each position is weighted by it.
+        rng = np.random.default_rng(seed)
+        g = TransferFunction(rng.normal(size=min(num_deg, n) + 1), rng.normal(size=n + 1))
+        ref = g.normalized()
+        back = ss_to_tf(tf_to_ss(g))
+        assert back.den.coeffs[0] == 1.0
+        num_ref, num_back = (np.pad(c, (n + 1 - len(c), 0))
+                             for c in (ref.num.coeffs, back.num.coeffs))
+        weight = max(1.0, np.max(np.abs(ref.den.coeffs))) ** np.arange(n + 1)
+        num_scale = max(1.0, np.max(np.abs(num_ref)))
+        assert np.all(np.abs(back.den.coeffs - ref.den.coeffs) <= 1e-13 * weight)
+        assert np.all(np.abs(num_back - num_ref) <= 1e-13 * weight * num_scale)
+
 
 class TestSeries:
     def test_turbine_generator_cascade(self):

@@ -1,11 +1,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regforge.errors import ValidationError
 from regforge.lti import TransferFunction, tf_to_ss
 from regforge.output import (
     CSV_CHUNK_ROWS,
+    MAX_SVG_POINTS,
     format_value,
     line_chart_svg,
     read_timeseries_csv,
@@ -13,6 +16,21 @@ from regforge.output import (
 )
 from regforge.plant import REFERENCE_PARAMS
 from regforge.sim import ElectricalTrace, SimConfig, TimeSeries, electrical_trace, simulate
+
+
+SPECIAL_VALUES = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.797e308, -1e-300]
+
+# Files the reader must reject: (bytes, start of the message after the path).
+# `1_0` is a literal float() accepts and the reader does not.
+MALFORMED_CSVS = {
+    "ragged-row": (b"t,u,y\n0,1,2\n1,2\n", "rows do not match the header width"),
+    "trailing-comma": (b"t,u,y\n0,1,2,\n", "rows do not match the header width"),
+    "header-only": (b"t,u,y\n", "no data rows"),
+    "empty-file": (b" \n", "empty CSV"),
+    "empty-cell": (b"t,u,y\n0,,2\n", "malformed numeric cell"),
+    "underscore-digits": (b"t,u,y\n0,1,1_0\n", "malformed numeric cell"),
+    "not-utf8": (b"t,u,y\n0,1,\xff\n", "not UTF-8 text"),
+}
 
 
 def sample_series(duration=0.5):
@@ -47,7 +65,7 @@ class TestCsv:
 
     def test_bytes_match_format_value_per_cell(self, tmp_path):
         # rows across chunk boundaries, with every awkward value in each column
-        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.797e308, -1e-300, 1.0 / 3.0, 123456789.5]
+        special = SPECIAL_VALUES + [1.0 / 3.0, 123456789.5]
         rows = 2 * CSV_CHUNK_ROWS + 3
         rng = np.random.default_rng(7)
         cols = rng.normal(scale=1e3, size=(8, rows))
@@ -103,6 +121,48 @@ class TestCsv:
         with pytest.raises(ValidationError):
             read_timeseries_csv(path)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSVS))
+    def test_malformed_file_rejected(self, tmp_path, case):
+        content, message = MALFORMED_CSVS[case]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError) as info:
+            read_timeseries_csv(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_bytes(b"\n  \nt,u,y\n\n0,1,2\n \t \n1,3,4\r\n\n")
+        series, extras = read_timeseries_csv(path)
+        assert extras == {}
+        assert series.times.tolist() == [0.0, 1.0]
+        assert series.inputs.tolist() == [1.0, 3.0]
+        assert series.outputs.tolist() == [2.0, 4.0]
+
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        rows=st.sampled_from([1, 2, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]),
+        seed=st.integers(0, 2**32 - 1),
+        values=st.lists(st.floats(width=64), max_size=32),
+    )
+    @example(rows=CSV_CHUNK_ROWS + 1, seed=0, values=SPECIAL_VALUES)
+    def test_read_gives_float_of_each_written_cell(self, tmp_path_factory, rows, seed, values):
+        # every cell read back has the bits float() gives for the written text
+        rng = np.random.default_rng(seed)
+        cols = rng.normal(size=(8, rows)) * 10.0 ** rng.integers(-300, 300, size=(8, rows))
+        for v in values + SPECIAL_VALUES:
+            cols[rng.integers(8), rng.integers(rows)] = v
+        t = np.arange(rows) * 1e-3
+        series = TimeSeries(times=t, inputs=cols[0], outputs=cols[1], states=cols[2:4].T)
+        path = tmp_path_factory.mktemp("round-trip") / "run.csv"
+        write_timeseries_csv(path, series, ElectricalTrace(t, *cols[4:8]))
+        back, extras = read_timeseries_csv(path)
+        got = np.column_stack([back.times, back.inputs, back.outputs, back.states]
+                              + [extras[n] for n in ("i_a", "e_g", "p_out", "p_in")])
+        expected = np.array([[float(format_value(v)) for v in row] for row in zip(t, *cols)])
+        assert got.tobytes() == expected.tobytes()
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,u\n0,1\n")
@@ -134,6 +194,23 @@ class TestSvg:
         a = line_chart_svg([("y", t, t**2)], "d", "x", "y")
         b = line_chart_svg([("y", t, t**2)], "d", "x", "y")
         assert a == b
+
+    def test_polyline_matches_per_point_formatting(self):
+        rng = np.random.default_rng(3)
+        x = np.sort(rng.uniform(-2.0, 7.0, size=MAX_SVG_POINTS))
+        y = rng.normal(scale=50.0, size=MAX_SVG_POINTS)
+        svg = line_chart_svg([("y", x, y)], "p", "x", "y")
+        x_lo, x_hi = float(np.min(x)), float(np.max(x))
+        y_lo, y_hi = float(np.min(y)), float(np.max(y))
+        pad = 0.05 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+        # default 720x440 chart: plot area 640x360 at (62, 34)
+        expected = " ".join(
+            f"{62.0 + (a - x_lo) / (x_hi - x_lo) * 640.0:.2f},"
+            f"{34.0 + (y_hi - b) / (y_hi - y_lo) * 360.0:.2f}"
+            for a, b in zip(x, y)
+        )
+        assert svg.split('points="')[1].split('"')[0] == expected
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValidationError):
