@@ -7,14 +7,15 @@ byte-identical files and golden-file comparisons are meaningful.
 
 The reader accepts UTF-8 text whose first non-blank line is a header naming
 at least ``t``, ``u`` and ``y``, followed by one or more rows with exactly
-as many comma-separated cells as the header. Lines holding only whitespace
-are skipped (``\\r\\n`` and ``\\r`` line endings read as ``\\n``). Each cell
-is a decimal or exponent float literal, ``nan`` or ``inf`` in any case and
-sign, optionally padded with whitespace, parsed by numpy's C tokenizer to
-the same float64 that ``float()`` gives. Underscore digit separators and
-non-ASCII digits, which ``float()`` also accepts, are rejected. Anything
-else (no header, no data row, a ragged row, an empty or malformed cell,
-bytes that are not UTF-8) raises ``ValidationError`` naming the file.
+as many comma-separated cells as the header. Lines end at ``\\n``, ``\\r\\n``
+or ``\\r`` only, and lines holding only whitespace are skipped. Each cell is
+a decimal or exponent float literal, or ``nan``, ``inf`` or ``infinity`` in
+any case and with either sign, optionally padded with whitespace; numpy's C
+tokenizer parses it to the float64 that ``float()`` gives. Underscore digit
+separators and non-ASCII digits, which ``float()`` also accepts, are
+rejected. Anything else (no header, no data row, a ragged row, an empty or
+malformed cell, bytes that are not UTF-8) raises ``ValidationError`` naming
+the file.
 
 SVG output is a minimal static line chart (axes, tick labels, series
 polylines, legend) written directly; figures here are verification
