@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .lti import char_poly, dc_gain, eigenvalues, is_hurwitz, tf_to_ss
 from .observer import CONVENTIONS, design_observer_gain
-from .output import line_chart_svg, read_timeseries_csv, write_timeseries_csv
+from .output import line_chart_svg, open_artifact, read_timeseries_csv, write_timeseries_csv
 from .plant import (
     PUBLISHED_OPEN_LOOP,
     PRESETS,
@@ -135,10 +135,9 @@ def _write_artifacts(args, run, ylabel: str, svg_series=None, svg_title="") -> l
     if "svg" in kinds:
         svg_path = out / f"{name}.svg"
         data = svg_series or [("y", run.series.times, run.series.outputs)]
-        svg_path.write_text(
-            line_chart_svg(data, title=svg_title or name, xlabel="time [s]", ylabel=ylabel),
-            encoding="utf-8",
-        )
+        svg = line_chart_svg(data, title=svg_title or name, xlabel="time [s]", ylabel=ylabel)
+        with open_artifact(svg_path) as fh:
+            fh.write(svg)
         written.append(svg_path)
     return written
 

@@ -13,9 +13,15 @@ a decimal or exponent float literal, or ``nan``, ``inf`` or ``infinity`` in
 any case and with either sign, optionally padded with whitespace; numpy's C
 tokenizer parses it to the float64 that ``float()`` gives. Underscore digit
 separators and non-ASCII digits, which ``float()`` also accepts, are
-rejected. Anything else (no header, no data row, a ragged row, an empty or
-malformed cell, bytes that are not UTF-8) raises ``ValidationError`` naming
-the file.
+rejected. Anything else (no header, a column named twice, no data row, a
+ragged row, an empty or malformed cell, bytes that are not UTF-8, sample
+instants that are not uniformly spaced) raises ``ValidationError`` naming the
+file.
+
+Every artifact is written through ``open_artifact``, which replaces a
+regular file already at the path with a new file (truncating it in place
+costs tens of milliseconds on ext4, creating a new one well under one) and
+opens a symlink, device, FIFO or directory as it is.
 
 SVG output is a minimal static line chart (axes, tick labels, series
 polylines, legend) written directly; figures here are verification
@@ -26,6 +32,8 @@ weight. Long series are strided down to at most 1000 points per polyline.
 from __future__ import annotations
 
 import itertools
+import os
+import stat
 
 import numpy as np
 
@@ -34,6 +42,7 @@ from .sim import ElectricalTrace, TimeSeries
 
 __all__ = [
     "format_value",
+    "open_artifact",
     "write_timeseries_csv",
     "read_timeseries_csv",
     "line_chart_svg",
@@ -47,6 +56,22 @@ _PALETTE = ("#1f6fb4", "#d94f30", "#3a9648", "#8450a8", "#b58900", "#3c3c3c")
 def format_value(x: float) -> str:
     """Canonical cell format: 9 significant digits."""
     return f"{x:.9g}"
+
+
+def open_artifact(path):
+    """Open ``path`` for writing UTF-8 text as a new file.
+
+    A regular file already at ``path`` is unlinked first, so a hard link to
+    it keeps the old bytes and the new file gets default permissions.
+    Anything else at ``path`` is opened as it is: a symlink is written
+    through, and a directory raises ``IsADirectoryError``.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def write_timeseries_csv(path, ts: TimeSeries, electrical: ElectricalTrace | None = None) -> None:
@@ -64,7 +89,7 @@ def write_timeseries_csv(path, ts: TimeSeries, electrical: ElectricalTrace | Non
     # table is held as text.
     template = ",".join(["%.9g"] * len(columns)) + "\n"
     table = np.column_stack(columns)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_artifact(path) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(table), CSV_CHUNK_ROWS):
             chunk = table[start:start + CSV_CHUNK_ROWS]
@@ -83,6 +108,9 @@ def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:
             if header_line is None:
                 raise ValidationError(f"{path}: empty CSV")
             header = header_line.rstrip("\n").split(",")
+            for name in header:
+                if header.count(name) > 1:
+                    raise ValidationError(f"{path}: duplicate column {name!r}")
             for name in ("t", "u", "y"):
                 if name not in header:
                     raise ValidationError(f"{path}: missing column {name!r}")
@@ -107,7 +135,10 @@ def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:
         if state_names
         else np.zeros((len(cols["t"]), 0))
     )
-    ts = TimeSeries(times=cols["t"], inputs=cols["u"], outputs=cols["y"], states=states)
+    try:
+        ts = TimeSeries(times=cols["t"], inputs=cols["u"], outputs=cols["y"], states=states)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     extras = {n: cols[n] for n in header if n not in ("t", "u", "y") and n not in state_names}
     return ts, extras
 

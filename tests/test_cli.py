@@ -241,6 +241,17 @@ class TestMetricsCommand:
         assert main(["metrics", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
+    def test_duplicate_column_exit_1(self, capsys, tmp_path):
+        # the second y column is the negated first; neither may be read as y
+        t = np.arange(120) * 0.1
+        y = 1.0 - np.exp(-t)
+        path = tmp_path / "dup.csv"
+        path.write_text("t,u,y,y\n" + "".join(f"{a!r},1,{b!r},{-b!r}\n" for a, b in zip(t, y)))
+        assert main(["metrics", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: duplicate column 'y'\n"
+
 
 class TestReproduceCommand:
     def test_figure4_both_presets(self, capsys, tmp_path):
@@ -302,6 +313,16 @@ class TestReproduceCommand:
         assert code == 1
         assert "--convention" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["figure4-exact.csv", "figure4-exact.svg"])
+    def test_directory_at_artifact_path_exit_3(self, capsys, tmp_path, name):
+        (tmp_path / name).mkdir()
+        code = main(["reproduce", "--figure", "4", "--preset", "exact", "--format", "both",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert (tmp_path / name).is_dir()
 
     def test_bad_figure_rejected(self, capsys):
         code = main(["reproduce", "--figure", "9"])

@@ -4,7 +4,8 @@ Each command runs in-process through ``regforge.cli.main`` with its own
 output directory. The manifest records the exit code, the sha256 of stdout
 and of stderr (with the output directory replaced by ``<out>``), and the
 sha256 of every file the command wrote. Any byte change to these outputs
-fails here; after an intended change, rewrite the manifest with
+fails here. A rerun into the same directory must give the same bytes in new
+files. After an intended change, rewrite the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,6 +16,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -83,7 +85,7 @@ def _sha256(data: bytes) -> str:
 def run_command(key: str, workdir: Path) -> dict:
     """Run one manifest command and return its manifest entry."""
     out = workdir / key
-    out.mkdir(parents=True)
+    out.mkdir(parents=True, exist_ok=True)
     ss = workdir / "ss-controller.cfg"
     ss.write_text(SS_SCENARIO, encoding="utf-8")
     argv = [a.format(out=out, scenarios=ROOT / "scenarios", ss=ss) for a in COMMANDS[key]]
@@ -109,6 +111,43 @@ def test_manifest_lists_every_command():
 @pytest.mark.parametrize("key", sorted(COMMANDS))
 def test_command_matches_manifest(key, tmp_path):
     assert run_command(key, tmp_path) == _manifest()[key]
+
+
+REWRITE_KEY = "reproduce-4-both"
+
+
+def test_rerun_writes_manifest_bytes_to_new_files(tmp_path):
+    run_command(REWRITE_KEY, tmp_path)
+    out = tmp_path / REWRITE_KEY
+    with contextlib.ExitStack() as stack:
+        # Held open, the first pass's files keep their inode numbers in use,
+        # so a rewrite in place shows as an unchanged st_ino.
+        old = {p.name: stack.enter_context(open(p, "rb")) for p in out.iterdir()}
+        assert run_command(REWRITE_KEY, tmp_path) == _manifest()[REWRITE_KEY]
+        assert sorted(old) == sorted(_manifest()[REWRITE_KEY]["artifacts"])
+        for name, fh in old.items():
+            assert os.fstat(fh.fileno()).st_ino != os.stat(out / name).st_ino, name
+
+
+def test_hard_link_to_old_artifact_keeps_old_bytes(tmp_path):
+    out = tmp_path / REWRITE_KEY
+    out.mkdir()
+    (out / "figure4-exact.csv").write_text("old\n")
+    link = tmp_path / "link.csv"
+    os.link(out / "figure4-exact.csv", link)
+    assert run_command(REWRITE_KEY, tmp_path) == _manifest()[REWRITE_KEY]
+    assert link.read_text() == "old\n"
+
+
+def test_symlinked_artifact_written_through(tmp_path):
+    out = tmp_path / REWRITE_KEY
+    out.mkdir()
+    target = tmp_path / "target.svg"
+    target.write_text("old\n")
+    (out / "figure4-exact.svg").symlink_to(target)
+    assert run_command(REWRITE_KEY, tmp_path) == _manifest()[REWRITE_KEY]
+    assert (out / "figure4-exact.svg").is_symlink()
+    assert _sha256(target.read_bytes()) == _manifest()[REWRITE_KEY]["artifacts"]["figure4-exact.svg"]
 
 
 if __name__ == "__main__":

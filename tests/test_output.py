@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +14,7 @@ from regforge.output import (
     MAX_SVG_POINTS,
     format_value,
     line_chart_svg,
+    open_artifact,
     read_timeseries_csv,
     write_timeseries_csv,
 )
@@ -30,6 +34,9 @@ MALFORMED_CSVS = {
     "empty-cell": (b"t,u,y\n0,,2\n", "malformed numeric cell"),
     "underscore-digits": (b"t,u,y\n0,1,1_0\n", "malformed numeric cell"),
     "not-utf8": (b"t,u,y\n0,1,\xff\n", "not UTF-8 text"),
+    "duplicate-column": (b"t,u,y,y\n0,1,2,-2\n", "duplicate column 'y'"),
+    "non-uniform-time": (b"t,u,y\n0,1,2\n1,1,2\n3,1,2\n",
+                         "sample instants must increase with uniform spacing"),
 }
 
 
@@ -168,6 +175,30 @@ class TestCsv:
         path.write_text("t,u\n0,1\n")
         with pytest.raises(ValidationError):
             read_timeseries_csv(path)
+
+
+class TestOpenArtifact:
+    def test_regular_file_replaced_by_new_file(self, tmp_path):
+        path = tmp_path / "run.csv"
+        path.write_text("old\n")
+        with open(path, "rb") as old:
+            write_timeseries_csv(path, sample_series())
+            assert old.read() == b"old\n"
+            assert os.fstat(old.fileno()).st_ino != os.stat(path).st_ino
+        assert path.read_text().startswith("t,u,y,x1\n")
+
+    def test_fifo_written_in_place(self, tmp_path):
+        # a non-regular file is opened as it is, never unlinked
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with open_artifact(fifo) as fh:
+                fh.write("x\n")
+            assert os.read(reader, 16) == b"x\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
 class TestSvg:
