@@ -241,17 +241,6 @@ class TestMetricsCommand:
         assert main(["metrics", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
-    def test_duplicate_column_exit_1(self, capsys, tmp_path):
-        # the second y column is the negated first; neither may be read as y
-        t = np.arange(120) * 0.1
-        y = 1.0 - np.exp(-t)
-        path = tmp_path / "dup.csv"
-        path.write_text("t,u,y,y\n" + "".join(f"{a!r},1,{b!r},{-b!r}\n" for a, b in zip(t, y)))
-        assert main(["metrics", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {path}: duplicate column 'y'\n"
-
 
 class TestReproduceCommand:
     def test_figure4_both_presets(self, capsys, tmp_path):
