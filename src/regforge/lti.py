@@ -12,10 +12,16 @@ a Routh-Hurwitz table. Symmetric spectra (the semidefiniteness checks on
 the LQR weights and the Riccati solution) are computed by cyclic Jacobi in
 `riccati` instead. All systems in this toolkit are small (n <= 6), where
 these methods are exact up to rounding.
+
+The two polynomial kernels, `_durand_kerner` and `is_hurwitz`, loop over
+Python floats and complex numbers rather than numpy arrays: on vectors of
+at most seven entries numpy's per-call overhead outweighs the arithmetic
+several times over.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +108,7 @@ class Polynomial:
 
     def roots(self) -> np.ndarray:
         """All complex roots, via Durand-Kerner iteration."""
-        return _durand_kerner(self.coeffs)
+        return _durand_kerner(self.coeffs)[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -130,31 +136,57 @@ class Polynomial:
         return head + "".join(f" {s} {t}" for s, t in terms[1:])
 
 
-def _durand_kerner(coeffs: np.ndarray, max_iter: int = 200, tol: float = 1e-12) -> np.ndarray:
-    """Simultaneous root iteration for small real polynomials.
+def _durand_kerner(coeffs, max_iter: int = 200, tol: float = 1e-12) -> tuple[np.ndarray, int, bool]:
+    """Simultaneous (Weierstrass) root iteration for small real polynomials.
 
-    200 iterations at 1e-12 step tolerance is far more than the n <= 6
-    polynomials seen here require; repeated roots plateau near sqrt(eps),
-    which downstream checks tolerate.
+    Returns (roots, iterations, converged). Every root moves at once from
+    the previous iterates, z_i -= p(z_i) / prod_{j != i}(z_i - z_j), with
+    p monic and evaluated by Horner, from the start points
+    radius * (0.4 + 0.9j)**k. The iteration stops when every step satisfies
+    |dz_i| < tol * max(1, |z_i|), so large roots are held to the same
+    relative accuracy as small ones, or after max_iter sweeps with
+    converged False: repeated roots converge only linearly and plateau
+    near eps**(1/m) of their multiplicity m.
+
+    Scalar Python arithmetic throughout (see the module docstring). A NaN
+    step never counts as converged. Coefficients that overflow when made
+    monic, a zero Weierstrass denominator (coincident iterates) or a
+    non-finite result raise NumericalError.
     """
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
-    if c.size <= 1:
-        return np.array([], dtype=complex)
-    monic = (c / c[0]).astype(complex)
-    n = monic.size - 1
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "f").tolist()
+    if len(c) <= 1:
+        return np.array([], dtype=complex), 0, True
+    lead = c[0]
+    monic = [x / lead for x in c[1:]]
+    if not all(math.isfinite(x) for x in monic):
+        raise NumericalError("polynomial coefficients overflow when made monic")
+    n = len(monic)
     if n == 1:
-        return np.array([-monic[1]])
-    radius = 1.0 + np.max(np.abs(monic[1:]))
-    z = radius * (0.4 + 0.9j) ** np.arange(1, n + 1)
-    for _ in range(max_iter):
-        pz = np.polyval(monic, z)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        delta = pz / np.prod(diff, axis=1)
-        z = z - delta
-        if np.max(np.abs(delta)) < tol:
-            break
-    return z
+        return np.array([-monic[0]], dtype=complex), 0, True
+    radius = 1.0 + max(abs(x) for x in monic)
+    z = [radius * (0.4 + 0.9j) ** k for k in range(1, n + 1)]
+    converged = False
+    try:
+        for it in range(1, max_iter + 1):
+            step = []
+            for i, zi in enumerate(z):
+                pz = 1.0 + 0.0j
+                for a in monic:
+                    pz = pz * zi + a
+                den = 1.0 + 0.0j
+                for j, zj in enumerate(z):
+                    if j != i:
+                        den *= zi - zj
+                step.append(pz / den)
+            z = [zi - d for zi, d in zip(z, step)]
+            if all(abs(d) < tol * max(1.0, abs(zi)) for zi, d in zip(z, step)):
+                converged = True
+                break
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalError(f"Durand-Kerner iteration broke down: {exc}") from None
+    if not all(math.isfinite(zi.real) and math.isfinite(zi.imag) for zi in z):
+        raise NumericalError("Durand-Kerner iteration produced non-finite roots")
+    return np.array(z), it, converged
 
 
 @dataclass(frozen=True)
@@ -411,27 +443,27 @@ def is_hurwitz(p: Polynomial) -> bool:
 
     The sign of the leading coefficient is normalized away first. A zero
     first-column pivot is reported as not Hurwitz outright (marginal or
-    unstable); no epsilon substitution is attempted.
+    unstable); no epsilon substitution is attempted. The table is built
+    row by row in Python floats.
     """
     if p.degree < 1:
         raise ValidationError("stability of a constant polynomial is undefined")
-    c = p.coeffs.copy()
+    c = p.coeffs.tolist()
     if c[0] < 0:
-        c = -c
-    n = len(c) - 1
-    width = (n // 2) + 1
-    rows = np.zeros((n + 1, width + 1))
-    rows[0, : len(c[0::2])] = c[0::2]
-    rows[1, : len(c[1::2])] = c[1::2]
-    for k in range(2, n + 1):
-        pivot = rows[k - 1, 0]
-        if pivot == 0.0:
+        c = [-x for x in c]
+    width = (len(c) - 1) // 2 + 1
+    above = c[0::2] + [0.0] * (width + 1 - len(c[0::2]))
+    row = c[1::2] + [0.0] * (width + 1 - len(c[1::2]))
+    # The first column is Hurwitz iff every entry is > 0, so the table
+    # stops at the first pivot that is not (zero, negative or NaN).
+    for _ in range(2, len(c)):
+        pivot = row[0]
+        if not pivot > 0.0:
             return False
-        rows[k, :width] = (
-            pivot * rows[k - 2, 1 : width + 1] - rows[k - 2, 0] * rows[k - 1, 1 : width + 1]
-        ) / pivot
-    first_col = rows[: n + 1, 0]
-    return bool(np.all(first_col > 0.0))
+        head = above[0]
+        above, row = row, [(pivot * above[j] - head * row[j]) / pivot
+                           for j in range(1, width + 1)] + [0.0]
+    return row[0] > 0.0
 
 
 def dc_gain(tf: TransferFunction) -> float:

@@ -31,6 +31,7 @@ N = 1 / (C (-(A-BK))^-1 B) ahead of the loop (`reference_prescaler`,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +113,11 @@ class TimeSeries:
         if len(self.inputs) != n or len(self.outputs) != n or self.states.shape[0] != n:
             raise ValidationError("time series columns must have equal length")
         if n >= 2:
+            # Every gap within 1e-6 of a positive, finite first gap; a NaN
+            # gap fails the comparison and so is rejected too.
             gaps = np.diff(self.times)
-            if np.min(gaps) <= 0.0 or not np.allclose(gaps, gaps[0], rtol=1e-6, atol=0.0):
+            g0 = gaps[0]
+            if not (0.0 < g0 < math.inf and np.max(np.abs(gaps - g0)) <= 1e-6 * g0):
                 raise ValidationError("sample instants must increase with uniform spacing")
 
     @property

@@ -1,12 +1,16 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regforge.errors import NumericalError, ValidationError
 from regforge.lti import (
     Polynomial,
+    _durand_kerner,
     StateSpaceModel,
     TransferFunction,
     char_poly,
@@ -28,6 +32,72 @@ PLANT_C = np.array([[0.0, 18.0]])
 
 def reference_plant():
     return TransferFunction([18.0], [1.0, 2.5, 1.0])
+
+
+def vectorized_durand_kerner(coeffs, max_iter=200, tol=1e-12) -> np.ndarray:
+    """Reference for `_durand_kerner`: the same iteration on numpy arrays.
+
+    Same start points, simultaneous Weierstrass update and Horner order;
+    it stops on the absolute rule max |dz| < tol and reports nothing.
+    """
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "f")
+    if c.size <= 1:
+        return np.array([], dtype=complex)
+    monic = (c / c[0]).astype(complex)
+    n = monic.size - 1
+    if n == 1:
+        return np.array([-monic[1]])
+    radius = 1.0 + np.max(np.abs(monic[1:]))
+    z = radius * (0.4 + 0.9j) ** np.arange(1, n + 1)
+    for _ in range(max_iter):
+        pz = np.polyval(monic, z)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        delta = pz / np.prod(diff, axis=1)
+        z = z - delta
+        if np.max(np.abs(delta)) < tol:
+            break
+    return z
+
+
+def array_routh_hurwitz(p: Polynomial) -> bool:
+    """Reference for `is_hurwitz`: the whole Routh table as one numpy array."""
+    c = p.coeffs.copy()
+    if c[0] < 0:
+        c = -c
+    n = len(c) - 1
+    width = (n // 2) + 1
+    rows = np.zeros((n + 1, width + 1))
+    rows[0, : len(c[0::2])] = c[0::2]
+    rows[1, : len(c[1::2])] = c[1::2]
+    with np.errstate(all="ignore"):
+        for k in range(2, n + 1):
+            pivot = rows[k - 1, 0]
+            if pivot == 0.0:
+                return False
+            rows[k, :width] = (
+                pivot * rows[k - 2, 1 : width + 1] - rows[k - 2, 0] * rows[k - 1, 1 : width + 1]
+            ) / pivot
+    return bool(np.all(rows[:, 0] > 0.0))
+
+
+def assert_roots_within(actual, desired, rel):
+    """Each desired root has its own actual root within rel * (1 + |root|)."""
+    actual = list(actual)
+    assert len(actual) == len(desired)
+    for want in desired:
+        gaps = [abs(got - want) for got in actual]
+        best = int(np.argmin(gaps))
+        assert gaps[best] <= rel * (1.0 + abs(want)), f"{want}: off by {gaps[best]:.3e}"
+        actual.pop(best)
+
+
+# A coefficient for the Routh property: small integers reach exact zero
+# pivots, scaled floats the range 1e-150 .. 1e150.
+routh_coefficient = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-150, 150)),
+)
 
 
 class TestPolynomial:
@@ -52,6 +122,11 @@ class TestPolynomial:
             coeffs[0] = rng.uniform(0.5, 2.0)
             assert_root_sets_close(Polynomial(coeffs).roots(), np.roots(coeffs), atol=1e-7)
 
+    def test_roots_keep_array_type(self):
+        roots = Polynomial([1.0, 3.0, 2.0]).roots()
+        assert isinstance(roots, np.ndarray) and roots.dtype == complex
+        assert eigenvalues(PLANT_A).dtype == complex
+
     def test_from_roots_round_trip(self):
         p = Polynomial.from_roots([-0.5, -2.0])
         npt.assert_allclose(p.coeffs, [1.0, 2.5, 1.0])
@@ -64,6 +139,61 @@ class TestPolynomial:
         p = Polynomial([1.0, 2.5, 1.0])
         assert p(0.0) == 1.0
         assert p(-0.5) == pytest.approx(0.0)
+
+
+class TestDurandKerner:
+    @pytest.mark.parametrize("roots", [[-1e5, -2e5], [1e5, 2e5], [-1e6, -2e6]])
+    def test_large_roots_converge_on_relative_steps(self, roots):
+        # |z| >= 1e5: one ulp of z exceeds an absolute 1e-12 step, so that
+        # rule can only end at the iteration cap on these polynomials.
+        coeffs = [1.0, -(roots[0] + roots[1]), roots[0] * roots[1]]
+        found, iterations, converged = _durand_kerner(coeffs)
+        assert converged and iterations < 50
+        assert_roots_within(found, roots, 1e-15)
+
+    def test_triple_root_reports_the_cap(self):
+        roots, iterations, converged = _durand_kerner([1.0, -6.0, 12.0, -8.0])
+        assert (iterations, converged) == (200, False)
+        assert np.max(np.abs(roots - 2.0)) < 1e-4
+
+    def test_linear_and_constant(self):
+        roots, iterations, converged = _durand_kerner([2.0, -3.0])
+        npt.assert_array_equal(roots, [1.5])
+        assert (iterations, converged) == (0, True)
+        assert _durand_kerner([4.0])[0].size == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs", [[1e-300, 1.0, 1e300], [1.0, 0.0, 0.0, 0.0, 1e300]],
+                             ids=["monic-overflow", "horner-overflow"])
+    def test_overflow_is_a_numerical_error(self, coeffs):
+        with pytest.raises(NumericalError):
+            Polynomial(coeffs).roots()
+
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.builds(lambda m, e: m * 10.0**e,
+                                                       st.floats(-10.0, 10.0), st.integers(-300, 300))),
+                    min_size=2, max_size=7))
+    def test_extreme_magnitudes_give_finite_roots_or_numerical_error(self, coeffs):
+        p = Polynomial(coeffs)
+        try:
+            roots = p.roots()
+        except NumericalError:
+            return
+        assert roots.size == p.degree and np.all(np.isfinite(roots))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 3), st.integers(-3, 3), st.integers(0, 2**32 - 1))
+    def test_matches_vectorized_reference_on_separated_roots(self, n, pairs, scale, seed):
+        rng = np.random.default_rng(seed)
+        pairs = min(pairs, n // 2)
+        re, im = rng.uniform(-4.0, 4.0, size=n - pairs), rng.uniform(0.5, 4.0, size=pairs)
+        want = np.concatenate([re[pairs:], re[:pairs] + 1j * im, re[:pairs] - 1j * im])
+        gaps = np.abs(want[:, None] - want[None, :]) + np.eye(n)
+        assume(np.min(gaps) > 0.5)
+        p = Polynomial.from_roots(want * 10.0**scale)
+        assert_roots_within(p.roots(), vectorized_durand_kerner(p.coeffs), 1e-12)
 
 
 class TestTransferFunction:
@@ -258,6 +388,18 @@ class TestIsHurwitz:
     def test_sign_normalization(self):
         assert is_hurwitz(Polynomial([-1.0, -2.5, -1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(routh_coefficient, min_size=2, max_size=7))
+    @example([1.0, 1.0, 1.0, 1.0])  # zero pivot in the s^1 row
+    @example([-1.0, -2.5, -1.0])
+    @example([-2.0, 1.0, -3.0, -1.0])
+    @example([1e150, 1e-150, 1e150, 1e-150, 1e150])
+    def test_matches_array_routh_table(self, coeffs):
+        p = Polynomial(coeffs)
+        assume(p.degree >= 1)
+        assert is_hurwitz(p) == array_routh_hurwitz(p)
+
     def test_agrees_with_root_oracle(self):
         rng = np.random.default_rng(6)
         checked = 0
@@ -370,3 +512,17 @@ class TestImmutability:
         ss = StateSpaceModel(a, PLANT_B, PLANT_C)
         a[0, 0] = 99.0
         assert ss.a[0, 0] == -2.5
+
+
+# Polynomial and eigen-solvers outside the paper's methods: numpy's and
+# scipy's stay test oracles, so no speed-up can swap them into the library.
+FOREIGN_SOLVERS = re.compile(r"\b(np|numpy)\.roots\b|\b(np|numpy)\.poly\(|\blinalg\.eig|\bscipy\b")
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "src" / "regforge").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_library_uses_only_its_own_solvers(path):
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if FOREIGN_SOLVERS.search(line)]
+    assert not hits, "\n".join(hits)

@@ -250,6 +250,37 @@ class TestBlockedScan:
         assert diverges or ts.n_samples == cfg.n_steps + 1
 
 
+class TestTimeSeries:
+    @staticmethod
+    def series(times):
+        n = len(times)
+        return TimeSeries(times=times, inputs=np.zeros(n), outputs=np.zeros(n), states=np.zeros((n, 0)))
+
+    @pytest.mark.parametrize("times", [
+        np.arange(1001) * 1e-3,
+        np.array([0.0, 1.0, 2.0 + 1e-7]),
+        np.array([5.0]),
+    ], ids=["uniform", "within-1e-6", "single-sample"])
+    def test_accepts(self, times):
+        assert self.series(times).n_samples == len(times)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("times", [
+        [0.0, 1.0, 3.0],
+        [0.0, 1.0, 2.0 + 1e-5],
+        [0.0, 0.0, 0.0],
+        [2.0, 1.0, 0.0],
+        [0.0, np.nan, 2.0],
+        [np.nan, 1.0, 2.0],
+        [0.0, 1.0, np.inf],
+        [0.0, np.inf],
+    ], ids=["non-uniform", "beyond-1e-6", "repeated", "decreasing", "nan-gap", "nan-first-gap",
+            "inf-gap", "inf-first-gap"])
+    def test_rejects(self, times):
+        with pytest.raises(ValidationError, match="uniform spacing"):
+            self.series(np.array(times))
+
+
 class TestStepMetrics:
     def test_needs_enough_samples(self):
         short = TimeSeries(
