@@ -14,15 +14,19 @@ def scalar_care(a: float, b: float, q: float, r: float) -> float:
     return (a * r + np.sqrt(a * a * r * r + q * r * b * b)) / (b * b)
 
 
-def assert_root_sets_close(actual, desired, atol=1e-6):
-    """Greedy nearest-neighbour matching of two complex root multisets."""
+def assert_root_sets_close(actual, desired, atol=1e-6, rtol=0.0):
+    """Greedy nearest-neighbour matching of two complex root multisets.
+
+    Each desired root z needs its own actual root within atol + rtol * |z|.
+    """
     actual = list(np.atleast_1d(np.asarray(actual, dtype=complex)))
     desired = list(np.atleast_1d(np.asarray(desired, dtype=complex)))
     assert len(actual) == len(desired)
     for want in desired:
         gaps = [abs(got - want) for got in actual]
         best = int(np.argmin(gaps))
-        assert gaps[best] <= atol, f"no root near {want} (closest off by {gaps[best]:.3e})"
+        assert gaps[best] <= atol + rtol * abs(want), \
+            f"no root near {want} (closest off by {gaps[best]:.3e})"
         actual.pop(best)
 
 
