@@ -81,12 +81,14 @@ def array_routh_hurwitz(p: Polynomial) -> bool:
     return bool(np.all(rows[:, 0] > 0.0))
 
 
+def scaled_floats(max_exp: int):
+    """m * 10**e with |m| <= 10 and |e| <= max_exp."""
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-max_exp, max_exp))
+
+
 # A coefficient for the Routh property: small integers reach exact zero
 # pivots, scaled floats the range 1e-150 .. 1e150.
-routh_coefficient = st.one_of(
-    st.integers(-3, 3).map(float),
-    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-150, 150)),
-)
+routh_coefficient = st.one_of(st.integers(-3, 3).map(float), scaled_floats(150))
 
 
 class TestPolynomial:
@@ -160,9 +162,7 @@ class TestDurandKerner:
 
     @pytest.mark.filterwarnings("error")
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(st.lists(st.one_of(st.just(0.0), st.builds(lambda m, e: m * 10.0**e,
-                                                       st.floats(-10.0, 10.0), st.integers(-300, 300))),
-                    min_size=2, max_size=7))
+    @given(st.lists(st.one_of(st.just(0.0), scaled_floats(300)), min_size=2, max_size=7))
     def test_extreme_magnitudes_give_finite_roots_or_numerical_error(self, coeffs):
         p = Polynomial(coeffs)
         try:
