@@ -16,7 +16,8 @@ separators and non-ASCII digits, which ``float()`` also accepts, are
 rejected. Anything else (no header, a column named twice, no data row, a
 ragged row, an empty or malformed cell, bytes that are not UTF-8, sample
 instants that are not uniformly spaced) raises ``ValidationError`` naming the
-file.
+file. The spacing check is made here and nowhere else: ``TimeSeries`` holds
+views of the arrays it is given and checks only that their lengths agree.
 
 Every artifact is written through ``open_artifact``, which replaces a
 regular file already at the path with a new file (truncating it in place
@@ -32,6 +33,7 @@ weight. Long series are strided down to at most 1000 points per polyline.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import stat
 
@@ -100,7 +102,10 @@ def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:
     """Read a trajectory CSV back into a TimeSeries plus extra columns.
 
     The rows stream from the file into numpy's C tokenizer; see the module
-    docstring for what is accepted.
+    docstring for what is accepted. This is where times from outside enter
+    a ``TimeSeries``, so the uniform spacing that ``TimeSeries`` assumes is
+    checked here. The series and the extra columns view the one table
+    parsed from the file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -135,10 +140,8 @@ def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:
         if state_names
         else np.zeros((len(cols["t"]), 0))
     )
-    try:
-        ts = TimeSeries(times=cols["t"], inputs=cols["u"], outputs=cols["y"], states=states)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    _check_spacing(path, cols["t"])
+    ts = TimeSeries(times=cols["t"], inputs=cols["u"], outputs=cols["y"], states=states)
     extras = {n: cols[n] for n in header if n not in ("t", "u", "y") and n not in state_names}
     return ts, extras
 
@@ -155,6 +158,19 @@ def _rows(path, lines, width: int):
         if ln.count(",") != width - 1:
             raise ValidationError(f"{path}: rows do not match the header width")
         yield ln
+
+
+def _check_spacing(path, times: np.ndarray) -> None:
+    """Every gap within 1e-6 of a positive, finite first gap.
+
+    A NaN gap fails the comparison and so is rejected too.
+    """
+    if len(times) < 2:
+        return
+    gaps = np.diff(times)
+    g0 = gaps[0]
+    if not (0.0 < g0 < math.inf and np.max(np.abs(gaps - g0)) <= 1e-6 * g0):
+        raise ValidationError(f"{path}: sample instants must increase with uniform spacing")
 
 
 def _strided(x: np.ndarray) -> np.ndarray:

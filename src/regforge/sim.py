@@ -15,9 +15,12 @@ are built once per call by doubling, in log2(SCAN_BLOCK) batched products.
 They stop growing at the first power of M that is non-finite or beyond
 POWER_LIMIT, so a fast unstable mode gets shorter blocks instead of
 inf * 0 = NaN samples. Runs that blow up are truncated and flagged rather
-than raised: each block is checked as a whole, and the run ends at its
-first sample whose state or output is non-finite or exceeds the configured
-magnitude limit, the sample a step-by-step loop would stop at.
+than raised. The scan stops after the first block holding a state that is
+non-finite or beyond the configured magnitude limit; the outputs, computed
+block by block, are checked once after the scan. The run ends at its first sample whose state
+or output is out of bounds, the sample a step-by-step loop would stop at.
+A run allocates its trajectory once: the check uses min and max, which
+allocate nothing, and `TimeSeries` keeps views of the arrays it is given.
 
 The settling band used everywhere is +/-2 % of the steady-state value
 (declared in all outputs so published settling figures are compared
@@ -31,7 +34,6 @@ N = 1 / (C (-(A-BK))^-1 B) ahead of the loop (`reference_prescaler`,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +97,14 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Uniformly sampled trajectory: times, input, output, and states."""
+    """Uniformly sampled trajectory: times, input, output, and states.
+
+    The fields are read-only views of the arrays passed in, not copies: a
+    caller that writes to its own array afterwards changes the series. Only
+    the column lengths are checked. `simulate` spaces its samples uniformly
+    by construction, and times from outside enter through
+    `output.read_timeseries_csv`, which checks their spacing.
+    """
 
     times: np.ndarray
     inputs: np.ndarray
@@ -105,20 +114,12 @@ class TimeSeries:
 
     def __post_init__(self):
         for name in ("times", "inputs", "outputs", "states"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr = arr.copy()
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n = len(self.times)
         if len(self.inputs) != n or len(self.outputs) != n or self.states.shape[0] != n:
             raise ValidationError("time series columns must have equal length")
-        if n >= 2:
-            # Every gap within 1e-6 of a positive, finite first gap; a NaN
-            # gap fails the comparison and so is rejected too.
-            gaps = np.diff(self.times)
-            g0 = gaps[0]
-            if not (0.0 < g0 < math.inf and np.max(np.abs(gaps - g0)) <= 1e-6 * g0):
-                raise ValidationError("sample instants must increase with uniform spacing")
 
     @property
     def n_samples(self) -> int:
@@ -196,7 +197,9 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
 
     Returns the full trajectory, or a truncated one with the diverged
     flag set at the first sample whose state or output goes non-finite
-    or beyond cfg.divergence_limit.
+    or beyond cfg.divergence_limit. The series views the one states and
+    outputs allocation of the run, and its inputs are a broadcast of the
+    constant input, so they take no memory per sample.
     """
     if ss.n_inputs != 1 or ss.n_outputs != 1:
         raise ValidationError("simulate drives single-input single-output models")
@@ -207,7 +210,6 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     gu = (g * u).ravel()
     d_term = ss.d[0, 0] * u
 
-    times = np.arange(steps + 1) * cfg.dt
     states = np.zeros((steps + 1, n))
     outputs = np.empty(steps + 1)
     c_row = ss.c.ravel()
@@ -216,10 +218,9 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     outputs[0] = c_row @ states[0] + d_term
     # |v| <= limit holds exactly for the finite samples within the divergence limit.
     limit = np.fmin(cfg.divergence_limit, np.finfo(float).max)
-    diverged = False
-    filled = steps + 1
+    state_out = False
     k = 0
-    # Overflow on the way to divergence is expected; the block check reports it.
+    # Overflow on the way to divergence is expected; the checks below report it.
     with np.errstate(over="ignore", invalid="ignore"):
         p, s = _scan_tables(m, gu, min(SCAN_BLOCK, steps))
         p_rows = p.reshape(len(p) * n, n)
@@ -228,18 +229,31 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
             xs = states[k + 1:k + 1 + rows]
             np.matmul(p_rows[:rows * n], states[k], out=xs.reshape(rows * n))
             xs += s[:rows]
+            # Per block, not once for the run: numpy takes a one-row product
+            # (and sample 0's above) through dot, which rounds differently
+            # from the matrix-vector product of a taller block.
             ys = outputs[k + 1:k + 1 + rows]
             np.matmul(xs, c_row, out=ys)
             ys += d_term
-            if not (np.max(np.abs(xs), initial=0.0) <= limit and np.max(np.abs(ys)) <= limit):
-                ok = (np.abs(ys) <= limit) & np.all(np.abs(xs) <= limit, axis=1)
-                diverged = True
-                filled = k + int(np.argmin(ok)) + 2
-                break
             k += rows
+            # min and max are NaN when any entry is, and allocate nothing.
+            if not (-limit <= xs.min(initial=0.0) and xs.max(initial=0.0) <= limit):
+                state_out = True
+                break
+        ys = outputs[1:k + 1]
+        diverged = state_out or not (-limit <= ys.min() and ys.max() <= limit)
+        filled = k + 1
+        if diverged:
+            # An output may cross in any block so far, a state only in the last.
+            bad = ~(np.abs(ys) <= limit)
+            if state_out:
+                bad[-rows:] |= ~np.all(np.abs(xs) <= limit, axis=1)
+            filled = int(np.argmax(bad)) + 2
+    times = np.arange(filled, dtype=float)
+    times *= cfg.dt
     return TimeSeries(
-        times=times[:filled],
-        inputs=np.full(filled, u),
+        times=times,
+        inputs=np.broadcast_to(u, (filled,)),
         outputs=outputs[:filled],
         states=states[:filled],
         diverged=diverged,
@@ -252,38 +266,45 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
     t = ts.times
     if len(y) < 100:
         raise ValidationError(f"need at least 100 samples for metrics, got {len(y)}")
-    if np.max(np.abs(y)) == 0.0:
+    # The extremes come from min and max, which allocate nothing; the one
+    # full-length temporary is `dev`.
+    y_max, y_min = float(np.max(y)), float(np.min(y))
+    peak = max(y_max, -y_min)
+    if peak == 0.0:
         return StepMetrics(0.0, 0.0, 0.0, 0.0, settled=True, degenerate=True)
 
     tail = max(1, int(round(STEADY_STATE_FRACTION * len(y))))
     ss_value = float(np.mean(y[-tail:]))
     # A steady state lost in rounding against the peak counts as zero:
     # normalizing by it would overflow.
-    if abs(ss_value) <= np.finfo(float).eps * np.max(np.abs(y)):
+    if abs(ss_value) <= np.finfo(float).eps * peak:
         return StepMetrics(0.0, 0.0, None, None, settled=False)
 
     # Overshoot is the peak beyond the steady state, in its direction.
-    direction = np.sign(ss_value)
-    overshoot = max(0.0, 100.0 * (float(np.max(direction * y)) - abs(ss_value)) / abs(ss_value))
+    peak_along = y_max if ss_value > 0.0 else -y_min
+    overshoot = max(0.0, 100.0 * (peak_along - abs(ss_value)) / abs(ss_value))
 
     band = SETTLING_BAND * abs(ss_value)
-    outside = np.abs(y - ss_value) > band
-    if not np.any(outside):
+    dev = np.subtract(y, ss_value)
+    mask = np.abs(dev, out=dev) > band
+    if not np.any(mask):
         settling: float | None = 0.0
         settled = True
     else:
-        last_out = int(np.max(np.nonzero(outside)[0]))
+        last_out = len(y) - 1 - int(np.argmax(mask[::-1]))
         if last_out == len(y) - 1 or ts.diverged:
             settling, settled = None, False
         else:
             settling, settled = float(t[last_out + 1]), True
 
-    yn = y / ss_value
+    # First samples at 10 % and 90 % of the steady state; reaching 90 %
+    # implies reaching 10 %.
+    yn = np.divide(y, ss_value, out=dev)
     rise: float | None = None
-    reached_10 = np.nonzero(yn >= 0.1)[0]
-    reached_90 = np.nonzero(yn >= 0.9)[0]
-    if reached_10.size and reached_90.size:
-        rise = float(t[reached_90[0]] - t[reached_10[0]])
+    i90 = int(np.argmax(np.greater_equal(yn, 0.9, out=mask)))
+    if mask[i90]:
+        i10 = int(np.argmax(np.greater_equal(yn, 0.1, out=mask)))
+        rise = float(t[i90] - t[i10])
 
     return StepMetrics(ss_value, overshoot, settling, rise, settled=settled)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from regforge.errors import NumericalError, ValidationError
 from regforge.lti import StateSpaceModel, TransferFunction, dc_gain, ss_to_tf, tf_to_ss
 from regforge.observer import design_observer_gain
+from regforge.output import read_timeseries_csv
 from regforge.plant import REFERENCE_PARAMS, plant_tf, rounded_plant_tf
 from regforge.scenario import (
     DEFAULT_OUTPUTS,
@@ -250,19 +252,104 @@ class TestBlockedScan:
         assert diverges or ts.n_samples == cfg.n_steps + 1
 
 
+class TestDivergenceSearch:
+    """Where `simulate` truncates a run, against the stepwise loop."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_only_the_output_crosses(self):
+        # x -> 1 with time constant 100 s; y = 1.5e7 x passes 1e6 near
+        # sample 690, in the second block, while the state stays below 0.15
+        ss = StateSpaceModel([[-0.01]], [[0.01]], [[1.5e7]])
+        cfg = SimConfig(dt=1e-2, duration=3 * SCAN_BLOCK * 1e-2, divergence_limit=1e6)
+        ts = assert_matches_stepwise(ss, cfg)
+        assert ts.diverged and SCAN_BLOCK < ts.n_samples - 1 < 2 * SCAN_BLOCK
+        assert np.max(np.abs(ts.states)) < 1e6 < abs(ts.outputs[-1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_state_crosses_mid_block_and_returns(self):
+        # an undamped oscillator with period 20 s and an unobserved state
+        # peaking at 1 near t = 7.7 s: it passes the 0.9 limit between
+        # samples 628 and 913, and the second block's last row (1024) is
+        # back at 0.7
+        w = 2.0 * np.pi / 20.0
+        ss = StateSpaceModel([[0.0, 1.0], [-w * w, 0.0]], [[0.0], [0.0]], [[0.0, 0.0]])
+        x0 = [np.cos(-w * 7.7), -w * np.sin(-w * 7.7)]
+        free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_kind="zero",
+                                      divergence_limit=np.inf), x0)
+        assert abs(free.states[2 * SCAN_BLOCK, 0]) < 0.9
+        cfg = SimConfig(dt=1e-2, duration=30.0, input_kind="zero", divergence_limit=0.9)
+        ts = assert_matches_stepwise(ss, cfg, x0)
+        assert ts.diverged and SCAN_BLOCK + 1 < ts.n_samples - 1 < 2 * SCAN_BLOCK
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("crossing", [SCAN_BLOCK + 1, 2 * SCAN_BLOCK], ids=["first-row", "last-row"])
+    @pytest.mark.parametrize("c", [0.0, 2.0], ids=["state", "output"])
+    def test_crossing_on_a_block_edge(self, crossing, c):
+        # a slowly growing mode; the limit lies between samples crossing - 1
+        # and crossing of the state (c = 0) or of the output y = 2x
+        ss = StateSpaceModel([[0.1]], [[0.0]], [[c]])
+        free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_kind="zero",
+                                      divergence_limit=np.inf), [1.0])
+        watched = free.outputs if c else free.states[:, 0]
+        limit = float(np.sqrt(watched[crossing - 1] * watched[crossing]))
+        cfg = SimConfig(dt=1e-2, duration=30.0, input_kind="zero", divergence_limit=limit)
+        ts = assert_matches_stepwise(ss, cfg, [1.0])
+        assert ts.diverged and ts.n_samples - 1 == crossing
+
+    @pytest.mark.filterwarnings("error")
+    def test_output_overflows_without_a_limit(self):
+        # y = 1e300 x overflows to inf near t = 19 s, the state stays finite
+        ss = StateSpaceModel([[1.0]], [[1.0]], [[1e300]])
+        cfg = SimConfig(dt=1e-2, duration=30.0, divergence_limit=np.inf)
+        ts = assert_matches_stepwise(ss, cfg)
+        assert ts.diverged and ts.outputs[-1] == np.inf
+        assert np.all(np.isfinite(ts.states)) and np.all(np.isfinite(ts.outputs[:-1]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gain,samples", [(1.5, 3 * SCAN_BLOCK + 1), (2e6, 2)], ids=["inside", "beyond"])
+    def test_zero_state_model(self, gain, samples):
+        cfg = SimConfig(dt=1e-2, duration=3 * SCAN_BLOCK * 1e-2, divergence_limit=1e6)
+        ts = assert_matches_stepwise(StateSpaceModel.static_gain(gain), cfg)
+        assert ts.n_samples == samples and ts.states.shape == (samples, 0)
+        assert ts.diverged == (gain > 1e6)
+        if not ts.diverged:
+            assert step_metrics(ts).steady_state == gain
+
+
+def test_long_run_allocates_little_beyond_its_trajectory():
+    """A 40k-step run and its metrics peak at under twice the trajectory's bytes."""
+    ss = scan_model(np.random.default_rng(4), 4, unstable=False)
+    cfg = SimConfig(dt=1e-3, duration=40.0)
+    step_metrics(simulate(ss, cfg))
+    tracemalloc.start()
+    try:
+        ts = simulate(ss, cfg)
+        step_metrics(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    trajectory = ts.times.nbytes + ts.outputs.nbytes + ts.states.nbytes
+    assert ts.n_samples == 40_001 and not ts.diverged
+    assert peak <= 2 * trajectory, f"peak {peak} B is {peak / trajectory:.2f}x the trajectory"
+
+
 class TestTimeSeries:
+    """A series holds views of its arrays; times from outside are checked by the CSV reader."""
+
     @staticmethod
-    def series(times):
-        n = len(times)
-        return TimeSeries(times=times, inputs=np.zeros(n), outputs=np.zeros(n), states=np.zeros((n, 0)))
+    def read(tmp_path, times):
+        path = tmp_path / "times.csv"
+        path.write_text("t,u,y\n" + "".join(f"{float(t)!r},0,0\n" for t in times))
+        return read_timeseries_csv(path)[0]
 
     @pytest.mark.parametrize("times", [
         np.arange(1001) * 1e-3,
         np.array([0.0, 1.0, 2.0 + 1e-7]),
         np.array([5.0]),
     ], ids=["uniform", "within-1e-6", "single-sample"])
-    def test_accepts(self, times):
-        assert self.series(times).n_samples == len(times)
+    def test_accepts(self, tmp_path, times):
+        ts = self.read(tmp_path, times)
+        npt.assert_array_equal(ts.times, times)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("times", [
@@ -276,9 +363,26 @@ class TestTimeSeries:
         [0.0, np.inf],
     ], ids=["non-uniform", "beyond-1e-6", "repeated", "decreasing", "nan-gap", "nan-first-gap",
             "inf-gap", "inf-first-gap"])
-    def test_rejects(self, times):
-        with pytest.raises(ValidationError, match="uniform spacing"):
-            self.series(np.array(times))
+    def test_rejects(self, tmp_path, times):
+        with pytest.raises(ValidationError, match=r"times\.csv: sample instants must increase with uniform spacing"):
+            self.read(tmp_path, times)
+
+    def test_holds_read_only_views(self):
+        t, u, y = np.arange(5) * 0.1, np.ones(5), np.arange(5.0)
+        x = np.zeros((5, 2))
+        ts = TimeSeries(times=t, inputs=u, outputs=y, states=x)
+        for caller, held in ((t, ts.times), (u, ts.inputs), (y, ts.outputs), (x, ts.states)):
+            assert np.shares_memory(caller, held)
+            assert not held.flags.writeable
+            assert caller.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ts.outputs[0] = 1.0
+        y[0] = 7.0
+        assert ts.outputs[0] == 7.0
+
+    def test_keeps_the_length_check(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            TimeSeries(times=np.arange(3.0), inputs=np.zeros(3), outputs=np.zeros(2), states=np.zeros((3, 0)))
 
 
 class TestStepMetrics:
