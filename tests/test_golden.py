@@ -1,11 +1,21 @@
-"""Golden manifest: exit code, stdout and artifact bytes of CLI commands.
+"""Golden manifest: exit code, stdout and artifact bytes of CLI commands,
+and the bits of every synthesis result.
 
 Each command runs in-process through ``regforge.cli.main`` with its own
 output directory. The manifest records the exit code, the sha256 of stdout
 and of stderr (with the output directory replaced by ``<out>``), and the
 sha256 of every file the command wrote. Any byte change to these outputs
 fails here. A rerun into the same directory must give the same bytes in new
-files. After an intended change, rewrite the manifest with
+files.
+
+The synthesis pin (``golden/synthesis.json``) records, per design, the
+sha256 of every value the LQR-plus-observer design path computes: the
+realization, P, K, the CARE residual and iteration count, H, the loop, the
+characteristic polynomials, the loop spectrum and the Hurwitz verdicts. The
+CLI rounds what it prints, so only this pin sees a last-bit change in the
+kernels.
+
+After an intended change, rewrite both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -21,12 +31,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from regforge import lti, observer, plant, riccati, sim
 from regforge.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
+SYNTHESIS = Path(__file__).resolve().parent / "golden" / "synthesis.json"
 OUT_PLACEHOLDER = "<out>"
 
 # An explicit state-space compensator on the paper-rounded plant.
@@ -150,8 +163,100 @@ def test_symlinked_artifact_written_through(tmp_path):
     assert _sha256(target.read_bytes()) == _manifest()[REWRITE_KEY]["artifacts"]["figure4-exact.svg"]
 
 
+PAPER_WEIGHTS = {"paper0": ((3.0, 3.0), 5.0), "paper1": ((8.0, 8.0), 1.0)}
+STABLE_OBSERVER_POLES = (-5.0, -6.0)
+SEEDED_PLANTS = 16
+
+
+def _design_cases() -> dict:
+    """Both presets with both paper weights, and seeded plants within x0.5..x2 of the reference.
+
+    Half of the seeded designs weight both states alike, as the paper does;
+    the other half weight them differently.
+    """
+    cases = {
+        f"{preset}-{label}": (plant.preset_tf(preset), q_diag, r, STABLE_OBSERVER_POLES)
+        for preset in plant.PRESETS
+        for label, (q_diag, r) in PAPER_WEIGHTS.items()
+    }
+    rng = np.random.default_rng(20201)
+    ref = plant.REFERENCE_PARAMS
+    g = ref.generator
+    reference = np.array([ref.turbine.tau_t, g.k1, g.n, g.l_f, g.r_f, g.l_a, g.r_a, g.r_l])
+    for i in range(SEEDED_PLANTS):
+        tau_t, k1, n, l_f, r_f, l_a, r_a, r_l = (
+            float(v) for v in reference * 2.0 ** rng.uniform(-1.0, 1.0, size=reference.size)
+        )
+        params = plant.PlantParams(
+            turbine=plant.TurbineParams(tau_t=tau_t),
+            generator=plant.GeneratorParams(k1=k1, n=n, l_f=l_f, r_f=r_f, l_a=l_a, r_a=r_a, r_l=r_l),
+        )
+        q = 10.0 ** rng.uniform(0.0, 1.0)
+        q_diag = (q, q) if i % 2 == 0 else (q, q * 10.0 ** rng.uniform(0.2, 0.8))
+        r = 10.0 ** rng.uniform(-0.3, 1.0)
+        fast = -rng.uniform(2.0, 8.0)
+        poles = (fast, fast - rng.uniform(1.0, 3.0))
+        cases[f"seeded-{i:02d}"] = (plant.plant_tf(params), q_diag, r, poles)
+    return cases
+
+
+def _digest(value) -> str:
+    if isinstance(value, np.ndarray):
+        data = f"{value.dtype.str}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
+    elif isinstance(value, float):
+        data = value.hex().encode()
+    else:
+        data = repr(value).encode()
+    return _sha256(data)
+
+
+def synthesis_entry(tf, q_diag, r, poles) -> dict:
+    """sha256 of every value the observer-based design path computes for one plant."""
+    model = lti.tf_to_ss(tf)
+    weights = riccati.CostWeights.diagonal(q_diag, r)
+    solution = riccati.solve_care(model.a, model.b, weights)
+    h = observer.design_observer_gain(model.a, model.c, poles)
+    n_gain = sim.reference_prescaler(model, solution.k)
+    loop = observer.luenberger_loop(model, solution.k, h, n_gain)
+    feedback_poly = lti.char_poly(model.a - model.b @ solution.k)
+    error_poly = lti.char_poly(model.a - h @ model.c)
+    loop_poly = lti.char_poly(loop.a)
+    values = {
+        "model.a": model.a, "model.b": model.b, "model.c": model.c, "model.d": model.d,
+        "q": weights.q, "r": weights.r,
+        "p": solution.p, "k": solution.k,
+        "residual_norm": solution.residual_norm, "iterations": solution.iterations,
+        "h": h, "prescaler": n_gain,
+        "loop.a": loop.a, "loop.b": loop.b, "loop.c": loop.c,
+        "feedback_poly": feedback_poly.coeffs, "error_poly": error_poly.coeffs,
+        "loop_poly": loop_poly.coeffs,
+        "loop_eigenvalues": lti.eigenvalues(loop.a),
+        "feedback_hurwitz": lti.is_hurwitz(feedback_poly),
+        "error_hurwitz": lti.is_hurwitz(error_poly),
+        "loop_hurwitz": lti.is_hurwitz(loop_poly),
+    }
+    return {name: _digest(value) for name, value in values.items()}
+
+
+def _synthesis() -> dict:
+    return json.loads(SYNTHESIS.read_text(encoding="utf-8"))
+
+
+def test_synthesis_pin_lists_every_design():
+    assert sorted(_synthesis()) == sorted(_design_cases())
+
+
+@pytest.mark.parametrize("key", sorted(_design_cases()))
+def test_synthesis_matches_pin(key):
+    assert synthesis_entry(*_design_cases()[key]) == _synthesis()[key]
+
+
+def _write(path: Path, entries: dict) -> None:
+    path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {path}", file=sys.stderr)
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        entries = {key: run_command(key, Path(tmp)) for key in sorted(COMMANDS)}
-    MANIFEST.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(entries)} entries to {MANIFEST}", file=sys.stderr)
+        _write(MANIFEST, {key: run_command(key, Path(tmp)) for key in sorted(COMMANDS)})
+    _write(SYNTHESIS, {key: synthesis_entry(*case) for key, case in sorted(_design_cases().items())})

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from regforge import riccati
 from regforge.errors import NumericalError, ValidationError
-from regforge.lti import char_poly, is_hurwitz
+from regforge.lti import char_poly, is_hurwitz, tf_to_ss
+from regforge.plant import PRESETS, preset_tf
 from regforge.riccati import (
     CostWeights,
     _symmetric_eigenvalues,
@@ -227,6 +228,22 @@ class TestSolveCare:
         sol = solve_care(a, b, CostWeights(q, [[1.0]]))
         npt.assert_allclose(sol.p, linalg.solve_continuous_are(a, b, q, np.eye(1)), atol=1e-10)
         assert is_hurwitz(char_poly(a - b @ sol.k))
+
+    def test_residual_norm_is_the_public_residual(self):
+        # The iteration computes its residual from the gain it holds; the
+        # norm it reports must still be care_residual's, bit for bit.
+        designs = [(model.a, model.b, CostWeights.diagonal(q_diag, r))
+                   for model in (tf_to_ss(preset_tf(name)) for name in PRESETS)
+                   for q_diag, r in (([3.0, 3.0], 5.0), ([8.0, 8.0], 1.0))]
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3, 4, 2, 3):
+            a, b = random_controllable_siso(rng, n)
+            m = rng.normal(size=(n, n))
+            designs.append((a, b, CostWeights(m @ m.T + 0.1 * np.eye(n), [[rng.uniform(0.3, 3.0)]])))
+        for a, b, weights in designs:
+            sol = solve_care(a, b, weights)
+            norm = float(np.linalg.norm(care_residual(a, b, sol.p, weights.q, weights.r)))
+            assert sol.residual_norm == norm
 
     @pytest.mark.parametrize("q_diag, r", [([8.0, 8.0], 1.0), ([3.0, 3.0], 5.0)])
     def test_gain_is_r_inverse_bt_p(self, q_diag, r):
