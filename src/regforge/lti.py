@@ -43,12 +43,6 @@ __all__ = [
 ]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Polynomial:
     """Real polynomial in the Laplace variable s, coefficients highest degree first.
@@ -60,14 +54,17 @@ class Polynomial:
     coeffs: np.ndarray
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+        # One copy, owned by the polynomial: later writes to `coeffs` do not reach it.
+        c = np.array(coeffs, dtype=float, ndmin=1)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("polynomial coefficients must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValidationError("polynomial coefficients must be finite")
-        nz = np.nonzero(c)[0]
-        c = c[nz[0]:] if nz.size else np.zeros(1)
-        object.__setattr__(self, "coeffs", _readonly(c))
+        if c[0] == 0.0:
+            nz = c.nonzero()[0]
+            c = c[nz[0]:] if nz.size else np.zeros(1)
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_roots(cls, roots, leading: float = 1.0) -> "Polynomial":
@@ -80,7 +77,7 @@ class Polynomial:
         c = np.array([1.0 + 0.0j])
         for r in roots:
             c = np.convolve(c, np.array([1.0, -r]))
-        if roots.size and np.max(np.abs(c.imag)) > 1e-9 * max(1.0, np.max(np.abs(c.real))):
+        if roots.size and np.abs(c.imag).max() > 1e-9 * max(1.0, np.abs(c.real).max()):
             raise ValidationError("root set is not closed under conjugation")
         return cls(leading * c.real)
 
@@ -244,16 +241,21 @@ class StateSpaceModel:
     d: np.ndarray = field(default=None)
 
     def __init__(self, a, b, c, d=None):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(c, dtype=float)
+        # One copy of each matrix, owned by the model: later writes to the
+        # arguments do not reach it.
+        a = np.array(a, dtype=float, ndmin=2)
+        b = np.array(b, dtype=float)
+        c = np.array(c, dtype=float)
         if b.ndim == 1:
             b = b.reshape(-1, 1)
         if c.ndim == 1:
             c = c.reshape(1, -1)
-        a = _readonly(np.atleast_2d(a)) if a.size else _readonly(np.zeros((0, 0)))
-        b = _readonly(b) if b.size else _readonly(np.zeros((0, _cols_hint(d))))
-        c = _readonly(c) if c.size else _readonly(np.zeros((_rows_hint(d), 0)))
+        if not a.size:
+            a = np.zeros((0, 0))
+        if not b.size:
+            b = np.zeros((0, _cols_hint(d)))
+        if not c.size:
+            c = np.zeros((_rows_hint(d), 0))
         n = a.shape[0]
         if a.shape != (n, n):
             raise ValidationError(f"A must be square, got {a.shape}")
@@ -262,16 +264,17 @@ class StateSpaceModel:
         if c.shape[1] != n:
             raise ValidationError(f"C must have {n} columns, got {c.shape}")
         m, p = b.shape[1], c.shape[0]
-        d = np.zeros((p, m)) if d is None else np.atleast_2d(d)
+        d = np.zeros((p, m)) if d is None else np.array(d, dtype=float, ndmin=2)
         if d.shape != (p, m):
             raise ValidationError(f"D must be {p}x{m}, got {d.shape}")
         for name, mat in (("A", a), ("B", b), ("C", c), ("D", d)):
-            if not np.all(np.isfinite(mat)):
+            if not np.isfinite(mat).all():
                 raise ValidationError(f"{name} contains non-finite entries")
+            mat.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", _readonly(d))
+        object.__setattr__(self, "d", d)
 
     @classmethod
     def static_gain(cls, k: float) -> "StateSpaceModel":
@@ -349,12 +352,13 @@ def _faddeev_leverrier(a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     coeffs = np.zeros(n + 1)
     coeffs[0] = 1.0
     blocks = []
-    m = np.eye(n)
+    eye = np.eye(n)
+    m = eye
     for k in range(1, n + 1):
         blocks.append(m)
         am = a @ m
-        coeffs[k] = -np.trace(am) / k
-        m = am + coeffs[k] * np.eye(n)
+        coeffs[k] = -am.trace() / k
+        m = am + coeffs[k] * eye
     return coeffs, blocks
 
 

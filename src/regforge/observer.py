@@ -52,7 +52,7 @@ class ObserverGain:
         h = np.asarray(h, dtype=float)
         if h.ndim == 1:
             h = h.reshape(-1, 1)
-        if h.ndim != 2 or not np.all(np.isfinite(h)):
+        if h.ndim != 2 or not np.isfinite(h).all():
             raise ValidationError("observer gain must be a finite column matrix")
         h = h.copy()
         h.flags.writeable = False
@@ -115,15 +115,16 @@ def build_observer_controller(
     k = _as_gain_row(k, n)
     h = _as_gain_col(h, n)
     a, b, c = plant.a, plant.b, plant.c
-    a_c = a - b @ k - h @ c
+    bk, hc = b @ k, h @ c
+    a_c = a - bk - hc
     if convention == "eq17-literal":
         model = StateSpaceModel(a_c, b, -k, [[1.0]])
     elif convention == "paper-numeric":
         model = StateSpaceModel(a_c, h, k, [[0.0]])
     else:
         model = StateSpaceModel(a_c, h, -k, [[0.0]])
-    fb_poly = char_poly(a - b @ k)
-    err_poly = char_poly(a - h @ c)
+    fb_poly = char_poly(a - bk)
+    err_poly = char_poly(a - hc)
     audit = ObserverAudit(
         state_feedback_poly=fb_poly,
         state_feedback_hurwitz=is_hurwitz(fb_poly),
@@ -167,8 +168,9 @@ def place_poles(a, b, desired) -> np.ndarray:
         raise ValidationError(f"(A, B) is uncontrollable: controllability matrix rank {rank} < {n}")
 
     phi = np.zeros((n, n))
+    eye = np.eye(n)
     for coef in target.coeffs:
-        phi = phi @ a + coef * np.eye(n)
+        phi = phi @ a + coef * eye
     e_last = np.zeros((1, n))
     e_last[0, -1] = 1.0
     return e_last @ np.linalg.solve(ctrb, phi)

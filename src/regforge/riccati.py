@@ -60,7 +60,7 @@ def _symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
     # no square can overflow; a diagonal input takes no sweep and is
     # returned exactly.
     n = m.shape[0]
-    peak = float(np.max(np.abs(m), initial=0.0))
+    peak = float(np.abs(m).max(initial=0.0))
     if not math.isfinite(peak):
         raise NumericalError("symmetric eigenvalue input is not finite")
     exponent = math.frexp(peak)[1]
@@ -92,7 +92,7 @@ def _symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
                     a[r][p] = a[p][r] = c * g - s * h
                     a[r][q] = a[q][r] = s * g + c * h
     if sweep == 0:
-        return np.diag(m).copy()
+        return m.diagonal().copy()
     return np.ldexp([a[i][i] for i in range(n)], exponent)
 
 
@@ -113,13 +113,13 @@ class CostWeights:
         r = np.atleast_2d(np.asarray(r, dtype=float))
         if q.shape[0] != q.shape[1] or r.shape[0] != r.shape[1]:
             raise ValidationError("cost weights must be square matrices")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(r))):
+        if not (np.isfinite(q).all() and np.isfinite(r).all()):
             raise ValidationError("cost weights must be finite")
         q = 0.5 * (q + q.T)
         r = 0.5 * (r + r.T)
-        if q.size and np.min(_symmetric_eigenvalues(q)) < -PSD_TOLERANCE:
+        if q.size and _symmetric_eigenvalues(q).min() < -PSD_TOLERANCE:
             raise ValidationError("Q must be positive semidefinite")
-        if r.size == 0 or np.min(_symmetric_eigenvalues(r)) <= 0.0:
+        if r.size == 0 or _symmetric_eigenvalues(r).min() <= 0.0:
             raise ValidationError("R must be positive definite")
         q.flags.writeable = False
         r.flags.writeable = False
@@ -129,7 +129,6 @@ class CostWeights:
     @classmethod
     def diagonal(cls, q_diag, r) -> "CostWeights":
         """Weights from a state-weight diagonal and a scalar (or matrix) R."""
-        r = np.atleast_2d(np.asarray(r, dtype=float))
         return cls(np.diag(np.atleast_1d(np.asarray(q_diag, dtype=float))), r)
 
 
@@ -170,7 +169,11 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def care_residual(a, b, p, q, r) -> np.ndarray:
     """Residual matrix A'P + PA - P B R^-1 B' P + Q."""
-    rinv_btp = np.linalg.solve(r, b.T @ p)
+    return _residual(a, b, p, q, np.linalg.solve(r, b.T @ p))
+
+
+def _residual(a, b, p, q, rinv_btp) -> np.ndarray:
+    # care_residual with R^-1 B' P given, as solve_care holds it in its gain.
     return a.T @ p + p @ a - p @ b @ rinv_btp + q
 
 
@@ -231,7 +234,7 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
         p_next = solve_lyapunov(a_cl, rhs)
         p_next = 0.5 * (p_next + p_next.T)
         k_next = np.linalg.solve(r, b.T @ p_next)
-        new_residual = float(np.linalg.norm(care_residual(a, b, p_next, q, r)))
+        new_residual = float(np.linalg.norm(_residual(a, b, p_next, q, k_next)))
         if new_residual >= residual and residual <= RESIDUAL_SUCCESS:
             # Rounding floor reached; keep the better iterate.
             break
@@ -244,9 +247,9 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
         )
 
     if n > 0:
-        if np.max(np.abs(p - p.T)) > 1e-10:
+        if np.abs(p - p.T).max() > 1e-10:
             raise NumericalError("Riccati solution lost symmetry")
-        if np.min(_symmetric_eigenvalues(p)) < -PSD_TOLERANCE:
+        if _symmetric_eigenvalues(p).min() < -PSD_TOLERANCE:
             raise NumericalError("Riccati solution is not positive semidefinite")
         if not is_hurwitz(char_poly(a - b @ k)):
             raise NumericalError("closed loop A - BK is not Hurwitz after synthesis")
