@@ -15,12 +15,15 @@ are built once per call by doubling, in log2(SCAN_BLOCK) batched products.
 They stop growing at the first power of M that is non-finite or beyond
 POWER_LIMIT, so a fast unstable mode gets shorter blocks instead of
 inf * 0 = NaN samples. Runs that blow up are truncated and flagged rather
-than raised. The scan stops after the first block holding a state that is
-non-finite or beyond the configured magnitude limit; the outputs, computed
-block by block, are checked once after the scan. The run ends at its first sample whose state
-or output is out of bounds, the sample a step-by-step loop would stop at.
-A run allocates its trajectory once: the check uses min and max, which
-allocate nothing, and `TimeSeries` keeps views of the arrays it is given.
+than raised. Sample 0 is checked before the scan: an x0 or a D u already
+non-finite or beyond the configured magnitude limit ends the run there. The
+scan stops after the first block holding a state that is out of bounds; the
+outputs, computed block by block, are checked once after the scan. The run
+ends at its first sample whose state or output is out of bounds, the sample
+a step-by-step loop would stop at. A run allocates its trajectory once: the
+check uses min and max, which allocate nothing, and `TimeSeries` keeps views
+of the arrays it is given. A truncated run returns copies of the samples it
+kept instead, so it does not hold the rest of the horizon's buffers.
 
 The settling band used everywhere is +/-2 % of the steady-state value
 (declared in all outputs so published settling figures are compared
@@ -197,9 +200,10 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
 
     Returns the full trajectory, or a truncated one with the diverged
     flag set at the first sample whose state or output goes non-finite
-    or beyond cfg.divergence_limit. The series views the one states and
-    outputs allocation of the run, and its inputs are a broadcast of the
-    constant input, so they take no memory per sample.
+    or beyond cfg.divergence_limit; that may be sample 0, from x0 and D u.
+    A full series views the one states and outputs allocation of the run,
+    a truncated one holds copies of its samples. The inputs are a
+    broadcast of the constant input, so they take no memory per sample.
     """
     if ss.n_inputs != 1 or ss.n_outputs != 1:
         raise ValidationError("simulate drives single-input single-output models")
@@ -218,6 +222,10 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     outputs[0] = c_row @ states[0] + d_term
     # |v| <= limit holds exactly for the finite samples within the divergence limit.
     limit = np.fmin(cfg.divergence_limit, np.finfo(float).max)
+    # Sample 0 has a few states: Python floats check them faster than two reductions.
+    bound = float(limit)
+    if not (-bound <= outputs[0] <= bound and all(-bound <= v <= bound for v in states[0].tolist())):
+        return _truncated(states, outputs, u, cfg.dt, 1)
     state_out = False
     k = 0
     # Overflow on the way to divergence is expected; the checks below report it.
@@ -241,22 +249,34 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
                 state_out = True
                 break
         ys = outputs[1:k + 1]
-        diverged = state_out or not (-limit <= ys.min() and ys.max() <= limit)
-        filled = k + 1
-        if diverged:
+        if state_out or not (-limit <= ys.min() and ys.max() <= limit):
             # An output may cross in any block so far, a state only in the last.
             bad = ~(np.abs(ys) <= limit)
             if state_out:
                 bad[-rows:] |= ~np.all(np.abs(xs) <= limit, axis=1)
-            filled = int(np.argmax(bad)) + 2
-    times = np.arange(filled, dtype=float)
-    times *= cfg.dt
+            return _truncated(states, outputs, u, cfg.dt, int(np.argmax(bad)) + 2)
     return TimeSeries(
-        times=times,
-        inputs=np.broadcast_to(u, (filled,)),
-        outputs=outputs[:filled],
-        states=states[:filled],
-        diverged=diverged,
+        times=_times(k + 1, cfg.dt),
+        inputs=np.broadcast_to(u, (k + 1,)),
+        outputs=outputs,
+        states=states,
+    )
+
+
+def _times(samples: int, dt: float) -> np.ndarray:
+    times = np.arange(samples, dtype=float)
+    times *= dt
+    return times
+
+
+def _truncated(states: np.ndarray, outputs: np.ndarray, u: float, dt: float, samples: int) -> TimeSeries:
+    # Copies of the kept samples: views would hold the whole horizon's buffers.
+    return TimeSeries(
+        times=_times(samples, dt),
+        inputs=np.broadcast_to(u, (samples,)),
+        outputs=outputs[:samples].copy(),
+        states=states[:samples].copy(),
+        diverged=True,
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -60,16 +61,20 @@ def stepwise_simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSerie
     d_term = ss.d[0, 0] * u
     c_row = ss.c.ravel()
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n).copy()
+    def out_of_bounds(x, y):
+        return not (np.all(np.isfinite(x)) and np.isfinite(y)) or np.max(np.abs(x), initial=abs(y)) > cfg.divergence_limit
+
     states, outputs = [x], [c_row @ x + d_term]
-    diverged = False
+    # sample 0 is checked too: an x0 or D u already out of bounds ends the run there
+    diverged = out_of_bounds(x, outputs[0])
     # without a finite divergence limit the state may overflow before it stops
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.n_steps):
+        for _ in range(0 if diverged else cfg.n_steps):
             x = m @ x + gu
             y = c_row @ x + d_term
             states.append(x)
             outputs.append(y)
-            if not (np.all(np.isfinite(x)) and np.isfinite(y)) or np.max(np.abs(x), initial=abs(y)) > cfg.divergence_limit:
+            if out_of_bounds(x, y):
                 diverged = True
                 break
     samples = len(outputs)
@@ -306,7 +311,7 @@ class TestDivergenceSearch:
         assert np.all(np.isfinite(ts.states)) and np.all(np.isfinite(ts.outputs[:-1]))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("gain,samples", [(1.5, 3 * SCAN_BLOCK + 1), (2e6, 2)], ids=["inside", "beyond"])
+    @pytest.mark.parametrize("gain,samples", [(1.5, 3 * SCAN_BLOCK + 1), (2e6, 1)], ids=["inside", "beyond"])
     def test_zero_state_model(self, gain, samples):
         cfg = SimConfig(dt=1e-2, duration=3 * SCAN_BLOCK * 1e-2, divergence_limit=1e6)
         ts = assert_matches_stepwise(StateSpaceModel.static_gain(gain), cfg)
@@ -314,6 +319,35 @@ class TestDivergenceSearch:
         assert ts.diverged == (gain > 1e6)
         if not ts.diverged:
             assert step_metrics(ts).steady_state == gain
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ss,x0,limit", [
+        (StateSpaceModel([[-1.0]], [[1.0]], [[1.0]]), [2e6], 1e6),
+        # the state starts within the limit, the output C x0 beyond it
+        (StateSpaceModel([[-1.0]], [[1.0]], [[1e3]]), [2e3], 1e6),
+        (first_order(), [np.nan], 1e6),
+        (first_order(), [np.inf], np.inf),
+    ], ids=["state", "output", "nan", "inf-without-limit"])
+    def test_sample_zero_out_of_bounds(self, ss, x0, limit):
+        cfg = SimConfig(dt=1e-2, duration=3 * SCAN_BLOCK * 1e-2, divergence_limit=limit)
+        ts = assert_matches_stepwise(ss, cfg, x0)
+        assert ts.diverged and ts.n_samples == 1
+
+    def test_truncated_run_holds_only_its_samples(self):
+        # The published-H loop diverges near sample 10k of a 40k-step horizon.
+        # The series holds copies of the kept samples, not views of the
+        # horizon's buffers, and their bits are pinned.
+        cfg = SimConfig(dt=1e-3, duration=40.0, input_amplitude=220.0)
+        loop = closed_loop(preset_scenario("published", "paper-rounded", observer_spec(H_PUB), cfg, 220.0))
+        ts = simulate(loop.model, cfg, loop.x0)
+        assert ts.diverged and ts.n_samples == 10_210
+        for arr in (ts.states, ts.outputs):
+            assert arr.base.nbytes == arr.nbytes
+        assert hashlib.sha256(ts.states.tobytes()).hexdigest() == \
+            "896773bdb2daf903a8d81c9429fb455cae76dae083d7d71617d061e153839f9c"
+        assert hashlib.sha256(ts.outputs.tobytes()).hexdigest() == \
+            "203dece477ccf0e5db0c24d4fe60a95a95401cc276bce64e7e1c8329a5471189"
 
 
 def test_long_run_allocates_little_beyond_its_trajectory():
