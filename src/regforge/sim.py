@@ -7,23 +7,28 @@ per-step affine map x+ = M x + g u with
     M = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24
     g = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) B
 
-`simulate` advances up to SCAN_BLOCK steps with one batched product,
-x[k+1+j] = P[j] x[k] + S[j] for P[j] = M^(j+1) and S[j] = sum_{i<=j} M^i g u:
-the sequential-block form of the prefix scan for linear recurrences
-(Blelloch 1990, "Prefix sums and their applications"). The tables P and S
-are built once per call by doubling, in log2(SCAN_BLOCK) batched products.
-They stop growing at the first power of M that is non-finite or beyond
-POWER_LIMIT, so a fast unstable mode gets shorter blocks instead of
+`simulate` doubles on the trajectory itself, the recursive-doubling form
+of the prefix scan for linear recurrences (Kogge & Stone 1973, "A parallel
+algorithm for the efficient solution of a general class of recurrence
+equations"; Blelloch 1990, "Prefix sums and their applications"). Once
+the first h samples are known, x[h+j] = M^h x[j] + S_h for j < h, with
+S_h = sum_{i<h} M^i g u, so one batched product yields the next h samples.
+Then S_2h = M^h S_h + S_h and M^2h = (M^h)^2, and a run of N steps takes
+ceil(log2(N + 1)) products and no tables. The window stops doubling at
+the first power of M that is non-finite or beyond POWER_LIMIT and slides
+at that width instead, so a fast unstable mode gets short chunks, not
 inf * 0 = NaN samples. Runs that blow up are truncated and flagged rather
 than raised. Sample 0 is checked before the scan: an x0 or a D u already
-non-finite or beyond the configured magnitude limit ends the run there. The
-scan stops after the first block holding a state that is out of bounds; the
-outputs, computed block by block, are checked once after the scan. The run
-ends at its first sample whose state or output is out of bounds, the sample
-a step-by-step loop would stop at. A run allocates its trajectory once: the
-check uses min and max, which allocate nothing, and `TimeSeries` keeps views
-of the arrays it is given. A truncated run returns copies of the samples it
-kept instead, so it does not hold the rest of the horizon's buffers.
+non-finite or beyond the configured magnitude limit ends the run there.
+The scan stops after the first chunk holding a state that is out of
+bounds; each chunk is computed from samples already checked. The outputs
+take one matrix-vector product after the scan and are checked once. The
+run ends at its first sample whose state or output is out of bounds, the
+sample a step-by-step loop would stop at. A run allocates its trajectory
+once: the check uses min and max, which allocate nothing, and `TimeSeries`
+keeps views of the arrays it is given. A truncated run returns copies of
+the samples it kept instead, so it does not hold the rest of the horizon's
+buffers.
 
 The settling band used everywhere is +/-2 % of the steady-state value
 (declared in all outputs so published settling figures are compared
@@ -61,9 +66,7 @@ __all__ = [
 SETTLING_BAND = 0.02
 STEADY_STATE_FRACTION = 0.05
 INPUT_KINDS = ("step", "constant", "zero")
-# Steps advanced per batched product in `simulate`, and the largest
-# magnitude a power of the step map may reach in its tables.
-SCAN_BLOCK = 512
+# The largest magnitude a power of the step map may reach in `simulate`.
 POWER_LIMIT = 1e100
 
 
@@ -80,8 +83,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
-        if self.duration < self.dt:
-            raise ValidationError("duration must be at least one step")
+        if not self.duration >= self.dt:
+            raise ValidationError(f"duration must be at least one step, got {self.duration!r}")
         if self.duration / self.dt > 1e7:
             raise ValidationError("duration/dt exceeds the 1e7 sample guard")
         if self.input_kind not in INPUT_KINDS:
@@ -168,33 +171,6 @@ def _rk4_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.n
     return m, g
 
 
-def _scan_tables(m: np.ndarray, gu: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """P[j] = M^(j+1) and S[j] = sum_{i<=j} M^i gu for j < rows, by doubling.
-
-    Growth stops at the first power of M that is non-finite or larger than
-    POWER_LIMIT, so the tables may come back shorter than `rows` (never
-    shorter than one row).
-    """
-    n = len(gu)
-    p = np.empty((rows, n, n))
-    s = np.empty((rows, n))
-    p[0] = m
-    s[0] = gu
-    h = 1
-    while h < rows:
-        take = min(h, rows - h)
-        new = slice(h, h + take)
-        np.matmul(p[:take], p[h - 1], out=p[new])
-        np.matmul(p[:take], s[h - 1], out=s[new])
-        s[new] += s[:take]
-        if not np.max(np.abs(p[new]), initial=0.0) <= POWER_LIMIT:
-            ok = np.all(np.abs(p[new]) <= POWER_LIMIT, axis=(1, 2))
-            h += int(np.argmin(ok))
-            break
-        h += take
-    return p[:h], s[:h]
-
-
 def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     """Step/constant/zero-input response, from rest unless x0 is given.
 
@@ -226,38 +202,49 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     bound = float(limit)
     if not (-bound <= outputs[0] <= bound and all(-bound <= v <= bound for v in states[0].tolist())):
         return _truncated(states, outputs, u, cfg.dt, 1)
+    # x[h + j] = M^h x[j] + S_h for j < h, with S_h = sum_{i<h} M^i gu:
+    # f samples are known, and each chunk extends them from the h before.
+    # The rows are states, so the chunk product takes q = (M^h)^T, kept
+    # C-contiguous: BLAS is several times slower on a transposed view.
+    q, s = m.T.copy(), gu
+    h = f = 1
     state_out = False
-    k = 0
     # Overflow on the way to divergence is expected; the checks below report it.
     with np.errstate(over="ignore", invalid="ignore"):
-        p, s = _scan_tables(m, gu, min(SCAN_BLOCK, steps))
-        p_rows = p.reshape(len(p) * n, n)
-        while k < steps:
-            rows = min(len(p), steps - k)
-            xs = states[k + 1:k + 1 + rows]
-            np.matmul(p_rows[:rows * n], states[k], out=xs.reshape(rows * n))
-            xs += s[:rows]
-            # Per block, not once for the run: numpy takes a one-row product
-            # (and sample 0's above) through dot, which rounds differently
-            # from the matrix-vector product of a taller block.
-            ys = outputs[k + 1:k + 1 + rows]
-            np.matmul(xs, c_row, out=ys)
-            ys += d_term
-            k += rows
+        while f <= steps:
+            take = min(h, steps + 1 - f)
+            xs = states[f:f + take]
+            np.matmul(states[f - h:f - h + take], q, out=xs)
+            if take < 1024:
+                xs += s
+            else:
+                # A broadcast add steps through n entries at a time; column
+                # by column is several times faster on long chunks, same bits.
+                for j, v in enumerate(s.tolist()):
+                    xs[:, j] += v
+            f += take
             # min and max are NaN when any entry is, and allocate nothing.
             if not (-limit <= xs.min(initial=0.0) and xs.max(initial=0.0) <= limit):
                 state_out = True
                 break
-        ys = outputs[1:k + 1]
+            if f == 2 * h and f <= steps:
+                q2 = q @ q
+                # Past POWER_LIMIT the window stops growing and slides instead.
+                if -POWER_LIMIT <= q2.min(initial=0.0) and q2.max(initial=0.0) <= POWER_LIMIT:
+                    s = s @ q + s
+                    q, h = q2, f
+        ys = outputs[1:f]
+        np.matmul(states[1:f], c_row, out=ys)
+        ys += d_term
         if state_out or not (-limit <= ys.min() and ys.max() <= limit):
-            # An output may cross in any block so far, a state only in the last.
+            # An output may cross in any chunk, a state only in the last.
             bad = ~(np.abs(ys) <= limit)
             if state_out:
-                bad[-rows:] |= ~np.all(np.abs(xs) <= limit, axis=1)
+                bad[-take:] |= ~np.all(np.abs(xs) <= limit, axis=1)
             return _truncated(states, outputs, u, cfg.dt, int(np.argmax(bad)) + 2)
     return TimeSeries(
-        times=_times(k + 1, cfg.dt),
-        inputs=np.broadcast_to(u, (k + 1,)),
+        times=_times(f, cfg.dt),
+        inputs=np.broadcast_to(u, (f,)),
         outputs=outputs,
         states=states,
     )

@@ -223,6 +223,13 @@ class TestSimulateCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
 
+    def test_nan_duration_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "nan-duration.cfg"
+        path.write_text("plant.preset = exact\ncontroller.type = none\nsim.duration = nan\n")
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: duration must be at least one step, got nan\n"
+
 
 class TestMetricsCommand:
     def test_round_trip_metrics(self, capsys, tmp_path):

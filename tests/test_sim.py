@@ -23,7 +23,6 @@ from regforge.scenario import (
     run_scenario,
 )
 from regforge.sim import (
-    SCAN_BLOCK,
     SimConfig,
     StepMetrics,
     TimeSeries,
@@ -40,6 +39,9 @@ from oracles import random_controllable_siso
 K_HIGH = np.array([[1.7720018726587652, 2.0]])
 K_LOW = np.array([[0.21658284935643368, 0.2649110640673518]])
 H_PUB = np.array([[2.0], [-0.5]])
+# A run length for the scan tests: a power of two, so that LENGTH - 1,
+# LENGTH and LENGTH + 1 steps fill a doubling chunk, start one and pass it.
+LENGTH = 512
 # The paper's LQR weights (giving K_LOW) and observer weights (giving K_HIGH).
 LQR_LOW = ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0)
 
@@ -106,6 +108,8 @@ class TestSimConfig:
             SimConfig(dt=0.0)
         with pytest.raises(ValidationError):
             SimConfig(dt=0.1, duration=0.05)
+        with pytest.raises(ValidationError, match="at least one step, got nan"):
+            SimConfig(dt=0.1, duration=float("nan"))
         with pytest.raises(ValidationError):
             SimConfig(dt=1e-9, duration=100.0)
         with pytest.raises(ValidationError):
@@ -197,7 +201,9 @@ def scan_model(rng, n: int, unstable: bool) -> StateSpaceModel:
 class TestBlockedScan:
     """`simulate` against the stepwise loop it replaces."""
 
-    STEP_COUNTS = (1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 5)
+    # 2^k - 1 steps fill the chunks exactly, 2^k and 2^k + 1 start one
+    # more; 4 LENGTH - 1 ends on a chunk of 2 LENGTH rows.
+    STEP_COUNTS = (1, 2, 3, 7, 8, 9, LENGTH - 1, LENGTH, LENGTH + 1, 3 * LENGTH + 5, 4 * LENGTH - 1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("unstable", [False, True], ids=["stable", "unstable"])
@@ -225,7 +231,7 @@ class TestBlockedScan:
                                            SimConfig(dt=1e-3, duration=15.0), 220.0))
         cfg = SimConfig(dt=1e-3, duration=15.0, input_amplitude=220.0)
         ts = assert_matches_stepwise(loop.model, cfg, loop.x0)
-        assert ts.diverged and ts.n_samples > 5 * SCAN_BLOCK
+        assert ts.diverged and ts.n_samples > 5 * LENGTH
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ss,cfg,x0,diverges", [
@@ -265,9 +271,9 @@ class TestDivergenceSearch:
         # x -> 1 with time constant 100 s; y = 1.5e7 x passes 1e6 near
         # sample 690, in the second block, while the state stays below 0.15
         ss = StateSpaceModel([[-0.01]], [[0.01]], [[1.5e7]])
-        cfg = SimConfig(dt=1e-2, duration=3 * SCAN_BLOCK * 1e-2, divergence_limit=1e6)
+        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2, divergence_limit=1e6)
         ts = assert_matches_stepwise(ss, cfg)
-        assert ts.diverged and SCAN_BLOCK < ts.n_samples - 1 < 2 * SCAN_BLOCK
+        assert ts.diverged and LENGTH < ts.n_samples - 1 < 2 * LENGTH
         assert np.max(np.abs(ts.states)) < 1e6 < abs(ts.outputs[-1])
 
     @pytest.mark.filterwarnings("error")
@@ -281,17 +287,21 @@ class TestDivergenceSearch:
         x0 = [np.cos(-w * 7.7), -w * np.sin(-w * 7.7)]
         free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_kind="zero",
                                       divergence_limit=np.inf), x0)
-        assert abs(free.states[2 * SCAN_BLOCK, 0]) < 0.9
+        assert abs(free.states[2 * LENGTH, 0]) < 0.9
         cfg = SimConfig(dt=1e-2, duration=30.0, input_kind="zero", divergence_limit=0.9)
         ts = assert_matches_stepwise(ss, cfg, x0)
-        assert ts.diverged and SCAN_BLOCK + 1 < ts.n_samples - 1 < 2 * SCAN_BLOCK
+        assert ts.diverged and LENGTH + 1 < ts.n_samples - 1 < 2 * LENGTH
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("crossing", [SCAN_BLOCK + 1, 2 * SCAN_BLOCK], ids=["first-row", "last-row"])
+    @pytest.mark.parametrize("crossing", [LENGTH + 1, 2 * LENGTH, LENGTH, 2 * LENGTH - 1],
+                             ids=["first-row", "last-row", "chunk-first-row", "chunk-last-row"])
     @pytest.mark.parametrize("c", [0.0, 2.0], ids=["state", "output"])
     def test_crossing_on_a_block_edge(self, crossing, c):
         # a slowly growing mode; the limit lies between samples crossing - 1
-        # and crossing of the state (c = 0) or of the output y = 2x
+        # and crossing of the state (c = 0) or of the output y = 2x. Samples
+        # LENGTH to 2 LENGTH - 1 are one doubling chunk, computed from
+        # samples 0 to LENGTH - 1; first-row and last-row fall inside the
+        # chunk and on the first row of the next.
         ss = StateSpaceModel([[0.1]], [[0.0]], [[c]])
         free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_kind="zero",
                                       divergence_limit=np.inf), [1.0])
@@ -299,6 +309,20 @@ class TestDivergenceSearch:
         limit = float(np.sqrt(watched[crossing - 1] * watched[crossing]))
         cfg = SimConfig(dt=1e-2, duration=30.0, input_kind="zero", divergence_limit=limit)
         ts = assert_matches_stepwise(ss, cfg, [1.0])
+        assert ts.diverged and ts.n_samples - 1 == crossing
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("crossing", [96, 127], ids=["first-row", "last-row"])
+    def test_crossing_on_a_sliding_window_edge(self, crossing):
+        # h lambda = 5: the step map grows 65.4x a sample, so its 64th power
+        # passes POWER_LIMIT and the window stays at 32 rows: samples 96 to
+        # 127 are one window, computed from samples 64 to 95
+        ss = StateSpaceModel([[50.0]], [[1.0]], [[1.0]])
+        free = simulate(ss, SimConfig(dt=0.1, duration=20.0, input_kind="zero",
+                                      divergence_limit=np.inf), [1e-300])
+        limit = float(np.sqrt(free.states[crossing - 1, 0] * free.states[crossing, 0]))
+        cfg = SimConfig(dt=0.1, duration=20.0, input_kind="zero", divergence_limit=limit)
+        ts = assert_matches_stepwise(ss, cfg, [1e-300])
         assert ts.diverged and ts.n_samples - 1 == crossing
 
     @pytest.mark.filterwarnings("error")
@@ -311,9 +335,9 @@ class TestDivergenceSearch:
         assert np.all(np.isfinite(ts.states)) and np.all(np.isfinite(ts.outputs[:-1]))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("gain,samples", [(1.5, 3 * SCAN_BLOCK + 1), (2e6, 1)], ids=["inside", "beyond"])
+    @pytest.mark.parametrize("gain,samples", [(1.5, 3 * LENGTH + 1), (2e6, 1)], ids=["inside", "beyond"])
     def test_zero_state_model(self, gain, samples):
-        cfg = SimConfig(dt=1e-2, duration=3 * SCAN_BLOCK * 1e-2, divergence_limit=1e6)
+        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2, divergence_limit=1e6)
         ts = assert_matches_stepwise(StateSpaceModel.static_gain(gain), cfg)
         assert ts.n_samples == samples and ts.states.shape == (samples, 0)
         assert ts.diverged == (gain > 1e6)
@@ -330,7 +354,7 @@ class TestDivergenceSearch:
         (first_order(), [np.inf], np.inf),
     ], ids=["state", "output", "nan", "inf-without-limit"])
     def test_sample_zero_out_of_bounds(self, ss, x0, limit):
-        cfg = SimConfig(dt=1e-2, duration=3 * SCAN_BLOCK * 1e-2, divergence_limit=limit)
+        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2, divergence_limit=limit)
         ts = assert_matches_stepwise(ss, cfg, x0)
         assert ts.diverged and ts.n_samples == 1
 
@@ -345,9 +369,86 @@ class TestDivergenceSearch:
         for arr in (ts.states, ts.outputs):
             assert arr.base.nbytes == arr.nbytes
         assert hashlib.sha256(ts.states.tobytes()).hexdigest() == \
-            "896773bdb2daf903a8d81c9429fb455cae76dae083d7d71617d061e153839f9c"
+            "1154a5dc3a2c5eca16cd87f5907d0730f3df1a64fe332d88462db6278e8924b3"
         assert hashlib.sha256(ts.outputs.tobytes()).hexdigest() == \
-            "203dece477ccf0e5db0c24d4fe60a95a95401cc276bce64e7e1c8329a5471189"
+            "108d418b86e069000339e67b89cfdbda788ac4a16389a5199a0df36a784f9ec6"
+
+
+def paper_runs() -> dict:
+    """The paper's three step responses: the open-loop plant, the LQR loop and the stable-H observer loop."""
+    plant = tf_to_ss(rounded_plant_tf())
+    runs = {"open-loop": (tf_to_ss(plant_tf(REFERENCE_PARAMS)), None, 5.0)}
+    for name, spec in (("lqr", LQR_LOW),
+                       ("observer", observer_spec(design_observer_gain(plant.a, plant.c, [-5.0, -6.0])))):
+        loop = closed_loop(preset_scenario(name, "paper-rounded", spec, SimConfig(), 220.0))
+        runs[name] = (loop.model, loop.x0, 220.0)
+    return runs
+
+
+class TestAccuracy:
+    """`simulate` against the exact sampled response and against the RK4 recurrence in long double."""
+
+    @staticmethod
+    def exact_outputs(ss: StateSpaceModel, cfg: SimConfig, x0) -> np.ndarray:
+        # zero-order hold: expm of [[A, B], [0, 0]] dt holds the exact step map and input gain
+        linalg = pytest.importorskip("scipy.linalg")
+        n = ss.n_states
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n], aug[:n, n:] = ss.a, ss.b
+        step = linalg.expm(aug * cfg.dt)
+        ad, bd = step[:n, :n], step[:n, n] * cfg.input_amplitude
+        x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+        c_row, d_term = ss.c.ravel(), ss.d[0, 0] * cfg.input_amplitude
+        ys = [c_row @ x + d_term]
+        for _ in range(cfg.n_steps):
+            x = ad @ x + bd
+            ys.append(c_row @ x + d_term)
+        return np.array(ys)
+
+    @staticmethod
+    def models() -> dict:
+        runs = paper_runs()
+        rng = np.random.default_rng(7)
+        for i in range(6):
+            n = int(rng.integers(1, 5))
+            a, b = random_controllable_siso(rng, n)
+            a = a - (np.max(np.linalg.eigvals(a).real) + 0.4) * np.eye(n)
+            runs[f"random-{i}"] = (StateSpaceModel(a, b, rng.normal(size=(1, n))), rng.normal(size=n), 1.0)
+        return runs
+
+    @pytest.mark.parametrize("dt", [2e-2, 1e-2, 5e-3])
+    def test_matches_exact_zero_order_hold(self, dt):
+        # RK4's global error on a stable mode is O((dt |lambda|)^4); these
+        # models read at most 0.014 (dt rho)^4 of the peak, rho the spectral
+        # radius. At dt = 1e-3 rounding, about 1e-13 of the peak, dominates.
+        for name, (ss, x0, amp) in self.models().items():
+            cfg = SimConfig(dt=dt, duration=10.0, input_amplitude=amp)
+            want = self.exact_outputs(ss, cfg, x0)
+            got = simulate(ss, cfg, x0).outputs
+            rho = np.max(np.abs(np.linalg.eigvals(ss.a)))
+            err = np.max(np.abs(got - want))
+            assert err <= 0.05 * (dt * rho) ** 4 * np.max(np.abs(want)), name
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="long double is float64 here")
+    @pytest.mark.parametrize("name", ["open-loop", "lqr", "observer"])
+    def test_long_run_matches_long_double_recurrence(self, name):
+        # The same step map, iterated one step at a time in long double:
+        # the scan's rounding over 40k steps stays within 1e-12 of the peak
+        # (about 5e-14 measured).
+        ss, x0, amp = paper_runs()[name]
+        cfg = SimConfig(dt=1e-3, duration=40.0, input_amplitude=amp)
+        m, g = _rk4_maps(ss.a, ss.b, cfg.dt)
+        m, gu = m.astype(np.longdouble), (g * amp).ravel().astype(np.longdouble)
+        c_row, d_term = ss.c.ravel().astype(np.longdouble), np.longdouble(ss.d[0, 0]) * amp
+        x = np.zeros(ss.n_states, np.longdouble) if x0 is None else np.asarray(x0, np.longdouble)
+        want = np.empty(cfg.n_steps + 1, np.longdouble)
+        want[0] = c_row @ x + d_term
+        for k in range(1, cfg.n_steps + 1):
+            x = m @ x + gu
+            want[k] = c_row @ x + d_term
+        got = simulate(ss, cfg, x0).outputs
+        assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
 
 
 def test_long_run_allocates_little_beyond_its_trajectory():
