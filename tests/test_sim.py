@@ -39,8 +39,8 @@ from oracles import random_controllable_siso
 K_HIGH = np.array([[1.7720018726587652, 2.0]])
 K_LOW = np.array([[0.21658284935643368, 0.2649110640673518]])
 H_PUB = np.array([[2.0], [-0.5]])
-# A run length for the scan tests: a power of two, so that LENGTH - 1,
-# LENGTH and LENGTH + 1 steps fill a doubling chunk, start one and pass it.
+# A run length for the scan tests. It is a power of two: LENGTH - 1 steps
+# fill the doubling chunks exactly, LENGTH and LENGTH + 1 start one more.
 LENGTH = 512
 # The paper's LQR weights (giving K_LOW) and observer weights (giving K_HIGH).
 LQR_LOW = ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0)
@@ -202,7 +202,8 @@ class TestBlockedScan:
     """`simulate` against the stepwise loop it replaces."""
 
     # 2^k - 1 steps fill the chunks exactly, 2^k and 2^k + 1 start one
-    # more; 4 LENGTH - 1 ends on a chunk of 2 LENGTH rows.
+    # more; 4 LENGTH - 1 ends on a chunk of 2 LENGTH rows, long enough to
+    # take S column by column.
     STEP_COUNTS = (1, 2, 3, 7, 8, 9, LENGTH - 1, LENGTH, LENGTH + 1, 3 * LENGTH + 5, 4 * LENGTH - 1)
 
     @pytest.mark.filterwarnings("error")
@@ -269,7 +270,8 @@ class TestDivergenceSearch:
     @pytest.mark.filterwarnings("error")
     def test_only_the_output_crosses(self):
         # x -> 1 with time constant 100 s; y = 1.5e7 x passes 1e6 near
-        # sample 690, in the second block, while the state stays below 0.15
+        # sample 690, in the chunk of samples LENGTH to 2 LENGTH - 1, while
+        # the state stays below 0.15
         ss = StateSpaceModel([[-0.01]], [[0.01]], [[1.5e7]])
         cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2, divergence_limit=1e6)
         ts = assert_matches_stepwise(ss, cfg)
@@ -280,8 +282,8 @@ class TestDivergenceSearch:
     def test_state_crosses_mid_block_and_returns(self):
         # an undamped oscillator with period 20 s and an unobserved state
         # peaking at 1 near t = 7.7 s: it passes the 0.9 limit between
-        # samples 628 and 913, and the second block's last row (1024) is
-        # back at 0.7
+        # samples 628 and 913, within one chunk, and sample 1024, the first
+        # row of the next, is back at 0.7
         w = 2.0 * np.pi / 20.0
         ss = StateSpaceModel([[0.0, 1.0], [-w * w, 0.0]], [[0.0], [0.0]], [[0.0, 0.0]])
         x0 = [np.cos(-w * 7.7), -w * np.sin(-w * 7.7)]
