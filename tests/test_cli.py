@@ -230,6 +230,16 @@ class TestSimulateCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: duration must be at least one step, got nan\n"
 
+    def test_infinite_step_and_duration_exit_1(self, capsys, tmp_path):
+        # inf / inf is NaN, which the sample guard must not let through.
+        path = tmp_path / "inf-step.cfg"
+        path.write_text(
+            "plant.preset = exact\ncontroller.type = none\nsim.dt = inf\nsim.duration = inf\n"
+        )
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: duration/dt exceeds the 1e7 sample guard\n"
+
 
 class TestMetricsCommand:
     def test_round_trip_metrics(self, capsys, tmp_path):

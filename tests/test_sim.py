@@ -112,6 +112,8 @@ class TestSimConfig:
             SimConfig(dt=0.1, duration=float("nan"))
         with pytest.raises(ValidationError):
             SimConfig(dt=1e-9, duration=100.0)
+        with pytest.raises(ValidationError, match="sample guard"):
+            SimConfig(dt=float("inf"), duration=float("inf"))
         with pytest.raises(ValidationError):
             SimConfig(input_kind="ramp")
 
