@@ -30,8 +30,8 @@ Scenario file keys::
     reference = 220                 # closed loop only
     sim.dt = 0.001
     sim.duration = 15
-    sim.input_kind = step           # step | constant | zero; open loop only
-    sim.amplitude = 5               # open-loop input level
+    sim.input_kind = step           # step | constant | zero; only step on a closed loop
+    sim.amplitude = 5               # input level; open loop only
     outputs = csv report            # any of csv svg report
 
 ``outputs`` names the artifacts ``simulate`` writes when ``--format`` is
@@ -348,6 +348,12 @@ def load_scenario(path) -> Scenario:
         ),
     )
     used.update(("sim.dt", "sim.duration", "sim.input_kind", "sim.amplitude"))
+    # A closed loop always steps to `reference`: these keys would do nothing.
+    if controller.kind != "none" and "sim.amplitude" in mapping:
+        raise ValidationError("sim.amplitude requires controller.type = none; a closed loop steps to reference")
+    if controller.kind != "none" and sim.input_kind != "step":
+        raise ValidationError(f"sim.input_kind = {sim.input_kind} requires controller.type = none; "
+                              "a closed loop steps to reference")
 
     outputs = (
         tuple(mapping["outputs"].replace(",", " ").split()) if "outputs" in mapping else DEFAULT_OUTPUTS

@@ -17,18 +17,21 @@ Then S_2h = M^h S_h + S_h and M^2h = (M^h)^2, and a run of N steps takes
 ceil(log2(N + 1)) products and no tables. The window stops doubling at
 the first power of M that is non-finite or beyond POWER_LIMIT and slides
 at that width instead, so a fast unstable mode gets short chunks, not
-inf * 0 = NaN samples. Runs that blow up are truncated and flagged rather
-than raised. Sample 0 is checked before the scan: an x0 or a D u already
-non-finite or beyond the configured magnitude limit ends the run there.
-The scan stops after the first chunk holding a state that is out of
-bounds; each chunk is computed from samples already checked. The outputs
-take one matrix-vector product after the scan and are checked once. The
-run ends at its first sample whose state or output is out of bounds, the
-sample a step-by-step loop would stop at. A run allocates its trajectory
-once: the check uses min and max, which allocate nothing, and `TimeSeries`
-keeps views of the arrays it is given. A truncated run returns copies of
-the samples it kept instead, so it does not hold the rest of the horizon's
-buffers.
+inf * 0 = NaN samples; a power is tested only while ||M||_inf^k, which
+bounds its entries, could pass that limit. Runs that blow up are
+truncated and flagged rather than raised. Sample 0 is checked before the
+scan: an x0 or a D u already non-finite or beyond the configured
+magnitude limit ends the run there. The states are checked in batches of
+CHECK_ROWS rows or more and at the end, and the scan stops after the
+first batch holding a state that is out of bounds; a chunk is computed
+from the rows before it, so a bad row cannot hide an earlier one. The
+outputs take one matrix-vector product after the scan and are checked
+once. The run ends at its first sample whose state or output is out of
+bounds, the sample a step-by-step loop would stop at. A run allocates its
+trajectory once: the check uses min and max, which allocate nothing, and
+`TimeSeries` keeps views of the arrays it is given. A truncated run
+returns copies of the samples it kept instead, so it does not hold the
+rest of the horizon's buffers.
 
 The settling band used everywhere is +/-2 % of the steady-state value
 (declared in all outputs so published settling figures are compared
@@ -42,6 +45,8 @@ N = 1 / (C (-(A-BK))^-1 B) ahead of the loop (`reference_prescaler`,
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +79,8 @@ POWER_LIMIT = 1e100
 # n = 4 the two cross between 256 and 1536 rows, and of the power-of-two
 # chunk sizes 1024 loses the least on either side.
 COLUMN_ADD_ROWS = 1024
+# `simulate` checks the states once this many rows are unchecked, and at the end.
+CHECK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ class SimConfig:
             raise ValidationError("duration/dt exceeds the 1e7 sample guard")
         if self.input_kind not in INPUT_KINDS:
             raise ValidationError(f"input_kind must be one of {INPUT_KINDS}")
-        if not np.isfinite(self.input_amplitude):
+        if not math.isfinite(self.input_amplitude):
             raise ValidationError("input amplitude must be finite")
         if not self.divergence_limit > 0.0:
             raise ValidationError(
@@ -204,17 +211,21 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
         states[0] = np.asarray(x0, dtype=float).reshape(n)
     outputs[0] = c_row @ states[0] + d_term
     # |v| <= limit holds exactly for the finite samples within the divergence limit.
-    limit = np.fmin(cfg.divergence_limit, np.finfo(float).max)
+    limit = min(float(cfg.divergence_limit), sys.float_info.max)
     # Sample 0 has a few states: Python floats check them faster than two reductions.
-    bound = float(limit)
-    if not (-bound <= outputs[0] <= bound and all(-bound <= v <= bound for v in states[0].tolist())):
+    if not (-limit <= outputs[0] <= limit and all(-limit <= v <= limit for v in states[0].tolist())):
         return _truncated(states, outputs, u, cfg.dt, 1)
+    # Entries of M^k are at most beta^k, beta = ||M||_inf: a square M^2h with
+    # beta^2h within POWER_LIMIT / 2 (a margin for rounding) needs no test.
+    row_sums = [sum(map(abs, row)) for row in m.tolist()]
+    beta = max(row_sums, default=0.0) if math.isfinite(sum(row_sums)) else math.inf
+    safe_2h = math.log(POWER_LIMIT / 2) / math.log(beta) if beta > 1.0 else math.inf
     # x[h + j] = M^h x[j] + S_h for j < h, with S_h = sum_{i<h} M^i gu:
     # f samples are known, and each chunk extends them from the h before.
     # The rows are states, so the chunk product takes q = (M^h)^T, kept
     # C-contiguous: BLAS is several times slower on a transposed view.
     q, s = m.T.copy(), gu
-    h = f = 1
+    h = f = checked = 1
     state_out = False
     # Overflow on the way to divergence is expected; the checks below report it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -229,24 +240,34 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
                 for j, v in enumerate(s.tolist()):
                     xs[:, j] += v
             f += take
-            # min and max are NaN when any entry is, and allocate nothing.
-            if not (-limit <= xs.min(initial=0.0) and xs.max(initial=0.0) <= limit):
-                state_out = True
-                break
+            if f - checked >= CHECK_ROWS or f > steps:
+                block = states[checked:f]
+                # min and max are NaN when any entry is, and allocate nothing.
+                if not (-limit <= block.min(initial=0.0) and block.max(initial=0.0) <= limit):
+                    state_out = True
+                    break
+                checked = f
             if f == 2 * h and f <= steps:
                 q2 = q @ q
                 # Past POWER_LIMIT the window stops growing and slides instead.
-                if -POWER_LIMIT <= q2.min(initial=0.0) and q2.max(initial=0.0) <= POWER_LIMIT:
+                if 2 * h <= safe_2h or (-POWER_LIMIT <= q2.min(initial=0.0)
+                                        and q2.max(initial=0.0) <= POWER_LIMIT):
                     s = s @ q + s
                     q, h = q2, f
+        if state_out:
+            # Row-major: the first bad entry lies in the first bad row, r.
+            r = checked + int(np.argmax(~(np.abs(block) <= limit).ravel())) // n
+            # The outputs end with r's chunk, as a check per chunk would
+            # have it: BLAS may round a row by the length of the product.
+            w = min(h, 1 << (r.bit_length() - 1))
+            f = min((r // w + 1) * w, f)
         ys = outputs[1:f]
         np.matmul(states[1:f], c_row, out=ys)
         ys += d_term
         if state_out or not (-limit <= ys.min() and ys.max() <= limit):
-            # An output may cross in any chunk, a state only in the last.
             bad = ~(np.abs(ys) <= limit)
             if state_out:
-                bad[-take:] |= ~np.all(np.abs(xs) <= limit, axis=1)
+                bad[r - 1] = True
             return _truncated(states, outputs, u, cfg.dt, int(np.argmax(bad)) + 2)
     return TimeSeries(
         times=_times(f, cfg.dt),
@@ -281,13 +302,13 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
         raise ValidationError(f"need at least 100 samples for metrics, got {len(y)}")
     # The extremes come from min and max, which allocate nothing; the one
     # full-length temporary is `dev`.
-    y_max, y_min = float(np.max(y)), float(np.min(y))
+    y_max, y_min = float(y.max()), float(y.min())
     peak = max(y_max, -y_min)
     if peak == 0.0:
         return StepMetrics(0.0, 0.0, 0.0, 0.0, settled=True, degenerate=True)
 
     tail = max(1, int(round(STEADY_STATE_FRACTION * len(y))))
-    ss_value = float(np.mean(y[-tail:]))
+    ss_value = float(y[-tail:].mean())
     # A steady state lost in rounding against the peak counts as zero:
     # normalizing by it would overflow.
     if abs(ss_value) <= np.finfo(float).eps * peak:
@@ -300,15 +321,15 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
     band = SETTLING_BAND * abs(ss_value)
     dev = np.subtract(y, ss_value)
     mask = np.abs(dev, out=dev) > band
-    if not np.any(mask):
+    # The last sample outside the band; none is outside when even it is in.
+    last_out = len(y) - 1 - int(np.argmax(mask[::-1]))
+    if not mask[last_out]:
         settling: float | None = 0.0
         settled = True
+    elif last_out == len(y) - 1 or ts.diverged:
+        settling, settled = None, False
     else:
-        last_out = len(y) - 1 - int(np.argmax(mask[::-1]))
-        if last_out == len(y) - 1 or ts.diverged:
-            settling, settled = None, False
-        else:
-            settling, settled = float(t[last_out + 1]), True
+        settling, settled = float(t[last_out + 1]), True
 
     # First samples at 10 % and 90 % of the steady state; reaching 90 %
     # implies reaching 10 %.
@@ -322,6 +343,8 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
     return StepMetrics(ss_value, overshoot, settling, rise, settled=settled)
 
 
+# A diverged run's samples may be huge or inf; the traces carry them as they come.
+@np.errstate(over="ignore", invalid="ignore")
 def electrical_trace(p: PlantParams, ts: TimeSeries) -> ElectricalTrace:
     """Armature/EMF/power traces from a terminal-voltage trajectory.
 

@@ -240,6 +240,33 @@ class TestSimulateCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: duration/dt exceeds the 1e7 sample guard\n"
 
+    def test_huge_open_loop_input_exits_2_without_numpy_warnings(self, tmp_path):
+        # 1e200 g/s overflows the output long before 20 s; the electrical
+        # trace of the truncated run multiplies samples near 1e300.
+        path = tmp_path / "huge-input.cfg"
+        path.write_text((SCENARIOS / "open-loop.cfg").read_text().replace(
+            "sim.amplitude = 5", "sim.amplitude = 1e200"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "regforge", "simulate", "--scenario", str(path), "--out", str(tmp_path)],
+            capture_output=True, text=True, env={"PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert "diverged" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("line,key", [
+        ("sim.amplitude = 5", "sim.amplitude"),
+        ("sim.input_kind = zero", "sim.input_kind = zero"),
+        ("sim.input_kind = constant", "sim.input_kind = constant"),
+    ])
+    def test_closed_loop_rejects_open_loop_sim_keys(self, capsys, tmp_path, line, key):
+        path = tmp_path / "closed.cfg"
+        path.write_text((SCENARIOS / "paper-lqr.cfg").read_text() + line + "\n")
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} requires controller.type = none")
+        assert not any(tmp_path.glob("*.csv"))
+
 
 class TestMetricsCommand:
     def test_round_trip_metrics(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +24,7 @@ from regforge.scenario import (
     run_scenario,
 )
 from regforge.sim import (
+    POWER_LIMIT,
     SimConfig,
     StepMetrics,
     TimeSeries,
@@ -237,6 +239,20 @@ class TestBlockedScan:
         assert ts.diverged and ts.n_samples > 5 * LENGTH
 
     @pytest.mark.filterwarnings("error")
+    def test_norm_bound_switches_the_power_test_on(self):
+        # A stable but far from normal step map: ||M||_inf ~ 10.9, so the
+        # norm bound on M^2h rules POWER_LIMIT out only up to 2h ~ 96 and
+        # the squares from M^128 on are tested; they pass, the run stays
+        # stable and doubles to the end.
+        ss = StateSpaceModel([[-1.0, 1000.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]])
+        cfg = SimConfig(dt=1e-2, duration=4 * LENGTH * 1e-2, input_amplitude=3.0)
+        m, _ = _rk4_maps(ss.a, ss.b, cfg.dt)
+        beta = np.linalg.norm(m, np.inf)
+        assert beta ** 64 < POWER_LIMIT / 2 < beta ** 128 and max(abs(np.linalg.eigvals(m))) < 1.0
+        ts = assert_matches_stepwise(ss, cfg, [0.5, -2.0])
+        assert not ts.diverged and ts.n_samples == 4 * LENGTH + 1
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("ss,cfg,x0,diverges", [
         # h lambda = 5: the step map grows 65x a sample, its powers pass 1e100 at 55
         (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]), SimConfig(dt=0.1, duration=100.0), None, True),
@@ -297,15 +313,20 @@ class TestDivergenceSearch:
         assert ts.diverged and LENGTH + 1 < ts.n_samples - 1 < 2 * LENGTH
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("crossing", [LENGTH + 1, 2 * LENGTH, LENGTH, 2 * LENGTH - 1],
-                             ids=["first-row", "last-row", "chunk-first-row", "chunk-last-row"])
+    @pytest.mark.parametrize("crossing", [LENGTH + 1, 2 * LENGTH, LENGTH, 2 * LENGTH - 1,
+                                          3, 2 * LENGTH + 1, 3 * LENGTH, 4 * LENGTH - 1, 4 * LENGTH],
+                             ids=["first-row", "last-row", "chunk-first-row", "chunk-last-row",
+                                  "early", "next-chunk-second-row", "inside-first-check",
+                                  "first-check-last-row", "after-first-check"])
     @pytest.mark.parametrize("c", [0.0, 2.0], ids=["state", "output"])
     def test_crossing_on_a_block_edge(self, crossing, c):
         # a slowly growing mode; the limit lies between samples crossing - 1
         # and crossing of the state (c = 0) or of the output y = 2x. Samples
         # LENGTH to 2 LENGTH - 1 are one doubling chunk, computed from
         # samples 0 to LENGTH - 1; first-row and last-row fall inside the
-        # chunk and on the first row of the next.
+        # chunk and on the first row of the next. The states are checked in
+        # batches: samples 1 to 4 LENGTH - 1 = 2047 are the first, so an
+        # early crossing is found only after chunks computed past it.
         ss = StateSpaceModel([[0.1]], [[0.0]], [[c]])
         free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_kind="zero",
                                       divergence_limit=np.inf), [1.0])
@@ -328,6 +349,23 @@ class TestDivergenceSearch:
         cfg = SimConfig(dt=0.1, duration=20.0, input_kind="zero", divergence_limit=limit)
         ts = assert_matches_stepwise(ss, cfg, [1e-300])
         assert ts.diverged and ts.n_samples - 1 == crossing
+
+    @pytest.mark.filterwarnings("error")
+    def test_first_bad_row_leaves_by_a_later_column(self):
+        # Four uncoupled growing modes, the state limit 1: x4 passes it near
+        # sample 1100, x1 near 1300, both in the first checked batch. The
+        # first bad entry in row order is x4's, though x1 is out by more.
+        rates = np.array([0.2, 0.0, -0.1, 0.1])
+        x0 = np.exp(-rates * [13.0, 0.0, 0.0, 11.0]) * [1.0, 0.5, 0.5, 1.0]
+        ss = StateSpaceModel(np.diag(rates), np.zeros((4, 1)), np.zeros((1, 4)))
+        cfg = SimConfig(dt=1e-2, duration=30.0, input_kind="zero", divergence_limit=1.0)
+        free = simulate(ss, replace(cfg, divergence_limit=np.inf), x0)
+        first_out = np.argmax(np.abs(free.states) > 1.0, axis=0)
+        assert first_out[3] < first_out[0] < 4 * LENGTH
+        assert np.max(np.abs(free.states[:, 1:3])) <= 1.0
+        ts = assert_matches_stepwise(ss, cfg, x0)
+        assert ts.diverged and ts.n_samples - 1 == first_out[3]
+        assert abs(ts.states[-1, 3]) > 1.0 >= np.max(np.abs(ts.states[-1, :3]))
 
     @pytest.mark.filterwarnings("error")
     def test_output_overflows_without_a_limit(self):
