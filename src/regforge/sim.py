@@ -308,7 +308,8 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
         return StepMetrics(0.0, 0.0, 0.0, 0.0, settled=True, degenerate=True)
 
     tail = max(1, int(round(STEADY_STATE_FRACTION * len(y))))
-    ss_value = float(y[-tail:].mean())
+    # The bits of y[-tail:].mean(), at a third of its call cost.
+    ss_value = float(y[-tail:].sum()) / tail
     # A steady state lost in rounding against the peak counts as zero:
     # normalizing by it would overflow.
     if abs(ss_value) <= np.finfo(float).eps * peak:
@@ -322,7 +323,7 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
     dev = np.subtract(y, ss_value)
     mask = np.abs(dev, out=dev) > band
     # The last sample outside the band; none is outside when even it is in.
-    last_out = len(y) - 1 - int(np.argmax(mask[::-1]))
+    last_out = len(y) - 1 - int(mask[::-1].argmax())
     if not mask[last_out]:
         settling: float | None = 0.0
         settled = True
@@ -335,9 +336,9 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
     # implies reaching 10 %.
     yn = np.divide(y, ss_value, out=dev)
     rise: float | None = None
-    i90 = int(np.argmax(np.greater_equal(yn, 0.9, out=mask)))
+    i90 = int(np.greater_equal(yn, 0.9, out=mask).argmax())
     if mask[i90]:
-        i10 = int(np.argmax(np.greater_equal(yn, 0.1, out=mask)))
+        i10 = int(np.greater_equal(yn, 0.1, out=mask).argmax())
         rise = float(t[i90] - t[i10])
 
     return StepMetrics(ss_value, overshoot, settling, rise, settled=settled)
