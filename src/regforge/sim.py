@@ -258,7 +258,7 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
             # Row-major: the first bad entry lies in the first bad row, r.
             r = checked + int(np.argmax(~(np.abs(block) <= limit).ravel())) // n
             # The outputs end with r's chunk, as a check per chunk would
-            # have it: BLAS may round a row by the length of the product.
+            # have it: matmul may round a row by the length of the product.
             w = min(h, 1 << (r.bit_length() - 1))
             f = min((r // w + 1) * w, f)
         ys = outputs[1:f]

@@ -354,7 +354,8 @@ class TestDivergenceSearch:
     def test_first_bad_row_leaves_by_a_later_column(self):
         # Four uncoupled growing modes, the state limit 1: x4 passes it near
         # sample 1100, x1 near 1300, both in the first checked batch. The
-        # first bad entry in row order is x4's, though x1 is out by more.
+        # first bad entry in row order is x4's; a search column by column
+        # would meet x1's first.
         rates = np.array([0.2, 0.0, -0.1, 0.1])
         x0 = np.exp(-rates * [13.0, 0.0, 0.0, 11.0]) * [1.0, 0.5, 0.5, 1.0]
         ss = StateSpaceModel(np.diag(rates), np.zeros((4, 1)), np.zeros((1, 4)))
