@@ -327,7 +327,8 @@ def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:
     tf = tf.normalized()
     den = tf.den.coeffs
     n = len(den) - 1
-    num = np.pad(tf.num.coeffs, (n + 1 - len(tf.num.coeffs), 0))
+    num = np.zeros(n + 1)
+    num[n + 1 - len(tf.num.coeffs):] = tf.num.coeffs
     d0 = num[0]
     rem = num[1:] - d0 * den[1:]
     if n == 0:
@@ -358,7 +359,8 @@ def _faddeev_leverrier(a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         blocks.append(m)
         am = a @ m
         coeffs[k] = -am.trace() / k
-        m = am + coeffs[k] * eye
+        if k < n:
+            m = am + coeffs[k] * eye
     return coeffs, blocks
 
 
@@ -391,8 +393,9 @@ def ss_to_tf(ss: StateSpaceModel) -> TransferFunction:
     if n == 0:
         return TransferFunction([d], [1.0])
     den, blocks = _faddeev_leverrier(ss.a)
-    num = np.array([(ss.c @ blk @ ss.b).item() for blk in blocks])
-    num = np.pad(num, (1, 0)) + d * den
+    num = np.zeros(n + 1)
+    num[1:] = [(ss.c @ blk @ ss.b).item() for blk in blocks]
+    num += d * den
     return TransferFunction(num, den)
 
 

@@ -213,7 +213,12 @@ def luenberger_loop(
     h = _as_gain_col(h, n)
     a, b, c = plant.a, plant.b, plant.c
     bn = float(reference_gain) * b
-    a_cl = np.block([[a, -b @ k], [h @ c, a - b @ k - h @ c]])
+    bk, hc = b @ k, h @ c
+    a_cl = np.empty((2 * n, 2 * n))
+    a_cl[:n, :n] = a
+    a_cl[:n, n:] = -b @ k  # (-b) @ k: its zeros are +0.0, where -(b @ k) gives -0.0
+    a_cl[n:, :n] = hc
+    a_cl[n:, n:] = a - bk - hc
     b_cl = np.vstack([bn, bn])
     c_cl = np.hstack([c, np.zeros((1, n))])
     return StateSpaceModel(a_cl, b_cl, c_cl, [[0.0]])
