@@ -8,7 +8,10 @@ needs no synchronization.
 Numerics are deliberately elementary: characteristic polynomials come from
 the Faddeev-LeVerrier recursion, general (non-symmetric) spectra from
 Durand-Kerner root finding on that polynomial, and stability verdicts from
-a Routh-Hurwitz table. Symmetric spectra (the semidefiniteness checks on
+a Routh-Hurwitz table. Durand-Kerner starts on Aberth's circle, centred at
+the roots' centroid with a radius on the roots' own scale; only when that
+radius is 0 or not finite does it start on the circle of radius
+1 + max|a_k|. Symmetric spectra (the semidefiniteness checks on
 the LQR weights and the Riccati solution) are computed by cyclic Jacobi in
 `riccati` instead. All systems in this toolkit are small (n <= 6), where
 these methods are exact up to rounding.
@@ -41,6 +44,11 @@ __all__ = [
     "dc_gain",
     "eigenvalues",
 ]
+
+# Angle offset (radians) of the first Durand-Kerner start point on Aberth's
+# circle: with it no start point is real, so the iterates of a real
+# polynomial can leave the real axis for its complex roots.
+START_ANGLE = 0.4
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +146,16 @@ def _durand_kerner(coeffs, max_iter: int = 200, tol: float = 1e-12) -> tuple[np.
 
     Returns (roots, iterations, converged). Every root moves at once from
     the previous iterates, z_i -= p(z_i) / prod_{j != i}(z_i - z_j), with
-    p monic and evaluated by Horner, from the start points
-    radius * (0.4 + 0.9j)**k. The iteration stops when every step satisfies
+    p monic and evaluated by Horner. The start points lie on Aberth's
+    circle (1973): centre c = -a_1/n, the centroid of the roots, radius
+    r = |p(c)|**(1/n), the geometric mean of the roots' distances from c,
+    at angles 2*pi*k/n + START_ANGLE, so none lies on the real axis. A
+    circle on the roots' own scale needs far fewer sweeps than one of
+    radius 1 + max|a_k|, a bound that grows like |root|**n. When r is 0
+    (p(c) = 0, as for (s - c)**n), NaN or inf, the start falls back to
+    (1 + max|a_k|) * (0.4 + 0.9j)**k.
+
+    The iteration stops when every step satisfies
     |dz_i| < tol * max(1, |z_i|), so large roots are held to the same
     relative accuracy as small ones, or after max_iter sweeps with
     converged False: repeated roots converge only linearly and plateau
@@ -160,8 +176,18 @@ def _durand_kerner(coeffs, max_iter: int = 200, tol: float = 1e-12) -> tuple[np.
     n = len(monic)
     if n == 1:
         return np.array([-monic[0]], dtype=complex), 0, True
-    radius = 1.0 + max(abs(x) for x in monic)
-    z = [radius * (0.4 + 0.9j) ** k for k in range(1, n + 1)]
+    centre = -monic[0] / n
+    pc = 1.0
+    for a in monic:
+        pc = pc * centre + a
+    radius = abs(pc) ** (1.0 / n)
+    if 0.0 < radius < math.inf:
+        z = [centre + radius * complex(math.cos(t), math.sin(t))
+             for t in (2.0 * math.pi * k / n + START_ANGLE for k in range(n))]
+    else:
+        radius = 1.0 + max(abs(x) for x in monic)
+        z = [radius * (0.4 + 0.9j) ** k for k in range(1, n + 1)]
+    others = [[j for j in range(n) if j != i] for i in range(n)]
     converged = False
     try:
         for it in range(1, max_iter + 1):
@@ -171,12 +197,14 @@ def _durand_kerner(coeffs, max_iter: int = 200, tol: float = 1e-12) -> tuple[np.
                 for a in monic:
                     pz = pz * zi + a
                 den = 1.0 + 0.0j
-                for j, zj in enumerate(z):
-                    if j != i:
-                        den *= zi - zj
+                for j in others[i]:
+                    den *= zi - z[j]
                 step.append(pz / den)
             z = [zi - d for zi, d in zip(z, step)]
-            if all(abs(d) < tol * max(1.0, abs(zi)) for zi, d in zip(z, step)):
+            for zi, d in zip(z, step):
+                if not abs(d) < tol * max(1.0, abs(zi)):
+                    break
+            else:
                 converged = True
                 break
     except (ZeroDivisionError, OverflowError) as exc:
