@@ -186,7 +186,7 @@ class TestDurandKerner:
         assert_root_sets_close(roots, want, atol=0.0, rtol=1e-12)
 
     def test_spread_real_roots_converge(self):
-        # The circle of radius 1 + max|a_k| (about 1e21 here) left these at
+        # The circle of radius 1 + max|a_k| (about 7.9e19 here) left these at
         # the 200-sweep cap with roots off by a relative 9.9.
         a = np.diag([-1000.0, -1500.0, -2000.0, -2500.0, -3000.0, -3500.0])
         _, iterations, converged = _durand_kerner(char_poly(a).coeffs)
