@@ -178,16 +178,16 @@ class TestDurandKerner:
 
     @pytest.mark.filterwarnings("error")
     def test_huge_representable_roots_are_found(self):
-        # s^4 + 1e300: the circle of radius 1 + 1e300 overflowed in Horner;
-        # Aberth's circle has radius |p(0)|**(1/4) = 1e75, the roots' own.
+        # s^4 + 1e300: Aberth's circle has radius |p(0)|**(1/4) = 1e75, the
+        # roots' own; on the circle of radius 1 + 1e300 Horner overflows.
         roots, iterations, converged = _durand_kerner([1.0, 0.0, 0.0, 0.0, 1e300])
         want = 1e75 * np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(4)))
         assert converged
         assert_root_sets_close(roots, want, atol=0.0, rtol=1e-12)
 
     def test_spread_real_roots_converge(self):
-        # The circle of radius 1 + max|a_k| (about 7.9e19 here) left these at
-        # the 200-sweep cap with roots off by a relative 9.9.
+        # On the fallback circle, of radius 1 + max|a_k| = 7.9e19 here, these
+        # stop at the 200-sweep cap with roots off by a relative 9.9.
         a = np.diag([-1000.0, -1500.0, -2000.0, -2500.0, -3000.0, -3500.0])
         _, iterations, converged = _durand_kerner(char_poly(a).coeffs)
         assert converged and iterations <= 20
@@ -195,7 +195,7 @@ class TestDurandKerner:
 
     def test_separated_roots_converge_for_every_seed(self):
         # Every (n, pairs, scale) cell of the property below, about 18 seeds
-        # each; from the old start 35 of these 2,490 cases stopped at the cap.
+        # each; from the fallback start 35 of these 2,490 cases stop at the cap.
         cases = 0
         for seed in range(3000):
             n, pairs, scale = 1 + seed % 6, seed // 6 % 4, seed // 24 % 7 - 3
@@ -223,7 +223,7 @@ class TestDurandKerner:
     @pytest.mark.filterwarnings("error")
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 3), st.integers(-3, 3), st.integers(0, 2**32 - 1))
-    @example(n=6, pairs=1, scale=3, seed=125)  # both stalled at the same wrong roots from the old start
+    @example(n=6, pairs=1, scale=3, seed=125)  # from the fallback start both stop at the same wrong roots
     def test_matches_vectorized_reference_on_separated_roots(self, n, pairs, scale, seed):
         want = separated_roots(n, pairs, scale, seed)
         assume(want is not None)
