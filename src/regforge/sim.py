@@ -10,28 +10,31 @@ per-step affine map x+ = M x + g u with
 `simulate` doubles on the trajectory itself, the recursive-doubling form
 of the prefix scan for linear recurrences (Kogge & Stone 1973, "A parallel
 algorithm for the efficient solution of a general class of recurrence
-equations"; Blelloch 1990, "Prefix sums and their applications"). Once
-the first h samples are known, x[h+j] = M^h x[j] + S_h for j < h, with
-S_h = sum_{i<h} M^i g u, so one batched product yields the next h samples.
-Then S_2h = M^h S_h + S_h and M^2h = (M^h)^2, and a run of N steps takes
-ceil(log2(N + 1)) products and no tables. The window stops doubling at
-the first power of M that is non-finite or beyond POWER_LIMIT and slides
-at that width instead, so a fast unstable mode gets short chunks, not
-inf * 0 = NaN samples; a power is tested only while ||M||_inf^k, which
-bounds its entries, could pass that limit. Runs that blow up are
-truncated and flagged rather than raised. Sample 0 is checked before the
-scan: an x0 or a D u already non-finite or beyond the configured
-magnitude limit ends the run there. The states are checked in batches of
-CHECK_ROWS rows or more and at the end, and the scan stops after the
-first batch holding a state that is out of bounds; a chunk is computed
-from the rows before it, so a bad row cannot hide an earlier one. The
-outputs take one matrix-vector product after the scan and are checked
-once. The run ends at its first sample whose state or output is out of
-bounds, the sample a step-by-step loop would stop at. A run allocates its
-trajectory once: the check uses min and max, which allocate nothing, and
-`TimeSeries` keeps views of the arrays it is given. A truncated run
-returns copies of the samples it kept instead, so it does not hold the
-rest of the horizon's buffers.
+equations"; Blelloch 1990, "Prefix sums and their applications"), in
+Blelloch's homogeneous coordinates: a row z = [x, 1] makes the affine step
+linear. Once the first h samples are known, z[h+j] = z[j] Q_h for j < h,
+with Q_h = [[(M^h)^T, 0], [S_h^T, 1]] and S_h = sum_{i<h} M^i g u, so one
+batched product yields the next h samples and one square gives Q_2h; a
+run of N steps takes ceil(log2(N + 1)) products and no tables. The window
+stops doubling at the first power of M that is non-finite or beyond
+POWER_LIMIT and slides at that width instead, so a fast unstable mode gets
+short chunks, not inf * 0 = NaN samples; a power is tested only while
+||M||_inf^k, which bounds its entries, could pass that limit. Runs that
+blow up are truncated and flagged rather than raised. Sample 0 is checked
+before the scan: an x0 or a D u already non-finite or beyond the
+configured magnitude limit ends the run there. The states are checked in
+batches of CHECK_ROWS rows or more and at the end, and the scan stops
+after the first batch holding a state that is out of bounds; a chunk is
+computed from the rows before it, so a bad row cannot hide an earlier
+one. A batch is checked on its contiguous rows, the constant 1 included,
+and on its states alone only when that fails, so a limit below 1 still
+judges the states. The outputs take one product with [C, D u] after the
+scan and are checked once. The run ends at its first sample whose state
+or output is out of bounds, the sample a step-by-step loop would stop at.
+A run allocates its trajectory once, an (N + 1, n + 1) array: the checks
+use min and max, which allocate nothing, and `TimeSeries` keeps views of
+the arrays it is given. A truncated run returns copies of the samples it
+kept instead, so it does not hold the rest of the horizon's buffers.
 
 The settling band used everywhere is +/-2 % of the steady-state value
 (declared in all outputs so published settling figures are compared
@@ -73,12 +76,6 @@ STEADY_STATE_FRACTION = 0.05
 INPUT_KINDS = ("step", "constant", "zero")
 # The largest magnitude a power of the step map may reach in `simulate`.
 POWER_LIMIT = 1e100
-# From this many rows on, `simulate` adds S_h to a chunk column by column.
-# A broadcast add is one call but steps through n entries at a time, so
-# it is cheaper on short chunks and dearer on long ones: with n = 2 and
-# n = 4 the two cross between 256 and 1536 rows, and of the power-of-two
-# chunk sizes 1024 loses the least on either side.
-COLUMN_ADD_ROWS = 1024
 # `simulate` checks the states once this many rows are unchecked, and at the end.
 CHECK_ROWS = 1024
 
@@ -120,8 +117,10 @@ class TimeSeries:
     """Uniformly sampled trajectory: times, input, output, and states.
 
     The fields are read-only views of the arrays passed in, not copies: a
-    caller that writes to its own array afterwards changes the series. Only
-    the column lengths are checked. `simulate` spaces its samples uniformly
+    caller that writes to its own array afterwards changes the series. A
+    view may be strided: `simulate`'s states are the first n columns of its
+    `(samples, n + 1)` scan array, and its inputs have stride 0. Only the
+    column lengths are checked. `simulate` spaces its samples uniformly
     by construction, and times from outside enter through
     `output.read_timeseries_csv`, which checks their spacing.
     """
@@ -186,14 +185,14 @@ def _rk4_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.n
 
 
 def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
-    """Step/constant/zero-input response, from rest unless x0 is given.
+    """Step or zero-input response, from rest unless x0 is given.
 
     Returns the full trajectory, or a truncated one with the diverged
     flag set at the first sample whose state or output goes non-finite
     or beyond cfg.divergence_limit; that may be sample 0, from x0 and D u.
-    A full series views the one states and outputs allocation of the run,
-    a truncated one holds copies of its samples. The inputs are a
-    broadcast of the constant input, so they take no memory per sample.
+    A full series views the run's buffers (its states are the first n
+    columns of the `(samples, n + 1)` scan array), a truncated one holds
+    copies of its samples. The inputs repeat one value with stride 0.
     """
     if ss.n_inputs != 1 or ss.n_outputs != 1:
         raise ValidationError("simulate drives single-input single-output models")
@@ -201,58 +200,53 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     steps = cfg.n_steps
     u = 0.0 if cfg.input_kind == "zero" else float(cfg.input_amplitude)
     m, g = _rk4_maps(ss.a, ss.b, cfg.dt)
-    gu = (g * u).ravel()
-    d_term = ss.d[0, 0] * u
-
-    states = np.zeros((steps + 1, n))
+    # Row k of z is [x[k], 1], so y[k] = z[k] . [C, D u].
+    z = np.empty((steps + 1, n + 1))
+    z[0, :n] = 0.0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+    z[0, n] = 1.0
+    cd = np.empty(n + 1)
+    cd[:n], cd[n] = ss.c, ss.d[0, 0] * u
     outputs = np.empty(steps + 1)
-    c_row = ss.c.ravel()
-    if x0 is not None:
-        states[0] = np.asarray(x0, dtype=float).reshape(n)
-    outputs[0] = c_row @ states[0] + d_term
+    outputs[0] = z[0] @ cd
     # |v| <= limit holds exactly for the finite samples within the divergence limit.
     limit = min(float(cfg.divergence_limit), sys.float_info.max)
     # Sample 0 has a few states: Python floats check them faster than two reductions.
-    if not (-limit <= outputs[0] <= limit and all(-limit <= v <= limit for v in states[0].tolist())):
-        return _truncated(states, outputs, u, cfg.dt, 1)
+    if not (-limit <= outputs[0] <= limit and all(-limit <= v <= limit for v in z[0, :n].tolist())):
+        return _truncated(z, outputs, u, cfg.dt, 1)
     # Entries of M^k are at most beta^k, beta = ||M||_inf: a square M^2h with
     # beta^2h within POWER_LIMIT / 2 (a margin for rounding) needs no test.
     row_sums = [sum(map(abs, row)) for row in m.tolist()]
     beta = max(row_sums, default=0.0) if math.isfinite(sum(row_sums)) else math.inf
     safe_2h = math.log(POWER_LIMIT / 2) / math.log(beta) if beta > 1.0 else math.inf
-    # x[h + j] = M^h x[j] + S_h for j < h, with S_h = sum_{i<h} M^i gu:
-    # f samples are known, and each chunk extends them from the h before.
-    # The rows are states, so the chunk product takes q = (M^h)^T, kept
-    # C-contiguous: BLAS is several times slower on a transposed view.
-    q, s = m.T.copy(), gu
+    # f samples are known; each chunk extends them from the h before by
+    # q = Q_h, kept C-contiguous: BLAS is several times slower on a transposed view.
+    q = np.zeros((n + 1, n + 1))
+    q[:n, :n] = m.T
+    q[n, :n] = (g * u).ravel()
+    q[n, n] = 1.0
     h = f = checked = 1
     state_out = False
     # Overflow on the way to divergence is expected; the checks below report it.
     with np.errstate(over="ignore", invalid="ignore"):
         while f <= steps:
             take = min(h, steps + 1 - f)
-            xs = states[f:f + take]
-            np.matmul(states[f - h:f - h + take], q, out=xs)
-            if take < COLUMN_ADD_ROWS:
-                xs += s
-            else:
-                # Same bits as the broadcast add.
-                for j, v in enumerate(s.tolist()):
-                    xs[:, j] += v
+            np.matmul(z[f - h:f - h + take], q, out=z[f:f + take])
             f += take
             if f - checked >= CHECK_ROWS or f > steps:
-                block = states[checked:f]
-                # min and max are NaN when any entry is, and allocate nothing.
-                if not (-limit <= block.min(initial=0.0) and block.max(initial=0.0) <= limit):
-                    state_out = True
-                    break
+                # min and max are NaN when any entry is, and allocate nothing. The
+                # rows hold the constant 1 too: when they fail, the states alone decide.
+                block = z[checked:f]
+                if not (-limit <= block.min() and block.max() <= limit):
+                    block = block[:, :n]
+                    if not (-limit <= block.min(initial=0.0) and block.max(initial=0.0) <= limit):
+                        state_out = True
+                        break
                 checked = f
             if f == 2 * h and f <= steps:
                 q2 = q @ q
                 # Past POWER_LIMIT the window stops growing and slides instead.
-                if 2 * h <= safe_2h or (-POWER_LIMIT <= q2.min(initial=0.0)
-                                        and q2.max(initial=0.0) <= POWER_LIMIT):
-                    s = s @ q + s
+                if 2 * h <= safe_2h or (-POWER_LIMIT <= q2[:n, :n].min(initial=0.0)
+                                        and q2[:n, :n].max(initial=0.0) <= POWER_LIMIT):
                     q, h = q2, f
         if state_out:
             # Row-major: the first bad entry lies in the first bad row, r.
@@ -262,18 +256,17 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
             w = min(h, 1 << (r.bit_length() - 1))
             f = min((r // w + 1) * w, f)
         ys = outputs[1:f]
-        np.matmul(states[1:f], c_row, out=ys)
-        ys += d_term
+        np.matmul(z[1:f], cd, out=ys)
         if state_out or not (-limit <= ys.min() and ys.max() <= limit):
             bad = ~(np.abs(ys) <= limit)
             if state_out:
                 bad[r - 1] = True
-            return _truncated(states, outputs, u, cfg.dt, int(np.argmax(bad)) + 2)
+            return _truncated(z, outputs, u, cfg.dt, int(np.argmax(bad)) + 2)
     return TimeSeries(
         times=_times(f, cfg.dt),
-        inputs=np.broadcast_to(u, (f,)),
+        inputs=_constant(u, f),
         outputs=outputs,
-        states=states,
+        states=z[:, :n],
     )
 
 
@@ -283,13 +276,18 @@ def _times(samples: int, dt: float) -> np.ndarray:
     return times
 
 
-def _truncated(states: np.ndarray, outputs: np.ndarray, u: float, dt: float, samples: int) -> TimeSeries:
+def _constant(u: float, samples: int) -> np.ndarray:
+    # A zero-stride view of one read-only value: np.broadcast_to at a quarter of its call cost.
+    return np.ndarray((samples,), buffer=np.float64(u), strides=(0,))
+
+
+def _truncated(z: np.ndarray, outputs: np.ndarray, u: float, dt: float, samples: int) -> TimeSeries:
     # Copies of the kept samples: views would hold the whole horizon's buffers.
     return TimeSeries(
         times=_times(samples, dt),
-        inputs=np.broadcast_to(u, (samples,)),
+        inputs=_constant(u, samples),
         outputs=outputs[:samples].copy(),
-        states=states[:samples].copy(),
+        states=z[:samples, :-1].copy(),
         diverged=True,
     )
 

@@ -94,6 +94,8 @@ def assert_matches_stepwise(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> Tim
     assert (ts.n_samples, ts.diverged) == (ref.n_samples, ref.diverged)
     npt.assert_array_equal(ts.times, ref.times)
     npt.assert_array_equal(ts.inputs, ref.inputs)
+    # the inputs are one read-only value seen at every sample
+    assert ts.inputs.strides == (0,) and not ts.inputs.flags.writeable
     for got, want in [(ts.outputs, ref.outputs)] + [(ts.states[:, i], ref.states[:, i])
                                                     for i in range(ss.n_states)]:
         finite = np.isfinite(want)
@@ -206,8 +208,7 @@ class TestBlockedScan:
     """`simulate` against the stepwise loop it replaces."""
 
     # 2^k - 1 steps fill the chunks exactly, 2^k and 2^k + 1 start one
-    # more; 4 LENGTH - 1 ends on a chunk of 2 LENGTH rows, long enough to
-    # take S column by column.
+    # more; 4 LENGTH - 1 ends on a chunk of 2 LENGTH rows.
     STEP_COUNTS = (1, 2, 3, 7, 8, 9, LENGTH - 1, LENGTH, LENGTH + 1, 3 * LENGTH + 5, 4 * LENGTH - 1)
 
     @pytest.mark.filterwarnings("error")
@@ -274,8 +275,14 @@ class TestBlockedScan:
          SimConfig(dt=1e-2, duration=50.0), [1e-300, 0.0], True),
         # an input so large that the sum table overflows behind the first sample
         (first_order(), SimConfig(dt=1e-3, duration=10.0, input_amplitude=1e300), None, True),
+        # the same shape with no magnitude limit: the state heads for 1e309 and
+        # overflows at sample 397. S_512 overflows while M^h stays below 1, so
+        # the next square's state block holds inf * 0 = NaN; the NaN rows come
+        # after the first inf and must not stand in for it
+        (StateSpaceModel([[-0.5]], [[5.0]], [[1.0]]),
+         SimConfig(dt=1e-3, duration=10.0, input_amplitude=1e308, divergence_limit=np.inf), None, True),
     ], ids=["fast-mode", "fast-mode-no-limit", "tiny-seed-fast-mode", "unexcited-fast-mode", "tiny-seed",
-            "tiny-seed-oscillating", "huge-input"])
+            "tiny-seed-oscillating", "huge-input", "huge-input-no-limit"])
     def test_overflow_cases(self, ss, cfg, x0, diverges):
         ts = assert_matches_stepwise(ss, cfg, x0)
         assert ts.diverged == diverges
@@ -349,6 +356,32 @@ class TestDivergenceSearch:
         cfg = SimConfig(dt=0.1, duration=20.0, input_kind="zero", divergence_limit=limit)
         ts = assert_matches_stepwise(ss, cfg, [1e-300])
         assert ts.diverged and ts.n_samples - 1 == crossing
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("crosses", [False, True], ids=["under", "crossing"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 6])
+    def test_limit_below_one(self, n, crosses):
+        # The scan rows hold the constant 1 beside the states, and a limit
+        # below 1 judges only the states and the output. The step is scaled
+        # so the run peaks at 0.8; "under" sets the limit 0.9, "crossing"
+        # puts it between the running peaks of two samples where they pass
+        # 0.6, or below D u for the zero-state model, which ends at sample 0.
+        ss = scan_model(np.random.default_rng(200 + n), n, unstable=False)
+        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2, divergence_limit=np.inf)
+        free = simulate(ss, cfg)
+        peak = np.maximum(np.abs(free.outputs), np.max(np.abs(free.states), axis=1, initial=0.0))
+        cfg = replace(cfg, input_amplitude=0.8 / peak.max())
+        peak = np.maximum.accumulate(peak * cfg.input_amplitude)
+        crossing = int(np.argmax(peak >= 0.6))
+        if not crosses:
+            limit = 0.9
+        elif crossing:
+            limit = (peak[crossing - 1] + peak[crossing]) / 2
+        else:
+            limit = 0.7
+        ts = assert_matches_stepwise(ss, replace(cfg, divergence_limit=limit))
+        assert ts.diverged == crosses
+        assert ts.n_samples - 1 == (crossing if crosses else cfg.n_steps)
 
     @pytest.mark.filterwarnings("error")
     def test_first_bad_row_leaves_by_a_later_column(self):
@@ -506,8 +539,11 @@ def test_long_run_allocates_little_beyond_its_trajectory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    trajectory = ts.times.nbytes + ts.outputs.nbytes + ts.states.nbytes
+    # A view holds its whole base: the states view the scan's n + 1 columns.
+    trajectory = sum((arr.base if arr.base is not None else arr).nbytes
+                     for arr in (ts.times, ts.outputs, ts.states))
     assert ts.n_samples == 40_001 and not ts.diverged
+    assert ts.states.base.shape == (40_001, 5)
     assert peak <= 2 * trajectory, f"peak {peak} B is {peak / trajectory:.2f}x the trajectory"
 
 
