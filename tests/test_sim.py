@@ -445,9 +445,9 @@ class TestDivergenceSearch:
         for arr in (ts.states, ts.outputs):
             assert arr.base.nbytes == arr.nbytes
         assert hashlib.sha256(ts.states.tobytes()).hexdigest() == \
-            "1154a5dc3a2c5eca16cd87f5907d0730f3df1a64fe332d88462db6278e8924b3"
+            "8c3fd0dca1821ddc0587f60965fd5bda58389f8f7e14817823ae759daa6bdf85"
         assert hashlib.sha256(ts.outputs.tobytes()).hexdigest() == \
-            "108d418b86e069000339e67b89cfdbda788ac4a16389a5199a0df36a784f9ec6"
+            "cceb0a847a49b73efb3ab693958e93f3efc1067e67562a921f77c5b8942d167a"
 
 
 def paper_runs() -> dict:
