@@ -30,7 +30,7 @@ Scenario file keys::
     reference = 220                 # closed loop only
     sim.dt = 0.001
     sim.duration = 15
-    sim.input_kind = step           # step | constant | zero; only step on a closed loop
+    sim.input_kind = step           # step | zero; only step on a closed loop
     sim.amplitude = 5               # input level; open loop only
     outputs = csv report            # any of csv svg report
 

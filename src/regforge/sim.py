@@ -73,7 +73,7 @@ __all__ = [
 
 SETTLING_BAND = 0.02
 STEADY_STATE_FRACTION = 0.05
-INPUT_KINDS = ("step", "constant", "zero")
+INPUT_KINDS = ("step", "zero")
 # The largest magnitude a power of the step map may reach in `simulate`.
 POWER_LIMIT = 1e100
 # `simulate` checks the states once this many rows are unchecked, and at the end.
@@ -99,7 +99,7 @@ class SimConfig:
         if not self.duration / self.dt <= 1e7:
             raise ValidationError("duration/dt exceeds the 1e7 sample guard")
         if self.input_kind not in INPUT_KINDS:
-            raise ValidationError(f"input_kind must be one of {INPUT_KINDS}")
+            raise ValidationError(f"input_kind must be one of {INPUT_KINDS}, got {self.input_kind!r}")
         if not math.isfinite(self.input_amplitude):
             raise ValidationError("input amplitude must be finite")
         if not self.divergence_limit > 0.0:

@@ -254,17 +254,18 @@ class TestSimulateCommand:
         assert "diverged" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
 
-    @pytest.mark.parametrize("line,key", [
-        ("sim.amplitude = 5", "sim.amplitude"),
-        ("sim.input_kind = zero", "sim.input_kind = zero"),
-        ("sim.input_kind = constant", "sim.input_kind = constant"),
+    @pytest.mark.parametrize("line,message", [
+        ("sim.amplitude = 5", "sim.amplitude requires controller.type = none"),
+        ("sim.input_kind = zero", "sim.input_kind = zero requires controller.type = none"),
+        # `constant` did what `step` does and is no longer an input kind
+        ("sim.input_kind = constant", "input_kind must be one of ('step', 'zero'), got 'constant'"),
     ])
-    def test_closed_loop_rejects_open_loop_sim_keys(self, capsys, tmp_path, line, key):
+    def test_closed_loop_rejects_open_loop_sim_keys(self, capsys, tmp_path, line, message):
         path = tmp_path / "closed.cfg"
         path.write_text((SCENARIOS / "paper-lqr.cfg").read_text() + line + "\n")
         code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {key} requires controller.type = none")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not any(tmp_path.glob("*.csv"))
 
 

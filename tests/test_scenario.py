@@ -159,6 +159,12 @@ class TestScenario:
                 "sim.dt = 0.1\nsim.duration = 0.05\n"
             )))
 
+    def test_constant_input_kind_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"input_kind must be one of \('step', 'zero'\), got 'constant'"):
+            load_scenario(write(tmp_path, "s.cfg", (
+                "plant.preset = exact\ncontroller.type = none\nsim.input_kind = constant\n"
+            )))
+
     def test_missing_controller_field_named(self, tmp_path):
         with pytest.raises(ValidationError, match="controller.r"):
             load_scenario(write(tmp_path, "s.cfg", (

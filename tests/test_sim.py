@@ -219,7 +219,7 @@ class TestBlockedScan:
         ss = scan_model(rng, n, unstable)
         truncated = 0
         for x0 in (None, rng.normal(size=n)):
-            for kind in ("step", "constant", "zero"):
+            for kind in ("step", "zero"):
                 for steps in self.STEP_COUNTS:
                     cfg = SimConfig(dt=1e-2, duration=steps * 1e-2, input_kind=kind,
                                     input_amplitude=-1.7, divergence_limit=1e6)
