@@ -27,8 +27,7 @@ batches of CHECK_ROWS rows or more and at the end, and the scan stops
 after the first batch holding a state that is out of bounds; a chunk is
 computed from the rows before it, so a bad row cannot hide an earlier
 one. A batch is checked on its contiguous rows, the constant 1 included,
-and on its states alone only when that fails, so a limit below 1 still
-judges the states. The outputs take one product with [C, D u] after the
+or on its state columns alone when the limit is below 1. The outputs take one product with [C, D u] after the
 scan and are checked once. The run ends at its first sample whose state
 or output is out of bounds, the sample a step-by-step loop would stop at.
 A run allocates its trajectory once, an (N + 1, n + 1) array: the checks
@@ -224,6 +223,10 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     q[:n, :n] = m.T
     q[n, :n] = (g * u).ravel()
     q[n, n] = 1.0
+    # The rows hold the constant 1 too, so a limit below 1 is checked on the
+    # states alone. Above it, a row's constant turns NaN (inf * 0) only after a
+    # bad state, so the first bad entry still lies in the first bad state row.
+    cols = n + 1 if limit >= 1.0 else n
     h = f = checked = 1
     state_out = False
     # Overflow on the way to divergence is expected; the checks below report it.
@@ -233,14 +236,11 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
             np.matmul(z[f - h:f - h + take], q, out=z[f:f + take])
             f += take
             if f - checked >= CHECK_ROWS or f > steps:
-                # min and max are NaN when any entry is, and allocate nothing. The
-                # rows hold the constant 1 too: when they fail, the states alone decide.
-                block = z[checked:f]
-                if not (-limit <= block.min() and block.max() <= limit):
-                    block = block[:, :n]
-                    if not (-limit <= block.min(initial=0.0) and block.max(initial=0.0) <= limit):
-                        state_out = True
-                        break
+                # min and max are NaN when any entry is, and allocate nothing.
+                block = z[checked:f, :cols]
+                if not (-limit <= block.min(initial=0.0) and block.max(initial=0.0) <= limit):
+                    state_out = True
+                    break
                 checked = f
             if f == 2 * h and f <= steps:
                 q2 = q @ q
@@ -250,7 +250,7 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
                     q, h = q2, f
         if state_out:
             # Row-major: the first bad entry lies in the first bad row, r.
-            r = checked + int(np.argmax(~(np.abs(block) <= limit).ravel())) // n
+            r = checked + int(np.argmax(~(np.abs(block) <= limit).ravel())) // cols
             # The outputs end with r's chunk, as a check per chunk would
             # have it: matmul may round a row by the length of the product.
             w = min(h, 1 << (r.bit_length() - 1))
