@@ -224,8 +224,8 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     q[n, :n] = (g * u).ravel()
     q[n, n] = 1.0
     # The rows hold the constant 1 too, so a limit below 1 is checked on the
-    # states alone. Above it, a row's constant turns NaN (inf * 0) only after a
-    # bad state, so the first bad entry still lies in the first bad state row.
+    # states alone. At 1 or more, a row's constant turns NaN (inf * 0) only after
+    # a bad state, so the first bad entry still lies in the first bad state row.
     cols = n + 1 if limit >= 1.0 else n
     h = f = checked = 1
     state_out = False
