@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .lti import char_poly, dc_gain, eigenvalues, is_hurwitz, tf_to_ss
-from .observer import CONVENTIONS, design_observer_gain
+from .observer import design_observer_gain
 from .output import line_chart_svg, open_artifact, read_timeseries_csv, write_timeseries_csv
 from .plant import (
     PUBLISHED_OPEN_LOOP,
@@ -88,14 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synthesize", help="compute controller gains for a scenario")
     p_syn.add_argument("--scenario", required=True, help="scenario file")
-    p_syn.add_argument("--convention", choices=CONVENTIONS,
-                       help="override the compensator wiring convention")
     p_syn.set_defaults(func=cmd_synthesize)
 
     p_sim = sub.add_parser("simulate", help="run a scenario and write trajectory artifacts")
     p_sim.add_argument("--scenario", required=True, help="scenario file")
-    p_sim.add_argument("--convention", choices=CONVENTIONS,
-                       help="override the compensator wiring convention")
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -195,7 +191,7 @@ def cmd_synthesize(args) -> int:
     report.add_tf("plant", scn.plant_tf)
     report.add_stability("plant", is_hurwitz(char_poly(scn.plant_model.a)))
 
-    loop = closed_loop(scn, args.convention)
+    loop = closed_loop(scn)
     care, observer = loop.care, loop.observer
     report.add_gain("K", care.k)
     report.add_line(f"CARE residual      : {care.residual_norm:.3e} "
@@ -235,7 +231,7 @@ def cmd_simulate(args) -> int:
     report.add_tf("plant", scn.plant_tf)
     report.add_stability("plant", is_hurwitz(char_poly(scn.plant_model.a))
                          if scn.plant_model.n_states else True)
-    run = run_scenario(scn, args.convention)
+    run = run_scenario(scn)
 
     loop = run.loop
     if spec.kind == "lqr":

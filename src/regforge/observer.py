@@ -5,17 +5,20 @@ observer of gain H; its state matrix is always A - BK - HC. The published
 realization of this compensator is internally inconsistent: the closed
 form says (B in, -K out, unit feedthrough) while the printed numeric
 matrices say (H in, +K out, no feedthrough). Rather than silently pick a
-reading, three wiring conventions are constructible and tagged:
+reading, three wiring conventions are constructible and tagged, and every
+caller names one (a scenario through ``controller.convention``, default
+``standard-luenberger``):
 
 * ``eq17-literal``       B_c = B,  C_c = -K,  D_c = 1
 * ``paper-numeric``      B_c = H,  C_c = +K,  D_c = 0
 * ``standard-luenberger`` B_c = H,  C_c = -K,  D_c = 0  (textbook wiring,
   u = r - K x_hat with the plant output injected into the observer)
 
-A stability audit (A - BK and A - HC verdicts) is attached to every
-construction and is never fatal: the published H makes A - HC unstable,
-and that controller must still be constructible so the failure can be
-reported.
+A stability audit (A - BK and A - HC verdicts, `ObserverAudit`) is
+attached to every construction and is never fatal: the published H makes
+A - HC unstable, and that controller must still be constructible so the
+failure can be reported. The audit is the one place these verdicts are
+computed.
 """
 
 from __future__ import annotations
@@ -29,34 +32,15 @@ from .lti import Polynomial, StateSpaceModel, char_poly, is_hurwitz
 
 __all__ = [
     "CONVENTIONS",
-    "ObserverGain",
     "ObserverAudit",
     "ObserverBasedController",
     "build_observer_controller",
-    "observer_error_dynamics",
     "place_poles",
     "design_observer_gain",
     "luenberger_loop",
 ]
 
 CONVENTIONS = ("eq17-literal", "paper-numeric", "standard-luenberger")
-
-
-@dataclass(frozen=True, eq=False)
-class ObserverGain:
-    """Column gain H driving the estimation-error dynamics A - HC."""
-
-    h: np.ndarray
-
-    def __init__(self, h):
-        h = np.asarray(h, dtype=float)
-        if h.ndim == 1:
-            h = h.reshape(-1, 1)
-        if h.ndim != 2 or not np.isfinite(h).all():
-            raise ValidationError("observer gain must be a finite column matrix")
-        h = h.copy()
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
 
 
 @dataclass(frozen=True)
@@ -86,8 +70,6 @@ def _as_gain_row(k, n: int) -> np.ndarray:
 
 
 def _as_gain_col(h, n: int) -> np.ndarray:
-    if isinstance(h, ObserverGain):
-        h = h.h
     h = np.asarray(h, dtype=float)
     if h.ndim == 1:
         h = h.reshape(-1, 1)
@@ -96,9 +78,7 @@ def _as_gain_col(h, n: int) -> np.ndarray:
     return h
 
 
-def build_observer_controller(
-    plant: StateSpaceModel, k, h, convention: str = "paper-numeric"
-) -> ObserverBasedController:
+def build_observer_controller(plant: StateSpaceModel, k, h, convention: str) -> ObserverBasedController:
     """Assemble the compensator for a strictly proper SISO plant.
 
     A_c = A - BK - HC for every convention; B_c, C_c, D_c follow the
@@ -132,13 +112,6 @@ def build_observer_controller(
         error_hurwitz=is_hurwitz(err_poly),
     )
     return ObserverBasedController(model=model, convention=convention, audit=audit)
-
-
-def observer_error_dynamics(plant: StateSpaceModel, h) -> tuple[np.ndarray, bool]:
-    """Estimation-error matrix A - HC and its Hurwitz verdict."""
-    h = _as_gain_col(h, plant.n_states)
-    a_err = plant.a - h @ plant.c
-    return a_err, is_hurwitz(char_poly(a_err))
 
 
 def place_poles(a, b, desired) -> np.ndarray:

@@ -41,7 +41,6 @@ __all__ = [
     "solve_lyapunov",
     "care_residual",
     "solve_care",
-    "lqr_gain",
 ]
 
 RESIDUAL_SUCCESS = 1e-8
@@ -254,8 +253,3 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
         if not is_hurwitz(char_poly(a - b @ k)):
             raise NumericalError("closed loop A - BK is not Hurwitz after synthesis")
     return RiccatiSolution(p=p, k=k, residual_norm=residual, iterations=iterations)
-
-
-def lqr_gain(a, b, weights: CostWeights) -> np.ndarray:
-    """Optimal state-feedback gain K = R^-1 B' P as an m x n matrix."""
-    return solve_care(a, b, weights).k

@@ -30,13 +30,15 @@ Scenario file keys::
     reference = 220                 # closed loop only
     sim.dt = 0.001
     sim.duration = 15
-    sim.input_kind = step           # step | zero; only step on a closed loop
-    sim.amplitude = 5               # input level; open loop only
+    sim.amplitude = 5               # input level, 0 for none; open loop only
     outputs = csv report            # any of csv svg report
 
-``outputs`` names the artifacts ``simulate`` writes when ``--format`` is
-not given; ``--format``, when given, decides instead. ``report`` is
-accepted but changes nothing: the text report is always printed.
+``name`` is the file stem of the artifacts, so it may not hold ``/`` or
+NUL or be ``.`` or ``..``. ``outputs`` names the artifacts ``simulate``
+writes when ``--format`` is not given; ``--format``, when given, decides
+instead. ``report`` is accepted but changes nothing: the text report is
+always printed. The file is the whole run description: no command-line
+option overrides a key.
 """
 
 from __future__ import annotations
@@ -149,22 +151,31 @@ def _parse_vector(key: str, value: str) -> np.ndarray:
 
 
 def _parse_matrix(key: str, value: str) -> np.ndarray:
-    rows = [r for r in value.split(";")]
-    parsed = [_parse_vector(key, r) for r in rows]
+    parsed = [_parse_vector(key, r) for r in value.split(";")]
     width = len(parsed[0])
     if any(len(r) != width for r in parsed):
         raise ValidationError(f"{key}: rows have unequal lengths")
     return np.vstack(parsed)
 
 
+def _required(mapping, key: str, shown: str | None = None) -> str:
+    """The value of a required key; if it is missing, the error names it as `shown` or `key`."""
+    if key not in mapping:
+        raise ValidationError(f"missing required parameter {shown or key}")
+    return mapping[key]
+
+
+def _parse_ss(mapping, used: set[str], prefix: str) -> StateSpaceModel:
+    """The model of the required a, b, c and optional d keys under `prefix`."""
+    a, b, c = (_parse_matrix(prefix + m, _required(mapping, prefix + m)) for m in "abc")
+    d = _parse_matrix(prefix + "d", mapping[prefix + "d"]) if prefix + "d" in mapping else None
+    used.update(prefix + m for m in "abcd")
+    return StateSpaceModel(a, b, c, d)
+
+
 def parse_plant_params(mapping: dict[str, str], prefix: str = "") -> PlantParams:
     """Build PlantParams from dotted keys, naming any missing field."""
-    values = {}
-    for key in PARAM_KEYS:
-        full = prefix + key
-        if full not in mapping:
-            raise ValidationError(f"missing required parameter {key}")
-        values[key] = _parse_float(full, mapping[full])
+    values = {key: _parse_float(prefix + key, _required(mapping, prefix + key, key)) for key in PARAM_KEYS}
     turbine = TurbineParams(tau_t=values["turbine.tau_t"])
     generator = GeneratorParams(
         k1=values["generator.k1"],
@@ -247,28 +258,12 @@ def _resolve_plant(mapping, used: set[str]):
         tf = physical_plant_tf(params)
         return tf_to_ss(tf), tf, params, None
     if "tf" in sources:
-        for key in ("plant.tf.num", "plant.tf.den"):
-            if key not in mapping:
-                raise ValidationError(f"missing required parameter {key}")
-            used.add(key)
-        tf = TransferFunction(
-            _parse_vector("plant.tf.num", mapping["plant.tf.num"]),
-            _parse_vector("plant.tf.den", mapping["plant.tf.den"]),
-        )
+        num, den = (_required(mapping, key) for key in ("plant.tf.num", "plant.tf.den"))
+        used.update(("plant.tf.num", "plant.tf.den"))
+        tf = TransferFunction(_parse_vector("plant.tf.num", num), _parse_vector("plant.tf.den", den))
         return tf_to_ss(tf), tf, None, None
     if "ss" in sources:
-        mats = {}
-        for name in ("a", "b", "c"):
-            key = f"plant.ss.{name}"
-            if key not in mapping:
-                raise ValidationError(f"missing required parameter {key}")
-            used.add(key)
-            mats[name] = _parse_matrix(key, mapping[key])
-        d = None
-        if "plant.ss.d" in mapping:
-            used.add("plant.ss.d")
-            d = _parse_matrix("plant.ss.d", mapping["plant.ss.d"])
-        model = StateSpaceModel(mats["a"], mats["b"], mats["c"], d)
+        model = _parse_ss(mapping, used, "plant.ss.")
         return model, ss_to_tf(model), None, None
     raise ValidationError("scenario does not specify a plant (plant.preset, plant.*, plant.tf.*, or plant.ss.*)")
 
@@ -279,19 +274,15 @@ def _resolve_controller(mapping, used: set[str]) -> ControllerSpec:
     if kind == "none":
         return ControllerSpec(kind="none")
     if kind in ("lqr", "observer"):
-        for key in ("controller.q_diag", "controller.r"):
-            if key not in mapping:
-                raise ValidationError(f"missing required parameter {key}")
+        q_text, r_text = (_required(mapping, key) for key in ("controller.q_diag", "controller.r"))
         used.update(("controller.q_diag", "controller.r"))
-        q_diag = _parse_vector("controller.q_diag", mapping["controller.q_diag"])
-        r = _parse_float("controller.r", mapping["controller.r"])
+        q_diag = _parse_vector("controller.q_diag", q_text)
+        r = _parse_float("controller.r", r_text)
         if kind == "lqr":
             return ControllerSpec(kind="lqr", q_diag=q_diag, r=r)
-        if "controller.h" not in mapping:
-            raise ValidationError("missing required parameter controller.h")
+        h = _parse_vector("controller.h", _required(mapping, "controller.h"))
         used.add("controller.h")
-        h = _parse_vector("controller.h", mapping["controller.h"])
-        convention = mapping.get("controller.convention", "standard-luenberger")
+        convention = mapping.get("controller.convention", ControllerSpec.convention)
         used.add("controller.convention")
         if convention not in CONVENTIONS:
             raise ValidationError(
@@ -299,18 +290,7 @@ def _resolve_controller(mapping, used: set[str]) -> ControllerSpec:
             )
         return ControllerSpec(kind="observer", q_diag=q_diag, r=r, h=h, convention=convention)
     if kind == "ss":
-        mats = {}
-        for name in ("a", "b", "c"):
-            key = f"controller.{name}"
-            if key not in mapping:
-                raise ValidationError(f"missing required parameter {key}")
-            used.add(key)
-            mats[name] = _parse_matrix(key, mapping[key])
-        d = None
-        if "controller.d" in mapping:
-            used.add("controller.d")
-            d = _parse_matrix("controller.d", mapping["controller.d"])
-        return ControllerSpec(kind="ss", model=StateSpaceModel(mats["a"], mats["b"], mats["c"], d))
+        return ControllerSpec(kind="ss", model=_parse_ss(mapping, used, "controller."))
     raise ValidationError(f"controller.type: unknown kind {kind!r}; choose none, lqr, observer, or ss")
 
 
@@ -321,6 +301,10 @@ def load_scenario(path) -> Scenario:
 
     name = mapping.get("name", Path(path).stem)
     used.add("name")
+    # The name is the artifacts' file stem: it must not leave --out.
+    if "/" in name or "\0" in name or name in (".", ".."):
+        raise ValidationError(f"name: {name!r} is not a file stem; it may not hold '/' or NUL "
+                              "or be '.' or '..'")
 
     plant = _resolve_plant(mapping, used)
     controller = _resolve_controller(mapping, used)
@@ -340,20 +324,16 @@ def load_scenario(path) -> Scenario:
             if "sim.duration" in mapping
             else default_duration
         ),
-        input_kind=mapping.get("sim.input_kind", "step"),
         input_amplitude=(
             _parse_float("sim.amplitude", mapping["sim.amplitude"])
             if "sim.amplitude" in mapping
             else 1.0
         ),
     )
-    used.update(("sim.dt", "sim.duration", "sim.input_kind", "sim.amplitude"))
-    # A closed loop always steps to `reference`: these keys would do nothing.
+    used.update(("sim.dt", "sim.duration", "sim.amplitude"))
+    # A closed loop always steps to `reference`: the key would do nothing.
     if controller.kind != "none" and "sim.amplitude" in mapping:
         raise ValidationError("sim.amplitude requires controller.type = none; a closed loop steps to reference")
-    if controller.kind != "none" and sim.input_kind != "step":
-        raise ValidationError(f"sim.input_kind = {sim.input_kind} requires controller.type = none; "
-                              "a closed loop steps to reference")
 
     outputs = (
         tuple(mapping["outputs"].replace(",", " ").split()) if "outputs" in mapping else DEFAULT_OUTPUTS
@@ -397,10 +377,10 @@ class ClosedLoop:
     prescaler_error: str | None = None
 
 
-def closed_loop(scn: Scenario, convention: str | None = None) -> ClosedLoop:
+def closed_loop(scn: Scenario) -> ClosedLoop:
     """Close the scenario's controller around its plant.
 
-    `convention` overrides the scenario's observer wiring. lqr closes
+    The observer wiring is the controller's `convention`. lqr closes
     u = N r - K x; standard-luenberger closes the observer loop with
     u = N r - K x_hat, its estimate offset from the plant state by
     ESTIMATE_OFFSET of the reference; the other conventions and ss
@@ -415,7 +395,7 @@ def closed_loop(scn: Scenario, convention: str | None = None) -> ClosedLoop:
     if spec.kind != "ss":
         care = solve_care(plant.a, plant.b, CostWeights.diagonal(spec.q_diag, spec.r))
         if spec.kind == "observer":
-            observer = build_observer_controller(plant, care.k, spec.h, convention or spec.convention)
+            observer = build_observer_controller(plant, care.k, spec.h, spec.convention)
         if observer is not None and observer.convention != "standard-luenberger":
             compensator = observer.model
     if compensator is not None:
@@ -453,12 +433,8 @@ class ScenarioRun:
     loop: ClosedLoop | None = None
 
 
-def run_scenario(scn: Scenario, convention: str | None = None) -> ScenarioRun:
-    """Synthesize, simulate and measure one scenario.
-
-    `convention` overrides the scenario's observer wiring; closed loops
-    step to the scenario's reference.
-    """
+def run_scenario(scn: Scenario) -> ScenarioRun:
+    """Synthesize, simulate and measure one scenario; closed loops step to its reference."""
     if scn.controller.kind == "none":
         series = simulate(scn.plant_model, scn.sim)
         electrical = electrical_trace(scn.plant_params, series) if scn.plant_params else None
@@ -466,10 +442,10 @@ def run_scenario(scn: Scenario, convention: str | None = None) -> ScenarioRun:
         return ScenarioRun(scn, series, metrics, electrical=electrical)
     if scn.reference is None:
         raise ValidationError("closed-loop scenario needs a reference")
-    loop = closed_loop(scn, convention)
+    loop = closed_loop(scn)
     if loop.prescaler_error is not None:
         raise NumericalError(loop.prescaler_error)
-    cfg = replace(scn.sim, input_kind="step", input_amplitude=scn.reference)
+    cfg = replace(scn.sim, input_amplitude=scn.reference)
     series = simulate(loop.model, cfg, loop.x0)
     metrics = None if series.diverged else step_metrics(series)
     return ScenarioRun(scn, series, metrics, loop=loop)

@@ -72,7 +72,6 @@ __all__ = [
 
 SETTLING_BAND = 0.02
 STEADY_STATE_FRACTION = 0.05
-INPUT_KINDS = ("step", "zero")
 # The largest magnitude a power of the step map may reach in `simulate`.
 POWER_LIMIT = 1e100
 # `simulate` checks the states once this many rows are unchecked, and at the end.
@@ -85,7 +84,6 @@ class SimConfig:
 
     dt: float = 1e-3
     duration: float = 20.0
-    input_kind: str = "step"
     input_amplitude: float = 1.0
     divergence_limit: float = 1e12
 
@@ -97,8 +95,6 @@ class SimConfig:
         # Written so that inf / inf = NaN fails it too.
         if not self.duration / self.dt <= 1e7:
             raise ValidationError("duration/dt exceeds the 1e7 sample guard")
-        if self.input_kind not in INPUT_KINDS:
-            raise ValidationError(f"input_kind must be one of {INPUT_KINDS}, got {self.input_kind!r}")
         if not math.isfinite(self.input_amplitude):
             raise ValidationError("input amplitude must be finite")
         if not self.divergence_limit > 0.0:
@@ -184,7 +180,7 @@ def _rk4_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.n
 
 
 def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
-    """Step or zero-input response, from rest unless x0 is given.
+    """Response to the constant input cfg.input_amplitude, from rest unless x0 is given.
 
     Returns the full trajectory, or a truncated one with the diverged
     flag set at the first sample whose state or output goes non-finite
@@ -197,7 +193,7 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
         raise ValidationError("simulate drives single-input single-output models")
     n = ss.n_states
     steps = cfg.n_steps
-    u = 0.0 if cfg.input_kind == "zero" else float(cfg.input_amplitude)
+    u = float(cfg.input_amplitude)
     m, g = _rk4_maps(ss.a, ss.b, cfg.dt)
     # Row k of z is [x[k], 1], so y[k] = z[k] . [C, D u].
     z = np.empty((steps + 1, n + 1))

@@ -14,11 +14,10 @@ from regforge.observer import (
     build_observer_controller,
     design_observer_gain,
     luenberger_loop,
-    observer_error_dynamics,
     place_poles,
 )
 from regforge.plant import REFERENCE_PARAMS, preset_tf, steady_state_report
-from regforge.riccati import CostWeights, care_residual, lqr_gain, solve_care
+from regforge.riccati import CostWeights, care_residual, solve_care
 from regforge.scenario import ControllerSpec, preset_scenario, run_scenario
 from regforge.sim import SimConfig, simulate, step_metrics
 
@@ -49,7 +48,7 @@ def test_criterion_01_lqr_gain_high_weight():
     oracle_ok = np.max(np.abs(k_oracle - K_PUBLISHED_HIGH)) <= 1e-3
 
     start = time.perf_counter()
-    k = lqr_gain(PLANT_A, PLANT_B, CostWeights.diagonal([8.0, 8.0], 1.0)).ravel()
+    k = solve_care(PLANT_A, PLANT_B, CostWeights.diagonal([8.0, 8.0], 1.0)).k.ravel()
     elapsed = time.perf_counter() - start
     gain_ok = np.max(np.abs(k - K_PUBLISHED_HIGH)) <= 1e-3
     verdict(
@@ -61,7 +60,7 @@ def test_criterion_01_lqr_gain_high_weight():
 
 
 def test_criterion_02_lqr_gain_low_weight():
-    k = lqr_gain(PLANT_A, PLANT_B, CostWeights.diagonal([3.0, 3.0], 5.0)).ravel()
+    k = solve_care(PLANT_A, PLANT_B, CostWeights.diagonal([3.0, 3.0], 5.0)).k.ravel()
     ok = np.max(np.abs(k - K_PUBLISHED_LOW)) <= 1e-3
     verdict(2, ok, f"K={np.round(k, 5).tolist()} vs published [0.2166, 0.2649] (tol 1e-3)")
 
@@ -135,9 +134,9 @@ def test_criterion_07_observer_audit_and_separation(capsys, tmp_path):
     plant = StateSpaceModel(PLANT_A, PLANT_B, PLANT_C)
 
     # (a) published H fails the stability audit with the stated polynomial
-    a_err, hurwitz = observer_error_dynamics(plant, H_PUBLISHED)
-    poly = char_poly(a_err)
-    audit_ok = (not hurwitz) and np.max(np.abs(poly.coeffs - [1.0, -6.5, 14.5])) <= 1e-9
+    audit = build_observer_controller(plant, K_PUBLISHED_HIGH, H_PUBLISHED, "standard-luenberger").audit
+    poly = audit.error_poly
+    audit_ok = (not audit.error_hurwitz) and np.max(np.abs(poly.coeffs - [1.0, -6.5, 14.5])) <= 1e-9
 
     # (b) the irreproducibility of the published 7 s settling is declared
     main(["reproduce", "--figure", "8", "--preset", "paper-rounded",
@@ -174,7 +173,7 @@ def test_criterion_07_observer_audit_and_separation(capsys, tmp_path):
     verdict(
         7,
         audit_ok and declared_ok and separation_ok and settle_ok,
-        f"A-HC poly {poly} not Hurwitz: {not hurwitz}; irreproducibility declared: "
+        f"A-HC poly {poly} not Hurwitz: {not audit.error_hurwitz}; irreproducibility declared: "
         f"{declared_ok}; separation worst coeff error {worst:.2e} (tol 1e-8); stable-H "
         f"loop settled at {result.metrics.steady_state:.2f} V in "
         f"{result.metrics.settling_time:.2f} s (+/-2 % band)",

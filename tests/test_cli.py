@@ -9,7 +9,7 @@ import pytest
 from regforge.cli import main
 from regforge.lti import char_poly, tf_to_ss
 from regforge.plant import rounded_plant_tf
-from regforge.riccati import CostWeights, lqr_gain
+from regforge.riccati import CostWeights, solve_care
 from test_output import MALFORMED_CSVS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -95,18 +95,18 @@ class TestSynthesizeCommand:
         line = next(l for l in out.splitlines() if l.startswith("closed-loop eigenvalues"))
         printed = [complex(z.replace(" ", "")) for z in line.split("[", 1)[1].rstrip("]").split(",")]
         plant = tf_to_ss(rounded_plant_tf())
-        k = lqr_gain(plant.a, plant.b, CostWeights.diagonal([8.0, 8.0], 1.0))
+        k = solve_care(plant.a, plant.b, CostWeights.diagonal([8.0, 8.0], 1.0)).k
         h = np.array([[2.0], [-0.5]])
         product = char_poly(plant.a - plant.b @ k) * char_poly(plant.a - h @ plant.c)
         npt.assert_allclose(np.sort_complex(printed), np.sort_complex(np.roots(product.coeffs)),
                             atol=1e-3)
         assert "stability[closed loop]: NOT Hurwitz" in out
 
-    def test_paper_numeric_convention_matrices(self, capsys):
-        code, out = run(
-            capsys, "synthesize", "--scenario", str(SCENARIOS / "paper-observer.cfg"),
-            "--convention", "paper-numeric",
-        )
+    def test_paper_numeric_convention_matrices(self, capsys, tmp_path):
+        path = tmp_path / "paper-numeric.cfg"
+        path.write_text((SCENARIOS / "paper-observer.cfg").read_text().replace(
+            "controller.convention = standard-luenberger", "controller.convention = paper-numeric"))
+        code, out = run(capsys, "synthesize", "--scenario", str(path))
         assert code == 0
         assert "B = [2; -0.5]" in out
         assert "C = [1.772, 2]" in out
@@ -256,9 +256,10 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("line,message", [
         ("sim.amplitude = 5", "sim.amplitude requires controller.type = none"),
-        ("sim.input_kind = zero", "sim.input_kind = zero requires controller.type = none"),
-        # `constant` did what `step` does and is no longer an input kind
-        ("sim.input_kind = constant", "input_kind must be one of ('step', 'zero'), got 'constant'"),
+        # input_kind is gone: sim.amplitude = 0 is the zero input of an open loop
+        ("sim.input_kind = zero", "unknown scenario keys: sim.input_kind"),
+        ("sim.input_kind = constant", "unknown scenario keys: sim.input_kind"),
+        ("sim.input_kind = step", "unknown scenario keys: sim.input_kind"),
     ])
     def test_closed_loop_rejects_open_loop_sim_keys(self, capsys, tmp_path, line, message):
         path = tmp_path / "closed.cfg"
@@ -267,6 +268,17 @@ class TestSimulateCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("name", ["../escaped", ".", "..", "sub/dir", "nul\0byte"])
+    def test_name_that_leaves_out_dir_exit_1(self, capsys, tmp_path, name):
+        scenario = tmp_path / "in" / "named.cfg"
+        scenario.parent.mkdir()
+        scenario.write_text((SCENARIOS / "open-loop.cfg").read_text().replace(
+            "name = open-loop", f"name = {name}"))
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: name: {name!r}")
+        assert sorted(tmp_path.rglob("*")) == [scenario.parent, scenario]
 
 
 class TestMetricsCommand:
@@ -341,13 +353,6 @@ class TestReproduceCommand:
         assert code == 0
         assert (tmp_path / "envout" / "figure4-exact.csv").exists()
 
-    def test_convention_option_removed(self, capsys, tmp_path):
-        code = main(["reproduce", "--figure", "8", "--preset", "paper-rounded",
-                     "--convention", "paper-numeric", "--out", str(tmp_path)])
-        assert code == 1
-        assert "--convention" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
-
     @pytest.mark.parametrize("name", ["figure4-exact.csv", "figure4-exact.svg"])
     def test_directory_at_artifact_path_exit_3(self, capsys, tmp_path, name):
         (tmp_path / name).mkdir()
@@ -361,6 +366,19 @@ class TestReproduceCommand:
     def test_bad_figure_rejected(self, capsys):
         code = main(["reproduce", "--figure", "9"])
         assert code == 1
+
+
+# The scenario's controller.convention is the only way to choose the wiring.
+@pytest.mark.parametrize("command", [
+    ["reproduce", "--figure", "8", "--preset", "paper-rounded"],
+    ["synthesize", "--scenario", str(SCENARIOS / "paper-observer.cfg")],
+    ["simulate", "--scenario", str(SCENARIOS / "paper-observer.cfg")],
+], ids=lambda command: command[0])
+def test_convention_option_removed(capsys, tmp_path, command):
+    code = main([*command, "--convention", "paper-numeric", "--out", str(tmp_path)])
+    assert code == 1
+    assert "--convention" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestEntryPoint:

@@ -55,6 +55,8 @@ reference = 220
 """
 
 BUNDLED = ("open-loop", "paper-lqr", "paper-observer")
+# The bundled observer scenario is copied with each of these wirings.
+OTHER_CONVENTIONS = ("paper-numeric", "eq17-literal")
 
 COMMANDS = {
     **{
@@ -75,11 +77,11 @@ COMMANDS = {
     },
     **{
         f"{cmd}-paper-observer-{convention}": [
-            cmd, "--scenario", "{scenarios}/paper-observer.cfg", "--convention", convention,
+            cmd, "--scenario", f"{{work}}/paper-observer-{convention}.cfg",
             *(["--out", "{out}"] if cmd == "simulate" else []),
         ]
         for cmd in ("simulate", "synthesize")
-        for convention in ("paper-numeric", "eq17-literal")
+        for convention in OTHER_CONVENTIONS
     },
     "simulate-ss-controller": ["simulate", "--scenario", "{ss}", "--out", "{out}"],
     "simulate-open-loop-both": ["simulate", "--scenario", "{scenarios}/open-loop.cfg",
@@ -101,7 +103,12 @@ def run_command(key: str, workdir: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     ss = workdir / "ss-controller.cfg"
     ss.write_text(SS_SCENARIO, encoding="utf-8")
-    argv = [a.format(out=out, scenarios=ROOT / "scenarios", ss=ss) for a in COMMANDS[key]]
+    observer_cfg = (ROOT / "scenarios" / "paper-observer.cfg").read_text(encoding="utf-8")
+    for convention in OTHER_CONVENTIONS:
+        (workdir / f"paper-observer-{convention}.cfg").write_text(observer_cfg.replace(
+            "controller.convention = standard-luenberger", f"controller.convention = {convention}"
+        ), encoding="utf-8")
+    argv = [a.format(out=out, scenarios=ROOT / "scenarios", ss=ss, work=workdir) for a in COMMANDS[key]]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)

@@ -6,11 +6,9 @@ from regforge.errors import ValidationError
 from regforge.lti import Polynomial, StateSpaceModel, char_poly, is_hurwitz
 from regforge.observer import (
     CONVENTIONS,
-    ObserverGain,
     build_observer_controller,
     design_observer_gain,
     luenberger_loop,
-    observer_error_dynamics,
     place_poles,
 )
 
@@ -30,6 +28,11 @@ H_PUB = np.array([[2.0], [-0.5]])
 
 def plant():
     return StateSpaceModel(PLANT_A, PLANT_B, PLANT_C)
+
+
+def error_audit(h):
+    """The A - HC audit of a compensator around the reference plant."""
+    return build_observer_controller(plant(), K_PUB, h, "standard-luenberger").audit
 
 
 class TestBuildController:
@@ -69,7 +72,7 @@ class TestBuildController:
                 npt.assert_array_equal(ctrl.model.a, expected)
 
     def test_zero_gains_reduce_to_plant_copy(self):
-        ctrl = build_observer_controller(plant(), np.zeros((1, 2)), np.zeros((2, 1)))
+        ctrl = build_observer_controller(plant(), np.zeros((1, 2)), np.zeros((2, 1)), "paper-numeric")
         npt.assert_array_equal(ctrl.model.a, PLANT_A)
 
     def test_audit_attached_and_not_fatal(self):
@@ -81,29 +84,33 @@ class TestBuildController:
     def test_feedthrough_plant_rejected(self):
         p = StateSpaceModel(PLANT_A, PLANT_B, PLANT_C, [[1.0]])
         with pytest.raises(ValidationError):
-            build_observer_controller(p, K_PUB, H_PUB)
+            build_observer_controller(p, K_PUB, H_PUB, "paper-numeric")
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValidationError):
             build_observer_controller(plant(), K_PUB, H_PUB, "freestyle")
 
+    def test_convention_is_required(self):
+        with pytest.raises(TypeError, match="convention"):
+            build_observer_controller(plant(), K_PUB, H_PUB)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            build_observer_controller(plant(), np.ones((1, 3)), H_PUB)
+            build_observer_controller(plant(), np.ones((1, 3)), H_PUB, "paper-numeric")
         with pytest.raises(ValidationError):
-            build_observer_controller(plant(), K_PUB, np.ones((3, 1)))
+            build_observer_controller(plant(), K_PUB, np.ones((3, 1)), "paper-numeric")
 
 
 class TestErrorDynamics:
     def test_published_gain_unstable(self):
-        a_err, hurwitz = observer_error_dynamics(plant(), H_PUB)
-        npt.assert_allclose(a_err, [[-2.5, -37.0], [1.0, 9.0]], atol=1e-12)
-        npt.assert_allclose(char_poly(a_err).coeffs, [1.0, -6.5, 14.5], atol=1e-12)
-        assert not hurwitz
+        # With K = 0 the compensator's state matrix A - BK - HC is A - HC itself.
+        ctrl = build_observer_controller(plant(), np.zeros((1, 2)), H_PUB, "standard-luenberger")
+        npt.assert_allclose(ctrl.model.a, [[-2.5, -37.0], [1.0, 9.0]], atol=1e-12)
+        npt.assert_allclose(ctrl.audit.error_poly.coeffs, [1.0, -6.5, 14.5], atol=1e-12)
+        assert not ctrl.audit.error_hurwitz
 
     def test_zero_gain_inherits_plant_verdict(self):
-        _, hurwitz = observer_error_dynamics(plant(), np.zeros((2, 1)))
-        assert hurwitz  # the open-loop plant is stable
+        assert error_audit(np.zeros((2, 1))).error_hurwitz  # the open-loop plant is stable
 
     def test_nonnegative_trace_never_hurwitz(self):
         rng = np.random.default_rng(21)
@@ -111,12 +118,12 @@ class TestErrorDynamics:
             h = rng.normal(size=(2, 1))
             a_err = PLANT_A - h @ PLANT_C
             if np.trace(a_err) >= 0.0:
-                assert not observer_error_dynamics(plant(), h)[1]
+                assert not error_audit(h).error_hurwitz
 
-    def test_observer_gain_wrapper(self):
-        gain = ObserverGain([2.0, -0.5])
-        a_err, _ = observer_error_dynamics(plant(), gain)
-        npt.assert_allclose(a_err, [[-2.5, -37.0], [1.0, 9.0]])
+    def test_flat_gain_vector(self):
+        flat = build_observer_controller(plant(), np.zeros(2), [2.0, -0.5], "standard-luenberger")
+        npt.assert_allclose(flat.model.a, [[-2.5, -37.0], [1.0, 9.0]])
+        npt.assert_array_equal(flat.model.b, H_PUB)
 
 
 class TestPlacePoles:
@@ -172,7 +179,7 @@ class TestDualObserverDesign:
         npt.assert_allclose(
             char_poly(PLANT_A - h @ PLANT_C).coeffs, [1.0, 11.0, 30.0], atol=1e-9
         )
-        assert observer_error_dynamics(plant(), h)[1]
+        assert error_audit(h).error_hurwitz
 
     def test_random_dual_designs(self):
         rng = np.random.default_rng(24)

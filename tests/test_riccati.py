@@ -12,7 +12,6 @@ from regforge.riccati import (
     CostWeights,
     _symmetric_eigenvalues,
     care_residual,
-    lqr_gain,
     solve_care,
     solve_lyapunov,
 )
@@ -277,23 +276,23 @@ class TestSolveCare:
 
 class TestLqrGain:
     def test_reference_high_weight(self):
-        k = lqr_gain(PLANT_A, PLANT_B, CostWeights.diagonal([8.0, 8.0], 1.0))
+        k = solve_care(PLANT_A, PLANT_B, CostWeights.diagonal([8.0, 8.0], 1.0)).k
         npt.assert_allclose(k[0], K_HIGH, atol=1e-9)
         npt.assert_allclose(k[0], [1.7720, 2.0], atol=1e-3)
 
     def test_reference_low_weight(self):
-        k = lqr_gain(PLANT_A, PLANT_B, CostWeights.diagonal([3.0, 3.0], 5.0))
+        k = solve_care(PLANT_A, PLANT_B, CostWeights.diagonal([3.0, 3.0], 5.0)).k
         npt.assert_allclose(k[0], K_LOW, atol=1e-9)
         npt.assert_allclose(k[0], [0.2166, 0.2649], atol=1e-3)
 
     def test_zero_q_on_stable_plant(self):
-        k = lqr_gain(PLANT_A, PLANT_B, CostWeights(np.zeros((2, 2)), [[1.0]]))
+        k = solve_care(PLANT_A, PLANT_B, CostWeights(np.zeros((2, 2)), [[1.0]])).k
         npt.assert_allclose(k, np.zeros((1, 2)), atol=1e-12)
 
     def test_zero_q_on_unstable_plant(self):
         a = np.array([[1.0, 0.0], [0.0, -2.0]])
         b = np.array([[1.0], [1.0]])
-        k = lqr_gain(a, b, CostWeights(np.zeros((2, 2)), [[1.0]]))
+        k = solve_care(a, b, CostWeights(np.zeros((2, 2)), [[1.0]])).k
         npt.assert_allclose(k, [[2.0, 0.0]], atol=1e-10)
 
     def test_property_suite_random_systems(self):
@@ -316,6 +315,6 @@ class TestLqrGain:
     def test_multi_input_stable_plant(self):
         a = np.array([[-1.0, 0.5], [0.0, -2.0]])
         b = np.array([[1.0, 0.0], [0.0, 1.0]])
-        k = lqr_gain(a, b, CostWeights(np.eye(2), np.eye(2)))
+        k = solve_care(a, b, CostWeights(np.eye(2), np.eye(2))).k
         assert k.shape == (2, 2)
         assert np.max(np.linalg.eigvals(a - b @ k).real) < 0.0

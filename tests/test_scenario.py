@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,10 +161,34 @@ class TestScenario:
             )))
 
     def test_constant_input_kind_rejected(self, tmp_path):
-        with pytest.raises(ValidationError, match=r"input_kind must be one of \('step', 'zero'\), got 'constant'"):
+        # sim.input_kind is gone; sim.amplitude = 0 is the zero input
+        with pytest.raises(ValidationError, match="^unknown scenario keys: sim.input_kind$"):
             load_scenario(write(tmp_path, "s.cfg", (
                 "plant.preset = exact\ncontroller.type = none\nsim.input_kind = constant\n"
             )))
+
+    @pytest.mark.parametrize("text,message", [
+        ("plant.tf.den = 1 1\n", "missing required parameter plant.tf.num"),
+        ("plant.tf.num = 1\n", "missing required parameter plant.tf.den"),
+        ("plant.ss.b = 1\nplant.ss.c = 1\n", "missing required parameter plant.ss.a"),
+        ("plant.ss.a = -1\nplant.ss.b = 1\n", "missing required parameter plant.ss.c"),
+        ("plant.ss.a = -1 0; 1\nplant.ss.b = 1\nplant.ss.c = 1\n", "plant.ss.a: rows have unequal lengths"),
+        ("plant.ss.a = -1\nplant.ss.b = 1\nplant.ss.c = 1\nplant.ss.d = x\n",
+         "plant.ss.d: expected numbers, got 'x'"),
+        ("plant.turbine.tau_t = 2\n", "missing required parameter generator.k1"),
+        ("plant.preset = exact\ncontroller.type = lqr\ncontroller.r = 1\n",
+         "missing required parameter controller.q_diag"),
+        ("plant.preset = exact\ncontroller.type = observer\ncontroller.q_diag = 1 1\ncontroller.r = 1\n",
+         "missing required parameter controller.h"),
+        ("plant.preset = exact\ncontroller.type = ss\ncontroller.a = -1\ncontroller.c = 1\n",
+         "missing required parameter controller.b"),
+        ("plant.preset = exact\ncontroller.type = ss\ncontroller.a = -1\ncontroller.b = 1\n"
+         "controller.c = 1\ncontroller.d = 1; 2 3\n", "controller.d: rows have unequal lengths"),
+    ])
+    def test_block_error_messages(self, tmp_path, text, message):
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(write(tmp_path, "s.cfg", text))
+        assert str(exc.value) == message
 
     def test_missing_controller_field_named(self, tmp_path):
         with pytest.raises(ValidationError, match="controller.r"):
@@ -200,7 +225,7 @@ class TestRunScenario:
 
     def test_convention_override(self):
         scn = load_scenario(SCENARIOS / "paper-observer.cfg")
-        run = run_scenario(scn, "paper-numeric")
+        run = run_scenario(replace(scn, controller=replace(scn.controller, convention="paper-numeric")))
         assert run.loop.observer.convention == "paper-numeric"
         assert not run.loop.observer.audit.error_hurwitz
         assert run.loop.prescaler is None

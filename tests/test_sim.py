@@ -59,7 +59,7 @@ def first_order(tau=2.0):
 def stepwise_simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     """Reference for `simulate`: one RK4 step map product per sample."""
     n = ss.n_states
-    u = 0.0 if cfg.input_kind == "zero" else float(cfg.input_amplitude)
+    u = float(cfg.input_amplitude)
     m, g = _rk4_maps(ss.a, ss.b, cfg.dt)
     gu = (g * u).ravel()
     d_term = ss.d[0, 0] * u
@@ -118,8 +118,8 @@ class TestSimConfig:
             SimConfig(dt=1e-9, duration=100.0)
         with pytest.raises(ValidationError, match="sample guard"):
             SimConfig(dt=float("inf"), duration=float("inf"))
-        with pytest.raises(ValidationError):
-            SimConfig(input_kind="ramp")
+        with pytest.raises(TypeError, match="input_kind"):  # input_amplitude = 0 is the zero input
+            SimConfig(input_kind="zero")
 
     @pytest.mark.parametrize("limit", [float("nan"), -1.0, 0.0])
     def test_divergence_limit_must_be_positive(self, limit):
@@ -145,14 +145,14 @@ class TestSimulate:
         assert m.steady_state == pytest.approx(91.43, abs=0.05)
 
     def test_zero_input_stays_zero(self):
-        ts = simulate(first_order(), SimConfig(dt=1e-3, duration=1.0, input_kind="zero"))
+        ts = simulate(first_order(), SimConfig(dt=1e-3, duration=1.0, input_amplitude=0.0))
         npt.assert_array_equal(ts.outputs, np.zeros_like(ts.outputs))
         assert not ts.diverged
 
     def test_initial_state(self):
         # free decay from x0=1 with unit output map: y = exp(-t/2)
         ss = StateSpaceModel([[-0.5]], [[1.0]], [[1.0]])
-        ts = simulate(ss, SimConfig(dt=1e-3, duration=2.0, input_kind="zero"), x0=[1.0])
+        ts = simulate(ss, SimConfig(dt=1e-3, duration=2.0, input_amplitude=0.0), x0=[1.0])
         npt.assert_allclose(ts.outputs, np.exp(-ts.times / 2.0), atol=1e-9)
 
     def test_linearity_in_amplitude(self):
@@ -219,10 +219,10 @@ class TestBlockedScan:
         ss = scan_model(rng, n, unstable)
         truncated = 0
         for x0 in (None, rng.normal(size=n)):
-            for kind in ("step", "zero"):
+            for amplitude in (-1.7, 0.0):
                 for steps in self.STEP_COUNTS:
-                    cfg = SimConfig(dt=1e-2, duration=steps * 1e-2, input_kind=kind,
-                                    input_amplitude=-1.7, divergence_limit=1e6)
+                    cfg = SimConfig(dt=1e-2, duration=steps * 1e-2, input_amplitude=amplitude,
+                                    divergence_limit=1e6)
                     assert cfg.n_steps == steps
                     truncated += assert_matches_stepwise(ss, cfg, x0).diverged
         if unstable:
@@ -259,18 +259,18 @@ class TestBlockedScan:
         (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]), SimConfig(dt=0.1, duration=100.0), None, True),
         # the same mode with no magnitude limit runs until the state overflows
         (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]),
-         SimConfig(dt=0.1, duration=100.0, input_kind="zero", divergence_limit=np.inf), [1.0], True),
+         SimConfig(dt=0.1, duration=100.0, input_amplitude=0.0, divergence_limit=np.inf), [1.0], True),
         # a 1e-300 seed on that mode: the map's 170th power overflows before
         # the state reaches the limit at sample 172, so blocks must stay short
         (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]),
-         SimConfig(dt=0.1, duration=100.0, input_kind="zero"), [1e-300], True),
+         SimConfig(dt=0.1, duration=100.0, input_amplitude=0.0), [1e-300], True),
         # the mode is never excited, but its powers overflow within one
         # block; inf * 0 must not turn the run into NaN
         (StateSpaceModel([[50.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], [[0.0, 1.0]]),
          SimConfig(dt=0.1, duration=100.0), [0.0, 1.0], False),
         # tiny seeds on slower modes grow through many full blocks
         (StateSpaceModel([[30.0]], [[1.0]], [[1.0]]),
-         SimConfig(dt=1e-3, duration=100.0, input_kind="zero"), [1e-300], True),
+         SimConfig(dt=1e-3, duration=100.0, input_amplitude=0.0), [1e-300], True),
         (StateSpaceModel([[0.0, 1.0], [-900.0, 20.0]], [[0.0], [1.0]], [[1.0, 0.0]]),
          SimConfig(dt=1e-2, duration=50.0), [1e-300, 0.0], True),
         # an input so large that the sum table overflows behind the first sample
@@ -312,10 +312,10 @@ class TestDivergenceSearch:
         w = 2.0 * np.pi / 20.0
         ss = StateSpaceModel([[0.0, 1.0], [-w * w, 0.0]], [[0.0], [0.0]], [[0.0, 0.0]])
         x0 = [np.cos(-w * 7.7), -w * np.sin(-w * 7.7)]
-        free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_kind="zero",
+        free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0,
                                       divergence_limit=np.inf), x0)
         assert abs(free.states[2 * LENGTH, 0]) < 0.9
-        cfg = SimConfig(dt=1e-2, duration=30.0, input_kind="zero", divergence_limit=0.9)
+        cfg = SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0, divergence_limit=0.9)
         ts = assert_matches_stepwise(ss, cfg, x0)
         assert ts.diverged and LENGTH + 1 < ts.n_samples - 1 < 2 * LENGTH
 
@@ -335,11 +335,11 @@ class TestDivergenceSearch:
         # batches: samples 1 to 4 LENGTH - 1 = 2047 are the first, so an
         # early crossing is found only after chunks computed past it.
         ss = StateSpaceModel([[0.1]], [[0.0]], [[c]])
-        free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_kind="zero",
+        free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0,
                                       divergence_limit=np.inf), [1.0])
         watched = free.outputs if c else free.states[:, 0]
         limit = float(np.sqrt(watched[crossing - 1] * watched[crossing]))
-        cfg = SimConfig(dt=1e-2, duration=30.0, input_kind="zero", divergence_limit=limit)
+        cfg = SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0, divergence_limit=limit)
         ts = assert_matches_stepwise(ss, cfg, [1.0])
         assert ts.diverged and ts.n_samples - 1 == crossing
 
@@ -350,10 +350,10 @@ class TestDivergenceSearch:
         # passes POWER_LIMIT and the window stays at 32 rows: samples 96 to
         # 127 are one window, computed from samples 64 to 95
         ss = StateSpaceModel([[50.0]], [[1.0]], [[1.0]])
-        free = simulate(ss, SimConfig(dt=0.1, duration=20.0, input_kind="zero",
+        free = simulate(ss, SimConfig(dt=0.1, duration=20.0, input_amplitude=0.0,
                                       divergence_limit=np.inf), [1e-300])
         limit = float(np.sqrt(free.states[crossing - 1, 0] * free.states[crossing, 0]))
-        cfg = SimConfig(dt=0.1, duration=20.0, input_kind="zero", divergence_limit=limit)
+        cfg = SimConfig(dt=0.1, duration=20.0, input_amplitude=0.0, divergence_limit=limit)
         ts = assert_matches_stepwise(ss, cfg, [1e-300])
         assert ts.diverged and ts.n_samples - 1 == crossing
 
@@ -392,7 +392,7 @@ class TestDivergenceSearch:
         rates = np.array([0.2, 0.0, -0.1, 0.1])
         x0 = np.exp(-rates * [13.0, 0.0, 0.0, 11.0]) * [1.0, 0.5, 0.5, 1.0]
         ss = StateSpaceModel(np.diag(rates), np.zeros((4, 1)), np.zeros((1, 4)))
-        cfg = SimConfig(dt=1e-2, duration=30.0, input_kind="zero", divergence_limit=1.0)
+        cfg = SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0, divergence_limit=1.0)
         free = simulate(ss, replace(cfg, divergence_limit=np.inf), x0)
         first_out = np.argmax(np.abs(free.states) > 1.0, axis=0)
         assert first_out[3] < first_out[0] < 4 * LENGTH
@@ -611,7 +611,7 @@ class TestStepMetrics:
             step_metrics(short)
 
     def test_all_zero_series_degenerate(self):
-        ts = simulate(first_order(), SimConfig(dt=1e-2, duration=2.0, input_kind="zero"))
+        ts = simulate(first_order(), SimConfig(dt=1e-2, duration=2.0, input_amplitude=0.0))
         m = step_metrics(ts)
         assert m.degenerate
         assert m.steady_state == 0.0 and m.overshoot_pct == 0.0
@@ -797,8 +797,8 @@ class TestClosedLoop:
     def test_divergence_of_unity_feedback_compensator_loop(self):
         # the printed compensator wired into a plain unity feedback loop is
         # unstable as well; the run must flag, not crash
-        scn = preset_scenario("paper-numeric", "paper-rounded", observer_spec(H_PUB),
-                              SimConfig(dt=1e-3, duration=15.0), 220.0)
-        run = run_scenario(scn, "paper-numeric")
+        spec = replace(observer_spec(H_PUB), convention="paper-numeric")
+        run = run_scenario(preset_scenario("paper-numeric", "paper-rounded", spec,
+                                           SimConfig(dt=1e-3, duration=15.0), 220.0))
         assert not run.loop.hurwitz
         assert run.series.diverged
