@@ -103,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--figure", type=int, required=True, choices=(4, 5, 6, 7, 8))
     p_rep.add_argument("--preset", choices=PRESETS,
                        help="plant model preset (default: run both and report both)")
-    p_rep.add_argument("--controller", choices=("lqr", "observer", "both"), default="both",
-                       help="closed-loop design(s) for figure 8")
+    p_rep.add_argument("--controller", choices=("lqr", "observer", "both"),
+                       help="closed-loop design(s) for figure 8 only (default: both)")
     add_common(p_rep)
     p_rep.set_defaults(func=cmd_reproduce)
 
@@ -313,13 +313,14 @@ def _open_loop_figure(args, figure: int, preset: str, report: RunReport) -> list
 def _figure8_legs(args, preset: str, report: RunReport) -> list:
     cfg = SimConfig(dt=1e-3, duration=15.0)
     ylabel = "output voltage [V]"
+    legs = args.controller or "both"
     files = []
 
     def leg(name: str, spec: ControllerSpec):
         return run_scenario(preset_scenario(f"figure8-{name}-{preset}", preset, spec, cfg,
                                             REPRODUCE_REFERENCE))
 
-    if args.controller in ("lqr", "both"):
+    if legs in ("lqr", "both"):
         run = leg("lqr", FIGURE8_SPECS["lqr"])
         report.add_line()
         report.add_line(f"[{preset}] lqr leg: K = {fmt_vector(run.loop.care.k)}, "
@@ -327,7 +328,7 @@ def _figure8_legs(args, preset: str, report: RunReport) -> list:
         report.add_metrics(run.metrics)
         files += _write_artifacts(args, run, ylabel, svg_title=f"figure 8 lqr ({preset})")
 
-    if args.controller in ("observer", "both"):
+    if legs in ("observer", "both"):
         spec = FIGURE8_SPECS["observer"]
         run = leg("observer-published", spec)
         report.add_line()
@@ -359,6 +360,8 @@ def _figure8_legs(args, preset: str, report: RunReport) -> list:
 
 
 def cmd_reproduce(args) -> int:
+    if args.controller is not None and args.figure != 8:
+        raise ValidationError(f"--controller selects the legs of figure 8; figure {args.figure} has none")
     presets = [args.preset] if args.preset else list(PRESETS)
     report = RunReport(scenario=f"reproduce figure {args.figure}")
     files = []

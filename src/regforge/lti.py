@@ -115,11 +115,6 @@ class Polynomial:
         """All complex roots, via Durand-Kerner iteration."""
         return _durand_kerner(self.coeffs)[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return np.array_equal(self.coeffs, other.coeffs)
-
     def __str__(self) -> str:
         n = self.degree
         terms = []
@@ -247,9 +242,6 @@ class TransferFunction:
         lead = self.den.coeffs[0]
         return TransferFunction(self.num.scaled(1.0 / lead), self.den.monic())
 
-    def __call__(self, s):
-        return self.num(s) / self.den(s)
-
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
 
@@ -259,7 +251,8 @@ class StateSpaceModel:
     """Dense real matrices (A, B, C, D) for x' = Ax + Bu, y = Cx + Du.
 
     Zero-state models (n = 0) are allowed and represent static gains, so
-    pure-gain controllers flow through interconnections unchanged. A 1-D
+    pure-gain controllers flow through interconnections unchanged; their
+    matrices come with explicit shapes (see `static_gain`). A 1-D
     B is taken as a column and a 1-D C as a row (the SISO reading).
     """
 
@@ -278,12 +271,6 @@ class StateSpaceModel:
             b = b.reshape(-1, 1)
         if c.ndim == 1:
             c = c.reshape(1, -1)
-        if not a.size:
-            a = np.zeros((0, 0))
-        if not b.size:
-            b = np.zeros((0, _cols_hint(d)))
-        if not c.size:
-            c = np.zeros((_rows_hint(d), 0))
         n = a.shape[0]
         if a.shape != (n, n):
             raise ValidationError(f"A must be square, got {a.shape}")
@@ -324,19 +311,6 @@ class StateSpaceModel:
     @property
     def is_siso(self) -> bool:
         return self.n_inputs == 1 and self.n_outputs == 1
-
-
-def _cols_hint(d) -> int:
-    # Input count for a zero-state model comes from D when available.
-    if d is not None and np.size(d):
-        return np.atleast_2d(np.asarray(d)).shape[1]
-    return 1
-
-
-def _rows_hint(d) -> int:
-    if d is not None and np.size(d):
-        return np.atleast_2d(np.asarray(d)).shape[0]
-    return 1
 
 
 def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:

@@ -47,7 +47,6 @@ CONVENTIONS = ("eq17-literal", "paper-numeric", "standard-luenberger")
 class ObserverAudit:
     """Stability verdicts attached to a constructed compensator."""
 
-    state_feedback_poly: Polynomial
     state_feedback_hurwitz: bool
     error_poly: Polynomial
     error_hurwitz: bool
@@ -103,11 +102,9 @@ def build_observer_controller(plant: StateSpaceModel, k, h, convention: str) -> 
         model = StateSpaceModel(a_c, h, k, [[0.0]])
     else:
         model = StateSpaceModel(a_c, h, -k, [[0.0]])
-    fb_poly = char_poly(a - bk)
     err_poly = char_poly(a - hc)
     audit = ObserverAudit(
-        state_feedback_poly=fb_poly,
-        state_feedback_hurwitz=is_hurwitz(fb_poly),
+        state_feedback_hurwitz=is_hurwitz(char_poly(a - bk)),
         error_poly=err_poly,
         error_hurwitz=is_hurwitz(err_poly),
     )

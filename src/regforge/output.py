@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 MAX_SVG_POINTS = 1000
+SVG_WIDTH, SVG_HEIGHT = 720, 440
 CSV_CHUNK_ROWS = 4096
 _PALETTE = ("#1f6fb4", "#d94f30", "#3a9648", "#8450a8", "#b58900", "#3c3c3c")
 
@@ -189,14 +190,13 @@ def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def line_chart_svg(series, title: str, xlabel: str, ylabel: str,
-                   width: int = 720, height: int = 440) -> str:
-    """Render labeled (name, x, y) series as a static SVG line chart."""
+def line_chart_svg(series, title: str, xlabel: str, ylabel: str) -> str:
+    """Render labeled (name, x, y) series as a static SVG_WIDTH x SVG_HEIGHT line chart."""
     if not series:
         raise ValidationError("line chart needs at least one series")
     margin_l, margin_r, margin_t, margin_b = 62.0, 18.0, 34.0, 46.0
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = SVG_WIDTH - margin_l - margin_r
+    plot_h = SVG_HEIGHT - margin_t - margin_b
 
     xs = [_strided(np.asarray(x, dtype=float)) for _, x, _ in series]
     ys = [_strided(np.asarray(y, dtype=float)) for _, _, y in series]
@@ -218,10 +218,10 @@ def line_chart_svg(series, title: str, xlabel: str, ylabel: str,
         return margin_t + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
+        f'<text x="{SVG_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
     # axes
@@ -250,7 +250,7 @@ def line_chart_svg(series, title: str, xlabel: str, ylabel: str,
             f'font-family="sans-serif" font-size="11">{ty:.4g}</text>'
         )
     parts.append(
-        f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 10:.1f}" text-anchor="middle" '
+        f'<text x="{margin_l + plot_w / 2:.1f}" y="{SVG_HEIGHT - 10:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">{xlabel}</text>'
     )
     parts.append(

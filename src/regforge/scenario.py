@@ -74,7 +74,6 @@ from .sim import reference_prescaler, simulate, state_feedback_loop, step_metric
 
 __all__ = [
     "parse_kv_file",
-    "parse_plant_params",
     "load_plant_params",
     "ControllerSpec",
     "Scenario",
@@ -158,24 +157,28 @@ def _parse_matrix(key: str, value: str) -> np.ndarray:
     return np.vstack(parsed)
 
 
-def _required(mapping, key: str, shown: str | None = None) -> str:
-    """The value of a required key; if it is missing, the error names it as `shown` or `key`."""
+def _required(mapping, key: str) -> str:
+    """Take a required key out of `mapping`; if it is missing, the error names it."""
     if key not in mapping:
-        raise ValidationError(f"missing required parameter {shown or key}")
-    return mapping[key]
+        raise ValidationError(f"missing required parameter {key}")
+    return mapping.pop(key)
 
 
-def _parse_ss(mapping, used: set[str], prefix: str) -> StateSpaceModel:
+def _optional_float(mapping, key: str, default: float | None) -> float | None:
+    """Take an optional number out of `mapping`, or `default` when it is absent."""
+    return _parse_float(key, mapping.pop(key)) if key in mapping else default
+
+
+def _parse_ss(mapping, prefix: str) -> StateSpaceModel:
     """The model of the required a, b, c and optional d keys under `prefix`."""
     a, b, c = (_parse_matrix(prefix + m, _required(mapping, prefix + m)) for m in "abc")
-    d = _parse_matrix(prefix + "d", mapping[prefix + "d"]) if prefix + "d" in mapping else None
-    used.update(prefix + m for m in "abcd")
+    d = _parse_matrix(prefix + "d", mapping.pop(prefix + "d")) if prefix + "d" in mapping else None
     return StateSpaceModel(a, b, c, d)
 
 
-def parse_plant_params(mapping: dict[str, str], prefix: str = "") -> PlantParams:
-    """Build PlantParams from dotted keys, naming any missing field."""
-    values = {key: _parse_float(prefix + key, _required(mapping, prefix + key, key)) for key in PARAM_KEYS}
+def _parse_plant_params(mapping: dict[str, str], prefix: str = "") -> PlantParams:
+    """Take PlantParams out of the dotted keys under `prefix`, naming any missing one."""
+    values = {key: _parse_float(prefix + key, _required(mapping, prefix + key)) for key in PARAM_KEYS}
     turbine = TurbineParams(tau_t=values["turbine.tau_t"])
     generator = GeneratorParams(
         k1=values["generator.k1"],
@@ -194,7 +197,7 @@ def load_plant_params(path) -> PlantParams:
     unknown = set(mapping) - set(PARAM_KEYS)
     if unknown:
         raise ValidationError(f"unknown parameter keys: {', '.join(sorted(unknown))}")
-    return parse_plant_params(mapping)
+    return _parse_plant_params(mapping)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +234,7 @@ def _preset_plant(name: str):
     return tf_to_ss(tf), tf, REFERENCE_PARAMS, name
 
 
-def _resolve_plant(mapping, used: set[str]):
+def _resolve_plant(mapping):
     """(plant_model, plant_tf, plant_params, preset), the plant fields of a Scenario."""
     sources = []
     if "plant.preset" in mapping:
@@ -246,106 +249,87 @@ def _resolve_plant(mapping, used: set[str]):
         raise ValidationError(f"plant specified more than once: {', '.join(sources)}")
 
     if "preset" in sources:
-        used.add("plant.preset")
-        name = mapping["plant.preset"]
+        name = mapping.pop("plant.preset")
         if name not in PRESETS:
             raise ValidationError(f"plant.preset: unknown preset {name!r}; choose one of {PRESETS}")
         return _preset_plant(name)
     if "params" in sources:
-        for key in PARAM_KEYS:
-            used.add("plant." + key)
-        params = parse_plant_params(mapping, prefix="plant.")
+        params = _parse_plant_params(mapping, prefix="plant.")
         tf = physical_plant_tf(params)
         return tf_to_ss(tf), tf, params, None
     if "tf" in sources:
         num, den = (_required(mapping, key) for key in ("plant.tf.num", "plant.tf.den"))
-        used.update(("plant.tf.num", "plant.tf.den"))
         tf = TransferFunction(_parse_vector("plant.tf.num", num), _parse_vector("plant.tf.den", den))
         return tf_to_ss(tf), tf, None, None
     if "ss" in sources:
-        model = _parse_ss(mapping, used, "plant.ss.")
+        model = _parse_ss(mapping, "plant.ss.")
         return model, ss_to_tf(model), None, None
     raise ValidationError("scenario does not specify a plant (plant.preset, plant.*, plant.tf.*, or plant.ss.*)")
 
 
-def _resolve_controller(mapping, used: set[str]) -> ControllerSpec:
-    kind = mapping.get("controller.type", "none")
-    used.add("controller.type")
+def _resolve_controller(mapping) -> ControllerSpec:
+    kind = mapping.pop("controller.type", "none")
     if kind == "none":
         return ControllerSpec(kind="none")
     if kind in ("lqr", "observer"):
         q_text, r_text = (_required(mapping, key) for key in ("controller.q_diag", "controller.r"))
-        used.update(("controller.q_diag", "controller.r"))
         q_diag = _parse_vector("controller.q_diag", q_text)
         r = _parse_float("controller.r", r_text)
         if kind == "lqr":
             return ControllerSpec(kind="lqr", q_diag=q_diag, r=r)
         h = _parse_vector("controller.h", _required(mapping, "controller.h"))
-        used.add("controller.h")
-        convention = mapping.get("controller.convention", ControllerSpec.convention)
-        used.add("controller.convention")
+        convention = mapping.pop("controller.convention", ControllerSpec.convention)
         if convention not in CONVENTIONS:
             raise ValidationError(
                 f"controller.convention: unknown convention {convention!r}; choose one of {CONVENTIONS}"
             )
         return ControllerSpec(kind="observer", q_diag=q_diag, r=r, h=h, convention=convention)
     if kind == "ss":
-        return ControllerSpec(kind="ss", model=_parse_ss(mapping, used, "controller."))
+        return ControllerSpec(kind="ss", model=_parse_ss(mapping, "controller."))
     raise ValidationError(f"controller.type: unknown kind {kind!r}; choose none, lqr, observer, or ss")
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file into a resolved Scenario."""
-    mapping = parse_kv_file(path)
-    used: set[str] = set()
+    """Parse and validate a scenario file into a resolved Scenario.
 
-    name = mapping.get("name", Path(path).stem)
-    used.add("name")
+    Each key is taken out of the parsed mapping where it is read, so the
+    keys left at the end are the unknown ones.
+    """
+    mapping = parse_kv_file(path)
+
+    name = mapping.pop("name", Path(path).stem)
     # The name is the artifacts' file stem: it must not leave --out.
     if "/" in name or "\0" in name or name in (".", ".."):
         raise ValidationError(f"name: {name!r} is not a file stem; it may not hold '/' or NUL "
                               "or be '.' or '..'")
 
-    plant = _resolve_plant(mapping, used)
-    controller = _resolve_controller(mapping, used)
+    plant = _resolve_plant(mapping)
+    controller = _resolve_controller(mapping)
 
-    reference = None
-    if "reference" in mapping:
-        used.add("reference")
-        reference = _parse_float("reference", mapping["reference"])
+    reference = _optional_float(mapping, "reference", None)
     if reference is not None and controller.kind == "none":
         raise ValidationError("reference requires a controller block")
 
     default_duration = 15.0 if controller.kind != "none" else 20.0
+    amplitude_given = "sim.amplitude" in mapping
     sim = SimConfig(
-        dt=_parse_float("sim.dt", mapping["sim.dt"]) if "sim.dt" in mapping else 1e-3,
-        duration=(
-            _parse_float("sim.duration", mapping["sim.duration"])
-            if "sim.duration" in mapping
-            else default_duration
-        ),
-        input_amplitude=(
-            _parse_float("sim.amplitude", mapping["sim.amplitude"])
-            if "sim.amplitude" in mapping
-            else 1.0
-        ),
+        dt=_optional_float(mapping, "sim.dt", 1e-3),
+        duration=_optional_float(mapping, "sim.duration", default_duration),
+        input_amplitude=_optional_float(mapping, "sim.amplitude", 1.0),
     )
-    used.update(("sim.dt", "sim.duration", "sim.amplitude"))
     # A closed loop always steps to `reference`: the key would do nothing.
-    if controller.kind != "none" and "sim.amplitude" in mapping:
+    if controller.kind != "none" and amplitude_given:
         raise ValidationError("sim.amplitude requires controller.type = none; a closed loop steps to reference")
 
     outputs = (
-        tuple(mapping["outputs"].replace(",", " ").split()) if "outputs" in mapping else DEFAULT_OUTPUTS
+        tuple(mapping.pop("outputs").replace(",", " ").split()) if "outputs" in mapping else DEFAULT_OUTPUTS
     )
-    used.add("outputs")
     for out in outputs:
         if out not in OUTPUT_KINDS:
             raise ValidationError(f"outputs: unknown artifact {out!r}; choose from {OUTPUT_KINDS}")
 
-    unknown = set(mapping) - used
-    if unknown:
-        raise ValidationError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
+    if mapping:
+        raise ValidationError(f"unknown scenario keys: {', '.join(sorted(mapping))}")
 
     return Scenario(name, *plant, controller, sim, reference, outputs)
 

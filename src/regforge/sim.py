@@ -20,16 +20,17 @@ stops doubling at the first power of M that is non-finite or beyond
 POWER_LIMIT and slides at that width instead, so a fast unstable mode gets
 short chunks, not inf * 0 = NaN samples; a power is tested only while
 ||M||_inf^k, which bounds its entries, could pass that limit. Runs that
-blow up are truncated and flagged rather than raised. Sample 0 is checked
-before the scan: an x0 or a D u already non-finite or beyond the
-configured magnitude limit ends the run there. The states are checked in
+blow up are truncated and flagged rather than raised: a sample is out of
+bounds when it is non-finite or beyond `SimConfig.divergence_limit`, a
+constant 1e12. Sample 0 is checked before the scan: an x0 or a D u
+already out of bounds ends the run there. The states are checked in
 batches of CHECK_ROWS rows or more and at the end, and the scan stops
 after the first batch holding a state that is out of bounds; a chunk is
 computed from the rows before it, so a bad row cannot hide an earlier
-one. A batch is checked on its contiguous rows, the constant 1 included,
-or on its state columns alone when the limit is below 1. The outputs take one product with [C, D u] after the
-scan and are checked once. The run ends at its first sample whose state
-or output is out of bounds, the sample a step-by-step loop would stop at.
+one. A batch is checked on its contiguous rows, the constant 1 included.
+The outputs take one product with [C, D u] after the scan and are checked
+once. The run ends at its first sample whose state or output is out of
+bounds, the sample a step-by-step loop would stop at.
 A run allocates its trajectory once, an (N + 1, n + 1) array: the checks
 use min and max, which allocate nothing, and `TimeSeries` keeps views of
 the arrays it is given. A truncated run returns copies of the samples it
@@ -48,8 +49,8 @@ N = 1 / (C (-(A-BK))^-1 B) ahead of the loop (`reference_prescaler`,
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -80,12 +81,16 @@ CHECK_ROWS = 1024
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step run description; defaults resolve the plant's slowest pole."""
+    """Fixed-step run description; defaults resolve the plant's slowest pole.
+
+    `simulate` truncates a run at its first state or output beyond
+    `divergence_limit`, a constant and not a field.
+    """
 
     dt: float = 1e-3
     duration: float = 20.0
     input_amplitude: float = 1.0
-    divergence_limit: float = 1e12
+    divergence_limit: ClassVar[float] = 1e12
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -97,10 +102,6 @@ class SimConfig:
             raise ValidationError("duration/dt exceeds the 1e7 sample guard")
         if not math.isfinite(self.input_amplitude):
             raise ValidationError("input amplitude must be finite")
-        if not self.divergence_limit > 0.0:
-            raise ValidationError(
-                f"divergence limit must be positive (inf for none), got {self.divergence_limit!r}"
-            )
 
     @property
     def n_steps(self) -> int:
@@ -184,8 +185,8 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
 
     Returns the full trajectory, or a truncated one with the diverged
     flag set at the first sample whose state or output goes non-finite
-    or beyond cfg.divergence_limit; that may be sample 0, from x0 and D u.
-    A full series views the run's buffers (its states are the first n
+    or beyond SimConfig.divergence_limit (1e12); that may be sample 0,
+    from x0 and D u. A full series views the run's buffers (its states are the first n
     columns of the `(samples, n + 1)` scan array), a truncated one holds
     copies of its samples. The inputs repeat one value with stride 0.
     """
@@ -204,7 +205,7 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     outputs = np.empty(steps + 1)
     outputs[0] = z[0] @ cd
     # |v| <= limit holds exactly for the finite samples within the divergence limit.
-    limit = min(float(cfg.divergence_limit), sys.float_info.max)
+    limit = cfg.divergence_limit
     # Sample 0 has a few states: Python floats check them faster than two reductions.
     if not (-limit <= outputs[0] <= limit and all(-limit <= v <= limit for v in z[0, :n].tolist())):
         return _truncated(z, outputs, u, cfg.dt, 1)
@@ -219,10 +220,6 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     q[:n, :n] = m.T
     q[n, :n] = (g * u).ravel()
     q[n, n] = 1.0
-    # The rows hold the constant 1 too, so a limit below 1 is checked on the
-    # states alone. At 1 or more, a row's constant turns NaN (inf * 0) only after
-    # a bad state, so the first bad entry still lies in the first bad state row.
-    cols = n + 1 if limit >= 1.0 else n
     h = f = checked = 1
     state_out = False
     # Overflow on the way to divergence is expected; the checks below report it.
@@ -232,8 +229,10 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
             np.matmul(z[f - h:f - h + take], q, out=z[f:f + take])
             f += take
             if f - checked >= CHECK_ROWS or f > steps:
-                # min and max are NaN when any entry is, and allocate nothing.
-                block = z[checked:f, :cols]
+                # min and max are NaN when any entry is, and allocate nothing. The
+                # rows hold the constant 1 too: it lies within the limit and turns
+                # NaN (inf * 0) only after a bad state, so whole rows are checked.
+                block = z[checked:f]
                 if not (-limit <= block.min(initial=0.0) and block.max(initial=0.0) <= limit):
                     state_out = True
                     break
@@ -246,7 +245,7 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
                     q, h = q2, f
         if state_out:
             # Row-major: the first bad entry lies in the first bad row, r.
-            r = checked + int(np.argmax(~(np.abs(block) <= limit).ravel())) // cols
+            r = checked + int(np.argmax(~(np.abs(block) <= limit).ravel())) // (n + 1)
             # The outputs end with r's chunk, as a check per chunk would
             # have it: matmul may round a row by the length of the product.
             w = min(h, 1 << (r.bit_length() - 1))

@@ -240,6 +240,13 @@ class TestSimulateCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: duration/dt exceeds the 1e7 sample guard\n"
 
+    def test_missing_inline_parameter_named_as_the_file_spells_it(self, capsys, tmp_path):
+        path = tmp_path / "partial.cfg"
+        path.write_text("plant.turbine.tau_t = 2\n")
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: missing required parameter plant.generator.k1\n"
+
     def test_huge_open_loop_input_exits_2_without_numpy_warnings(self, tmp_path):
         # 1e200 g/s overflows the output long before 20 s; the electrical
         # trace of the truncated run multiplies samples near 1e300.
@@ -366,6 +373,14 @@ class TestReproduceCommand:
     def test_bad_figure_rejected(self, capsys):
         code = main(["reproduce", "--figure", "9"])
         assert code == 1
+
+    @pytest.mark.parametrize("figure", ["4", "5", "6", "7"])
+    def test_controller_without_figure8_exit_1(self, capsys, tmp_path, figure):
+        # --controller picks figure 8's legs; on an open-loop figure it would do nothing
+        code = main(["reproduce", "--figure", figure, "--controller", "lqr", "--out", str(tmp_path)])
+        assert code == 1
+        assert "--controller" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 # The scenario's controller.convention is the only way to choose the wiring.

@@ -21,6 +21,14 @@ from regforge.sim import SimConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+# The keys each controller kind requires, with a reference for the closed loops.
+CONTROLLER_KEYS = {
+    "none": "",
+    "lqr": "controller.q_diag = 1 1\ncontroller.r = 1\nreference = 1\n",
+    "observer": "controller.q_diag = 1 1\ncontroller.r = 1\ncontroller.h = 2 -0.5\nreference = 1\n",
+    "ss": "controller.a = -1\ncontroller.b = 1\ncontroller.c = 1\nreference = 1\n",
+}
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -175,7 +183,7 @@ class TestScenario:
         ("plant.ss.a = -1 0; 1\nplant.ss.b = 1\nplant.ss.c = 1\n", "plant.ss.a: rows have unequal lengths"),
         ("plant.ss.a = -1\nplant.ss.b = 1\nplant.ss.c = 1\nplant.ss.d = x\n",
          "plant.ss.d: expected numbers, got 'x'"),
-        ("plant.turbine.tau_t = 2\n", "missing required parameter generator.k1"),
+        ("plant.turbine.tau_t = 2\n", "missing required parameter plant.generator.k1"),
         ("plant.preset = exact\ncontroller.type = lqr\ncontroller.r = 1\n",
          "missing required parameter controller.q_diag"),
         ("plant.preset = exact\ncontroller.type = observer\ncontroller.q_diag = 1 1\ncontroller.r = 1\n",
@@ -189,6 +197,28 @@ class TestScenario:
         with pytest.raises(ValidationError) as exc:
             load_scenario(write(tmp_path, "s.cfg", text))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind,line", [
+        ("lqr", "controller.h = 2 -0.5"),
+        ("lqr", "controller.convention = paper-numeric"),
+        ("lqr", "controller.a = -1"),
+        ("observer", "controller.d = 0"),
+        ("ss", "controller.q_diag = 1 1"),
+        ("none", "controller.r = 1"),
+    ])
+    def test_key_of_another_controller_kind_is_unknown(self, tmp_path, kind, line):
+        # only another kind's branch reads the key, so nothing takes it out
+        with pytest.raises(ValidationError, match=f"^unknown scenario keys: {line.split()[0]}$"):
+            load_scenario(write(tmp_path, "s.cfg", (
+                f"plant.preset = exact\ncontroller.type = {kind}\n{CONTROLLER_KEYS[kind]}{line}\n"
+            )))
+
+    def test_every_key_left_is_named(self, tmp_path):
+        with pytest.raises(ValidationError, match="^unknown scenario keys: plant.tf.gain, sim.dy, zeta$"):
+            load_scenario(write(tmp_path, "s.cfg", (
+                "zeta = 1\nplant.tf.num = 1\nplant.tf.den = 1 1\nplant.tf.gain = 2\n"
+                "controller.type = none\nsim.dt = 0.01\nsim.dy = 1\n"
+            )))
 
     def test_missing_controller_field_named(self, tmp_path):
         with pytest.raises(ValidationError, match="controller.r"):

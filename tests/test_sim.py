@@ -44,6 +44,8 @@ H_PUB = np.array([[2.0], [-0.5]])
 # A run length for the scan tests. It is a power of two: LENGTH - 1 steps
 # fill the doubling chunks exactly, LENGTH and LENGTH + 1 start one more.
 LENGTH = 512
+# The magnitude beyond which `simulate` truncates a run.
+LIMIT = SimConfig.divergence_limit
 # The paper's LQR weights (giving K_LOW) and observer weights (giving K_HIGH).
 LQR_LOW = ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0)
 
@@ -66,21 +68,19 @@ def stepwise_simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSerie
     c_row = ss.c.ravel()
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n).copy()
     def out_of_bounds(x, y):
-        return not (np.all(np.isfinite(x)) and np.isfinite(y)) or np.max(np.abs(x), initial=abs(y)) > cfg.divergence_limit
+        return not (np.all(np.isfinite(x)) and np.isfinite(y)) or np.max(np.abs(x), initial=abs(y)) > LIMIT
 
     states, outputs = [x], [c_row @ x + d_term]
     # sample 0 is checked too: an x0 or D u already out of bounds ends the run there
     diverged = out_of_bounds(x, outputs[0])
-    # without a finite divergence limit the state may overflow before it stops
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(0 if diverged else cfg.n_steps):
-            x = m @ x + gu
-            y = c_row @ x + d_term
-            states.append(x)
-            outputs.append(y)
-            if out_of_bounds(x, y):
-                diverged = True
-                break
+    for _ in range(0 if diverged else cfg.n_steps):
+        x = m @ x + gu
+        y = c_row @ x + d_term
+        states.append(x)
+        outputs.append(y)
+        if out_of_bounds(x, y):
+            diverged = True
+            break
     samples = len(outputs)
     return TimeSeries(times=np.arange(samples) * cfg.dt, inputs=np.full(samples, u),
                       outputs=np.array(outputs), states=np.array(states).reshape(samples, n),
@@ -121,10 +121,10 @@ class TestSimConfig:
         with pytest.raises(TypeError, match="input_kind"):  # input_amplitude = 0 is the zero input
             SimConfig(input_kind="zero")
 
-    @pytest.mark.parametrize("limit", [float("nan"), -1.0, 0.0])
-    def test_divergence_limit_must_be_positive(self, limit):
-        with pytest.raises(ValidationError, match="divergence limit"):
-            SimConfig(divergence_limit=limit)
+    def test_divergence_limit_is_a_constant(self):
+        assert SimConfig().divergence_limit == LIMIT == 1e12
+        with pytest.raises(TypeError, match="divergence_limit"):
+            SimConfig(divergence_limit=1e6)
 
 
 class TestSimulate:
@@ -169,8 +169,9 @@ class TestSimulate:
         assert order >= 3.5
 
     def test_divergence_truncates_and_flags(self):
-        unstable = StateSpaceModel([[2.0]], [[1.0]], [[1.0]])
-        ts = simulate(unstable, SimConfig(dt=1e-3, duration=30.0, divergence_limit=1e6))
+        # x' = 2x + 1e6 u passes the limit near t = 7.25 s
+        unstable = StateSpaceModel([[2.0]], [[1e6]], [[1.0]])
+        ts = simulate(unstable, SimConfig(dt=1e-3, duration=30.0))
         assert ts.diverged
         assert ts.n_samples < 30001
         assert np.all(np.isfinite(ts.outputs))
@@ -197,7 +198,7 @@ class TestSimulate:
 def scan_model(rng, n: int, unstable: bool) -> StateSpaceModel:
     """Random n-state SISO model, its slowest mode at -0.5 or its fastest at +2 + 0.3 n."""
     if n == 0:
-        return StateSpaceModel.static_gain(2e6 if unstable else 1.5)
+        return StateSpaceModel.static_gain(2e12 if unstable else 1.5)
     a, b = random_controllable_siso(rng, n)
     shift = np.max(np.linalg.eigvals(a).real)
     a = a - (shift - (2.0 + 0.3 * n if unstable else -0.5)) * np.eye(n)
@@ -221,8 +222,7 @@ class TestBlockedScan:
         for x0 in (None, rng.normal(size=n)):
             for amplitude in (-1.7, 0.0):
                 for steps in self.STEP_COUNTS:
-                    cfg = SimConfig(dt=1e-2, duration=steps * 1e-2, input_amplitude=amplitude,
-                                    divergence_limit=1e6)
+                    cfg = SimConfig(dt=1e-2, duration=steps * 1e-2, input_amplitude=amplitude)
                     assert cfg.n_steps == steps
                     truncated += assert_matches_stepwise(ss, cfg, x0).diverged
         if unstable:
@@ -257,9 +257,6 @@ class TestBlockedScan:
     @pytest.mark.parametrize("ss,cfg,x0,diverges", [
         # h lambda = 5: the step map grows 65x a sample, its powers pass 1e100 at 55
         (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]), SimConfig(dt=0.1, duration=100.0), None, True),
-        # the same mode with no magnitude limit runs until the state overflows
-        (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]),
-         SimConfig(dt=0.1, duration=100.0, input_amplitude=0.0, divergence_limit=np.inf), [1.0], True),
         # a 1e-300 seed on that mode: the map's 170th power overflows before
         # the state reaches the limit at sample 172, so blocks must stay short
         (StateSpaceModel([[50.0]], [[1.0]], [[1.0]]),
@@ -275,14 +272,8 @@ class TestBlockedScan:
          SimConfig(dt=1e-2, duration=50.0), [1e-300, 0.0], True),
         # an input so large that the sum table overflows behind the first sample
         (first_order(), SimConfig(dt=1e-3, duration=10.0, input_amplitude=1e300), None, True),
-        # the same shape with no magnitude limit: the state heads for 1e309 and
-        # overflows at sample 397. S_512 overflows while M^h stays below 1, so
-        # the next square's state block holds inf * 0 = NaN; the NaN rows come
-        # after the first inf and must not stand in for it
-        (StateSpaceModel([[-0.5]], [[5.0]], [[1.0]]),
-         SimConfig(dt=1e-3, duration=10.0, input_amplitude=1e308, divergence_limit=np.inf), None, True),
-    ], ids=["fast-mode", "fast-mode-no-limit", "tiny-seed-fast-mode", "unexcited-fast-mode", "tiny-seed",
-            "tiny-seed-oscillating", "huge-input", "huge-input-no-limit"])
+    ], ids=["fast-mode", "tiny-seed-fast-mode", "unexcited-fast-mode", "tiny-seed",
+            "tiny-seed-oscillating", "huge-input"])
     def test_overflow_cases(self, ss, cfg, x0, diverges):
         ts = assert_matches_stepwise(ss, cfg, x0)
         assert ts.diverged == diverges
@@ -294,29 +285,28 @@ class TestDivergenceSearch:
 
     @pytest.mark.filterwarnings("error")
     def test_only_the_output_crosses(self):
-        # x -> 1 with time constant 100 s; y = 1.5e7 x passes 1e6 near
+        # x -> 1 with time constant 100 s; y = 1.5e13 x passes the limit near
         # sample 690, in the chunk of samples LENGTH to 2 LENGTH - 1, while
         # the state stays below 0.15
-        ss = StateSpaceModel([[-0.01]], [[0.01]], [[1.5e7]])
-        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2, divergence_limit=1e6)
+        ss = StateSpaceModel([[-0.01]], [[0.01]], [[1.5e13]])
+        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2)
         ts = assert_matches_stepwise(ss, cfg)
         assert ts.diverged and LENGTH < ts.n_samples - 1 < 2 * LENGTH
-        assert np.max(np.abs(ts.states)) < 1e6 < abs(ts.outputs[-1])
+        assert np.max(np.abs(ts.states)) < LIMIT < abs(ts.outputs[-1])
 
     @pytest.mark.filterwarnings("error")
     def test_state_crosses_mid_block_and_returns(self):
         # an undamped oscillator with period 20 s and an unobserved state
-        # peaking at 1 near t = 7.7 s: it passes the 0.9 limit between
-        # samples 628 and 913, within one chunk, and sample 1024, the first
-        # row of the next, is back at 0.7
+        # peaking at 1 near t = 7.7 s: it passes 0.9 between samples 628 and
+        # 913, within one chunk, and sample 1024, the first row of the next,
+        # is back at 0.7. Scaled by LIMIT / 0.9, it crosses the limit there.
         w = 2.0 * np.pi / 20.0
         ss = StateSpaceModel([[0.0, 1.0], [-w * w, 0.0]], [[0.0], [0.0]], [[0.0, 0.0]])
-        x0 = [np.cos(-w * 7.7), -w * np.sin(-w * 7.7)]
-        free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0,
-                                      divergence_limit=np.inf), x0)
+        x0 = np.array([np.cos(-w * 7.7), -w * np.sin(-w * 7.7)])
+        cfg = SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0)
+        free = simulate(ss, cfg, x0)
         assert abs(free.states[2 * LENGTH, 0]) < 0.9
-        cfg = SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0, divergence_limit=0.9)
-        ts = assert_matches_stepwise(ss, cfg, x0)
+        ts = assert_matches_stepwise(ss, cfg, x0 * (LIMIT / 0.9))
         assert ts.diverged and LENGTH + 1 < ts.n_samples - 1 < 2 * LENGTH
 
     @pytest.mark.filterwarnings("error")
@@ -327,20 +317,20 @@ class TestDivergenceSearch:
                                   "first-check-last-row", "after-first-check"])
     @pytest.mark.parametrize("c", [0.0, 2.0], ids=["state", "output"])
     def test_crossing_on_a_block_edge(self, crossing, c):
-        # a slowly growing mode; the limit lies between samples crossing - 1
-        # and crossing of the state (c = 0) or of the output y = 2x. Samples
+        # a slowly growing mode from x0 = 1; scaled by LIMIT / t, it crosses
+        # the limit where the state (c = 0) or the output y = 2x crosses t,
+        # between samples crossing - 1 and crossing. Samples
         # LENGTH to 2 LENGTH - 1 are one doubling chunk, computed from
         # samples 0 to LENGTH - 1; first-row and last-row fall inside the
         # chunk and on the first row of the next. The states are checked in
         # batches: samples 1 to 4 LENGTH - 1 = 2047 are the first, so an
         # early crossing is found only after chunks computed past it.
         ss = StateSpaceModel([[0.1]], [[0.0]], [[c]])
-        free = simulate(ss, SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0,
-                                      divergence_limit=np.inf), [1.0])
+        cfg = SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0)
+        free = simulate(ss, cfg, [1.0])
         watched = free.outputs if c else free.states[:, 0]
-        limit = float(np.sqrt(watched[crossing - 1] * watched[crossing]))
-        cfg = SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0, divergence_limit=limit)
-        ts = assert_matches_stepwise(ss, cfg, [1.0])
+        t = float(np.sqrt(watched[crossing - 1] * watched[crossing]))
+        ts = assert_matches_stepwise(ss, cfg, [LIMIT / t])
         assert ts.diverged and ts.n_samples - 1 == crossing
 
     @pytest.mark.filterwarnings("error")
@@ -348,89 +338,54 @@ class TestDivergenceSearch:
     def test_crossing_on_a_sliding_window_edge(self, crossing):
         # h lambda = 5: the step map grows 65.4x a sample, so its 64th power
         # passes POWER_LIMIT and the window stays at 32 rows: samples 96 to
-        # 127 are one window, computed from samples 64 to 95
+        # 127 are one window, computed from samples 64 to 95. The seed is
+        # scaled so that the state crosses the limit at `crossing`.
         ss = StateSpaceModel([[50.0]], [[1.0]], [[1.0]])
-        free = simulate(ss, SimConfig(dt=0.1, duration=20.0, input_amplitude=0.0,
-                                      divergence_limit=np.inf), [1e-300])
-        limit = float(np.sqrt(free.states[crossing - 1, 0] * free.states[crossing, 0]))
-        cfg = SimConfig(dt=0.1, duration=20.0, input_amplitude=0.0, divergence_limit=limit)
-        ts = assert_matches_stepwise(ss, cfg, [1e-300])
+        cfg = SimConfig(dt=0.1, duration=20.0, input_amplitude=0.0)
+        free = simulate(ss, cfg, [1e-300])
+        t = float(np.sqrt(free.states[crossing - 1, 0] * free.states[crossing, 0]))
+        ts = assert_matches_stepwise(ss, cfg, [1e-300 * (LIMIT / t)])
         assert ts.diverged and ts.n_samples - 1 == crossing
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("crosses", [False, True], ids=["under", "crossing"])
-    @pytest.mark.parametrize("n", [0, 1, 2, 6])
-    def test_limit_below_one(self, n, crosses):
-        # The scan rows hold the constant 1 beside the states, and a limit
-        # below 1 judges only the states and the output. The step is scaled
-        # so the run peaks at 0.8; "under" sets the limit 0.9, "crossing"
-        # puts it between the running peaks of two samples where they pass
-        # 0.6, or below D u for the zero-state model, which ends at sample 0.
-        ss = scan_model(np.random.default_rng(200 + n), n, unstable=False)
-        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2, divergence_limit=np.inf)
-        free = simulate(ss, cfg)
-        peak = np.maximum(np.abs(free.outputs), np.max(np.abs(free.states), axis=1, initial=0.0))
-        cfg = replace(cfg, input_amplitude=0.8 / peak.max())
-        peak = np.maximum.accumulate(peak * cfg.input_amplitude)
-        crossing = int(np.argmax(peak >= 0.6))
-        if not crosses:
-            limit = 0.9
-        elif crossing:
-            limit = (peak[crossing - 1] + peak[crossing]) / 2
-        else:
-            limit = 0.7
-        ts = assert_matches_stepwise(ss, replace(cfg, divergence_limit=limit))
-        assert ts.diverged == crosses
-        assert ts.n_samples - 1 == (crossing if crosses else cfg.n_steps)
-
-    @pytest.mark.filterwarnings("error")
     def test_first_bad_row_leaves_by_a_later_column(self):
-        # Four uncoupled growing modes, the state limit 1: x4 passes it near
-        # sample 1100, x1 near 1300, both in the first checked batch. The
-        # first bad entry in row order is x4's; a search column by column
-        # would meet x1's first.
+        # Four uncoupled growing modes, scaled by LIMIT so that the limit
+        # stands for 1: x4 passes 1 near sample 1100, x1 near 1300, both in
+        # the first checked batch. The first bad entry in row order is x4's;
+        # a search column by column would meet x1's first.
         rates = np.array([0.2, 0.0, -0.1, 0.1])
         x0 = np.exp(-rates * [13.0, 0.0, 0.0, 11.0]) * [1.0, 0.5, 0.5, 1.0]
         ss = StateSpaceModel(np.diag(rates), np.zeros((4, 1)), np.zeros((1, 4)))
-        cfg = SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0, divergence_limit=1.0)
-        free = simulate(ss, replace(cfg, divergence_limit=np.inf), x0)
+        cfg = SimConfig(dt=1e-2, duration=30.0, input_amplitude=0.0)
+        free = simulate(ss, cfg, x0)
         first_out = np.argmax(np.abs(free.states) > 1.0, axis=0)
         assert first_out[3] < first_out[0] < 4 * LENGTH
         assert np.max(np.abs(free.states[:, 1:3])) <= 1.0
-        ts = assert_matches_stepwise(ss, cfg, x0)
+        ts = assert_matches_stepwise(ss, cfg, x0 * LIMIT)
         assert ts.diverged and ts.n_samples - 1 == first_out[3]
-        assert abs(ts.states[-1, 3]) > 1.0 >= np.max(np.abs(ts.states[-1, :3]))
+        assert abs(ts.states[-1, 3]) > LIMIT >= np.max(np.abs(ts.states[-1, :3]))
 
     @pytest.mark.filterwarnings("error")
-    def test_output_overflows_without_a_limit(self):
-        # y = 1e300 x overflows to inf near t = 19 s, the state stays finite
-        ss = StateSpaceModel([[1.0]], [[1.0]], [[1e300]])
-        cfg = SimConfig(dt=1e-2, duration=30.0, divergence_limit=np.inf)
-        ts = assert_matches_stepwise(ss, cfg)
-        assert ts.diverged and ts.outputs[-1] == np.inf
-        assert np.all(np.isfinite(ts.states)) and np.all(np.isfinite(ts.outputs[:-1]))
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("gain,samples", [(1.5, 3 * LENGTH + 1), (2e6, 1)], ids=["inside", "beyond"])
+    @pytest.mark.parametrize("gain,samples", [(1.5, 3 * LENGTH + 1), (2e12, 1)], ids=["inside", "beyond"])
     def test_zero_state_model(self, gain, samples):
-        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2, divergence_limit=1e6)
+        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2)
         ts = assert_matches_stepwise(StateSpaceModel.static_gain(gain), cfg)
         assert ts.n_samples == samples and ts.states.shape == (samples, 0)
-        assert ts.diverged == (gain > 1e6)
+        assert ts.diverged == (gain > LIMIT)
         if not ts.diverged:
             assert step_metrics(ts).steady_state == gain
 
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("ss,x0,limit", [
-        (StateSpaceModel([[-1.0]], [[1.0]], [[1.0]]), [2e6], 1e6),
+    @pytest.mark.parametrize("ss,x0", [
+        (StateSpaceModel([[-1.0]], [[1.0]], [[1.0]]), [2e12]),
         # the state starts within the limit, the output C x0 beyond it
-        (StateSpaceModel([[-1.0]], [[1.0]], [[1e3]]), [2e3], 1e6),
-        (first_order(), [np.nan], 1e6),
-        (first_order(), [np.inf], np.inf),
-    ], ids=["state", "output", "nan", "inf-without-limit"])
-    def test_sample_zero_out_of_bounds(self, ss, x0, limit):
-        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2, divergence_limit=limit)
+        (StateSpaceModel([[-1.0]], [[1.0]], [[1e3]]), [2e9]),
+        (first_order(), [np.nan]),
+        (first_order(), [np.inf]),
+    ], ids=["state", "output", "nan", "inf"])
+    def test_sample_zero_out_of_bounds(self, ss, x0):
+        cfg = SimConfig(dt=1e-2, duration=3 * LENGTH * 1e-2)
         ts = assert_matches_stepwise(ss, cfg, x0)
         assert ts.diverged and ts.n_samples == 1
 
