@@ -25,42 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .lti import char_poly, dc_gain, eigenvalues, is_hurwitz, tf_to_ss
-from .observer import design_observer_gain
-from .output import line_chart_svg, open_artifact, read_timeseries_csv, write_timeseries_csv
-from .plant import (
-    PUBLISHED_OPEN_LOOP,
-    PRESETS,
-    REFERENCE_PARAMS,
-    generator_tf,
-    plant_tf,
-    rounded_plant_tf,
-    steady_state_report,
-    turbine_tf,
-)
 from .report import RunReport, fmt, fmt_vector
-from .scenario import (
-    ControllerSpec,
-    closed_loop,
-    load_plant_params,
-    load_scenario,
-    preset_scenario,
-    run_scenario,
-)
 from .sim import SimConfig, step_metrics
+
+# Each command imports the other modules it runs when it runs: a `metrics`
+# process loads no model, synthesis or scenario code, and `plant` no
+# `output`. tests/test_cli.py (TestImportOnUse) pins both module sets.
 
 REPRODUCE_INFLOW = 5.0
 REPRODUCE_REFERENCE = 220.0
 STABLE_OBSERVER_POLES = (-5.0, -6.0)
 FORMAT_KINDS = {"csv": ("csv",), "svg": ("svg",), "both": ("csv", "svg")}
-
-# The paper's figure-8 designs: LQR weights, and observer weights with the
-# published observer gain H.
-FIGURE8_SPECS = {
-    "lqr": ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0),
-    "observer": ControllerSpec(kind="observer", q_diag=np.array([8.0, 8.0]), r=1.0,
-                               h=np.array([2.0, -0.5])),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
     # validation exit code instead.
     def error(self, message):
         raise ValidationError(message)
+
+
+def _preset_name(name: str) -> str:
+    # A type, not choices=PRESETS: choices would import `plant` (and `lti`)
+    # to build the parser of every command.
+    from .plant import PRESETS
+
+    if name not in PRESETS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, PRESETS))})")
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="rebuild a published figure from scratch")
     p_rep.add_argument("--figure", type=int, required=True, choices=(4, 5, 6, 7, 8))
-    p_rep.add_argument("--preset", choices=PRESETS,
-                       help="plant model preset (default: run both and report both)")
+    p_rep.add_argument("--preset", type=_preset_name,
+                       help="plant model preset, as plant.preset in a scenario "
+                            "(default: run both and report both)")
     p_rep.add_argument("--controller", choices=("lqr", "observer", "both"),
                        help="closed-loop design(s) for figure 8 only (default: both)")
     add_common(p_rep)
@@ -119,6 +106,8 @@ def _out_dir(args) -> Path:
 
 
 def _write_artifacts(args, run, ylabel: str, svg_series=None, svg_title="") -> list:
+    from .output import line_chart_svg, open_artifact, write_timeseries_csv
+
     name = run.scenario.name
     # --format, when given, decides; otherwise the scenario's outputs do.
     kinds = run.scenario.outputs if args.format is None else FORMAT_KINDS[args.format]
@@ -139,6 +128,8 @@ def _write_artifacts(args, run, ylabel: str, svg_series=None, svg_title="") -> l
 
 
 def _efficiency_warnings(report: RunReport, params) -> None:
+    from .plant import PUBLISHED_OPEN_LOOP, steady_state_report
+
     rep = steady_state_report(params, REPRODUCE_INFLOW)
     pub = PUBLISHED_OPEN_LOOP
     if abs(rep.efficiency - pub["efficiency"]) > 0.01:
@@ -156,7 +147,22 @@ def _efficiency_warnings(report: RunReport, params) -> None:
 
 
 def cmd_plant(args) -> int:
-    params = load_plant_params(args.params) if args.params else REFERENCE_PARAMS
+    from .lti import dc_gain, is_hurwitz, tf_to_ss
+    from .plant import (
+        REFERENCE_PARAMS,
+        generator_tf,
+        plant_tf,
+        rounded_plant_tf,
+        steady_state_report,
+        turbine_tf,
+    )
+
+    if args.params:
+        from .scenario import load_plant_params
+
+        params = load_plant_params(args.params)
+    else:
+        params = REFERENCE_PARAMS
     report = RunReport(scenario="plant derivation")
 
     exact = plant_tf(params)
@@ -183,6 +189,9 @@ def cmd_plant(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from .lti import char_poly, eigenvalues, is_hurwitz
+    from .scenario import closed_loop, load_scenario
+
     scn = load_scenario(args.scenario)
     spec = scn.controller
     if spec.kind not in ("lqr", "observer"):
@@ -225,6 +234,10 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .lti import char_poly, is_hurwitz
+    from .plant import steady_state_report
+    from .scenario import load_scenario, run_scenario
+
     scn = load_scenario(args.scenario)
     spec = scn.controller
     report = RunReport(scenario=scn.name)
@@ -268,6 +281,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from .output import read_timeseries_csv
+
     series, _ = read_timeseries_csv(args.csv)
     report = RunReport(scenario=f"metrics {args.csv}")
     report.add_metrics(step_metrics(series))
@@ -280,6 +295,10 @@ def cmd_metrics(args) -> int:
 
 
 def _open_loop_figure(args, figure: int, preset: str, report: RunReport) -> list:
+    from .lti import dc_gain
+    from .plant import PUBLISHED_OPEN_LOOP, REFERENCE_PARAMS, steady_state_report
+    from .scenario import ControllerSpec, preset_scenario, run_scenario
+
     cfg = SimConfig(dt=1e-3, duration=20.0, input_amplitude=REPRODUCE_INFLOW)
     run = run_scenario(preset_scenario(f"figure{figure}-{preset}", preset, ControllerSpec(), cfg))
     tf = run.scenario.plant_tf
@@ -311,17 +330,21 @@ def _open_loop_figure(args, figure: int, preset: str, report: RunReport) -> list
 
 
 def _figure8_legs(args, preset: str, report: RunReport) -> list:
+    from .observer import design_observer_gain
+    from .scenario import ControllerSpec, preset_scenario, run_scenario
+
     cfg = SimConfig(dt=1e-3, duration=15.0)
     ylabel = "output voltage [V]"
     legs = args.controller or "both"
     files = []
 
-    def leg(name: str, spec: ControllerSpec):
+    def leg(name: str, spec):
         return run_scenario(preset_scenario(f"figure8-{name}-{preset}", preset, spec, cfg,
                                             REPRODUCE_REFERENCE))
 
     if legs in ("lqr", "both"):
-        run = leg("lqr", FIGURE8_SPECS["lqr"])
+        # The paper's figure-8 LQR weights.
+        run = leg("lqr", ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0))
         report.add_line()
         report.add_line(f"[{preset}] lqr leg: K = {fmt_vector(run.loop.care.k)}, "
                         f"N = {fmt(run.loop.prescaler)}")
@@ -329,7 +352,9 @@ def _figure8_legs(args, preset: str, report: RunReport) -> list:
         files += _write_artifacts(args, run, ylabel, svg_title=f"figure 8 lqr ({preset})")
 
     if legs in ("observer", "both"):
-        spec = FIGURE8_SPECS["observer"]
+        # The paper's observer weights with its published observer gain H.
+        spec = ControllerSpec(kind="observer", q_diag=np.array([8.0, 8.0]), r=1.0,
+                              h=np.array([2.0, -0.5]))
         run = leg("observer-published", spec)
         report.add_line()
         audit = run.loop.observer.audit
@@ -360,6 +385,8 @@ def _figure8_legs(args, preset: str, report: RunReport) -> list:
 
 
 def cmd_reproduce(args) -> int:
+    from .plant import PRESETS, REFERENCE_PARAMS
+
     if args.controller is not None and args.figure != 8:
         raise ValidationError(f"--controller selects the legs of figure 8; figure {args.figure} has none")
     presets = [args.preset] if args.preset else list(PRESETS)

@@ -14,6 +14,7 @@ be matched either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -167,8 +168,9 @@ def steady_state_report(p: PlantParams, f_in: float) -> ElectricalReport:
     reported as that limit even at zero inflow.
     """
     f_in = float(f_in)
-    if f_in < 0.0:
-        raise ValidationError(f"steam inflow must be nonnegative, got {f_in!r}")
+    # Written so that NaN fails it too.
+    if not 0.0 <= f_in < math.inf:
+        raise ValidationError(f"steam inflow must be finite and nonnegative, got {f_in!r}")
     g = p.generator
     omega = p.turbine.tau_t * f_in
     e_g = g.k1 * g.n * omega

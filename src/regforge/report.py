@@ -8,12 +8,15 @@ labeled as published values next to the recomputed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lti import StateSpaceModel, TransferFunction
-from .plant import ElectricalReport
 from .sim import SETTLING_BAND, StepMetrics
+
+if TYPE_CHECKING:  # annotations only, as in `sim`
+    from .lti import StateSpaceModel, TransferFunction
+    from .plant import ElectricalReport
 
 __all__ = ["RunReport", "fmt", "fmt_matrix", "fmt_vector"]
 

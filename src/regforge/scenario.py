@@ -53,6 +53,7 @@ from .lti import (
     StateSpaceModel,
     TransferFunction,
     char_poly,
+    eigenvalues,
     feedback_interconnect,
     is_hurwitz,
     ss_to_tf,
@@ -417,10 +418,47 @@ class ScenarioRun:
     loop: ClosedLoop | None = None
 
 
+def _rk4_stable(dt: float, eigs: np.ndarray) -> bool:
+    """Whether |R(dt lambda)| <= 1 for every eigenvalue, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    z = dt * eigs
+    return bool(np.all(np.abs(1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))) <= 1.0))
+
+
+def _check_step(a: np.ndarray, hurwitz: bool, dt: float) -> None:
+    """Reject a dt at which RK4 grows a mode of a stable system.
+
+    An unstable system is left to run: `simulate` truncates and flags it.
+    The largest stable dt is found by bisection on `_rk4_stable`.
+    """
+    if not hurwitz:
+        return
+    eigs = eigenvalues(a)
+    if _rk4_stable(dt, eigs):
+        return
+    lo, hi = 0.0, dt
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if _rk4_stable(mid, eigs):
+            lo = mid
+        else:
+            hi = mid
+    raise ValidationError(
+        f"step-too-large: the system is stable but sim.dt = {dt:g} s takes one of its modes "
+        f"outside RK4's stability region; the largest stable sim.dt is {lo:.4g} s"
+    )
+
+
 def run_scenario(scn: Scenario) -> ScenarioRun:
-    """Synthesize, simulate and measure one scenario; closed loops step to its reference."""
+    """Synthesize, simulate and measure one scenario; closed loops step to its reference.
+
+    A stable system whose RK4 step would grow one of its modes exits with a
+    `step-too-large` ValidationError before the run (`_check_step`).
+    """
     if scn.controller.kind == "none":
-        series = simulate(scn.plant_model, scn.sim)
+        plant = scn.plant_model
+        if plant.n_states:
+            _check_step(plant.a, is_hurwitz(char_poly(plant.a)), scn.sim.dt)
+        series = simulate(plant, scn.sim)
         electrical = electrical_trace(scn.plant_params, series) if scn.plant_params else None
         metrics = None if series.diverged else step_metrics(series)
         return ScenarioRun(scn, series, metrics, electrical=electrical)
@@ -429,6 +467,7 @@ def run_scenario(scn: Scenario) -> ScenarioRun:
     loop = closed_loop(scn)
     if loop.prescaler_error is not None:
         raise NumericalError(loop.prescaler_error)
+    _check_step(loop.model.a, loop.hurwitz, scn.sim.dt)
     cfg = replace(scn.sim, input_amplitude=scn.reference)
     series = simulate(loop.model, cfg, loop.x0)
     metrics = None if series.diverged else step_metrics(series)

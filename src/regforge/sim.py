@@ -50,13 +50,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .lti import StateSpaceModel
-from .plant import PlantParams
+
+if TYPE_CHECKING:  # annotations only: `metrics` reads a CSV without the model modules
+    from .lti import StateSpaceModel
+    from .plant import PlantParams
 
 __all__ = [
     "SimConfig",
@@ -382,6 +384,8 @@ def reference_prescaler(plant: StateSpaceModel, k) -> float:
 
 def state_feedback_loop(plant: StateSpaceModel, k, reference_gain: float = 1.0) -> StateSpaceModel:
     """Full-state-feedback loop u = reference_gain * r - K x."""
+    from .lti import StateSpaceModel
+
     k = np.atleast_2d(np.asarray(k, dtype=float))
     return StateSpaceModel(
         plant.a - plant.b @ k, float(reference_gain) * plant.b, plant.c, plant.d

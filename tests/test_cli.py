@@ -172,6 +172,18 @@ class TestSimulateCommand:
         assert code == 2
         assert any("diverged" in l for l in out.splitlines() if l.startswith("WARNING"))
 
+    def test_stable_plant_with_too_large_a_step_exits_1(self, capsys, tmp_path):
+        scn = tmp_path / "stiff.cfg"
+        scn.write_text("plant.tf.num = 3000\nplant.tf.den = 1 3000\nsim.dt = 0.001\n")
+        out_dir = tmp_path / "out"
+        code = main(["simulate", "--scenario", str(scn), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: step-too-large:")
+        assert "the largest stable sim.dt is 0.0009284 s" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_zero_dc_gain_has_no_prescaler(self, capsys, tmp_path):
         scn = tmp_path / "zero-dc.cfg"
         scn.write_text(ZERO_DC_SCENARIO)
@@ -374,6 +386,13 @@ class TestReproduceCommand:
         code = main(["reproduce", "--figure", "9"])
         assert code == 1
 
+    def test_unknown_preset_rejected(self, capsys, tmp_path):
+        code = main(["reproduce", "--figure", "4", "--preset", "glossy", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: argument --preset: invalid choice: 'glossy' (choose from 'exact', 'paper-rounded')\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("figure", ["4", "5", "6", "7"])
     def test_controller_without_figure8_exit_1(self, capsys, tmp_path, figure):
         # --controller picks figure 8's legs; on an open-loop figure it would do nothing
@@ -405,3 +424,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "steady state at 5 g/s" in proc.stdout
+
+
+def _regforge_modules(tmp_path, *argv) -> set:
+    """The regforge modules a fresh ``python -m regforge`` process imports."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "regforge", *argv],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:") and line.count("|") == 2}
+    return {name for name in names if name.split(".")[0] == "regforge"}
+
+
+class TestImportOnUse:
+    """Each command loads only the modules it runs: a module-level import fails here."""
+
+    def test_metrics_loads_only_the_csv_and_metrics_path(self, capsys, tmp_path):
+        assert main(["simulate", "--scenario", str(SCENARIOS / "open-loop.cfg"), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        loaded = _regforge_modules(tmp_path, "metrics", str(tmp_path / "open-loop.csv"))
+        assert loaded == {"regforge", "regforge.cli", "regforge.errors", "regforge.output",
+                          "regforge.report", "regforge.sim"}
+
+    def test_plant_loads_no_scenario_synthesis_or_artifact_code(self, tmp_path):
+        loaded = _regforge_modules(tmp_path, "plant")
+        assert {"regforge.cli", "regforge.lti", "regforge.plant"} <= loaded
+        assert loaded.isdisjoint({"regforge.observer", "regforge.riccati", "regforge.scenario",
+                                  "regforge.output"})

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from regforge.cli import main
 from regforge.errors import ValidationError
 from regforge.lti import dc_gain, tf_series
 from regforge.plant import (
@@ -128,6 +129,18 @@ class TestSteadyStateReport:
     def test_negative_inflow_rejected(self):
         with pytest.raises(ValidationError):
             steady_state_report(REFERENCE_PARAMS, -1.0)
+
+    @pytest.mark.parametrize("f_in", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_inflow_rejected(self, f_in):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            steady_state_report(REFERENCE_PARAMS, f_in)
+
+    @pytest.mark.parametrize("inflow", ["nan", "inf", "-1"])
+    def test_cli_rejects_inflow(self, capsys, inflow):
+        assert main(["plant", "--inflow", inflow]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "steam inflow must be finite and nonnegative" in captured.err
 
     def test_homogeneity(self):
         one = steady_state_report(REFERENCE_PARAMS, 3.0)

@@ -266,6 +266,24 @@ class TestRunScenario:
         with pytest.raises(ValidationError, match="reference"):
             run_scenario(preset_scenario("no-ref", "exact", spec, SimConfig(duration=1.0)))
 
+    # x' = -3000 x + 3000 u: dt lambda = -3 lies outside RK4's real stability
+    # interval [-2.785, 0], so dt = 1e-3 would grow the mode of a stable plant.
+    STIFF_PLANT = "plant.tf.num = 3000\nplant.tf.den = 1 3000\nsim.dt = 0.001\n"
+
+    def test_step_too_large_names_the_largest_stable_dt(self, tmp_path):
+        scn = load_scenario(write(tmp_path, "stiff.cfg", self.STIFF_PLANT))
+        with pytest.raises(ValidationError, match="step-too-large") as info:
+            run_scenario(scn)
+        dt_max = float(str(info.value).rsplit(" is ", 1)[1].split()[0])
+        assert dt_max == pytest.approx(2.785293563405282 / 3000, rel=1e-3)
+        run = run_scenario(replace(scn, sim=SimConfig(dt=0.99 * dt_max, duration=1.0)))
+        assert not run.series.diverged
+
+    def test_step_too_large_on_a_closed_loop(self, tmp_path):
+        text = self.STIFF_PLANT + "controller.type = lqr\ncontroller.q_diag = 1\ncontroller.r = 1\nreference = 1\n"
+        with pytest.raises(ValidationError, match="step-too-large"):
+            run_scenario(load_scenario(write(tmp_path, "stiff-lqr.cfg", text)))
+
 
 class TestClosedLoopBuilder:
     def test_standard_luenberger_is_the_separation_loop(self):

@@ -40,3 +40,28 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
     after = _bindings(namespaces)
     assert after.keys() == before.keys()
     assert [key for key, obj in before.items() if after[key] is not obj] == []
+
+
+def test_tracer_sees_calls_through_on_use_imports(monkeypatch, capsys, tmp_path):
+    # The CLI imports most modules inside its commands; those imports read the
+    # module's binding, which the tracer has wrapped, so the calls are traced.
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    from regforge import cli
+
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "open-loop.cfg"
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+        simulate_names = {span[0] for span in tracer.spans}
+        tracer.spans.clear()
+        assert cli.main(["metrics", str(tmp_path / "open-loop.csv")]) == 0
+        metrics_names = {span[0] for span in tracer.spans}
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    assert {"scenario.load_scenario", "scenario.run_scenario", "sim.simulate",
+            "output.write_timeseries_csv"} <= simulate_names
+    assert {"output.read_timeseries_csv", "sim.step_metrics", "cli.cmd_metrics"} <= metrics_names
