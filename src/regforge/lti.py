@@ -11,10 +11,10 @@ Durand-Kerner root finding on that polynomial, and stability verdicts from
 a Routh-Hurwitz table. Durand-Kerner starts on Aberth's circle, centred at
 the roots' centroid with a radius on the roots' own scale; only when that
 radius is 0 or not finite does it start on the circle of radius
-1 + max|a_k|. Symmetric spectra (the semidefiniteness checks on
-the LQR weights and the Riccati solution) are computed by cyclic Jacobi in
-`riccati` instead. All systems in this toolkit are small (n <= 6), where
-these methods are exact up to rounding.
+1 + max|a_k|. Symmetric spectra (the semidefiniteness check on the
+Riccati solution) are computed by cyclic Jacobi in `riccati` instead. All
+systems in this toolkit are small (n <= 6), where these methods are exact
+up to rounding.
 
 The two polynomial kernels, `_durand_kerner` and `is_hurwitz`, loop over
 Python floats and complex numbers rather than numpy arrays: on vectors of
@@ -250,10 +250,12 @@ class TransferFunction:
 class StateSpaceModel:
     """Dense real matrices (A, B, C, D) for x' = Ax + Bu, y = Cx + Du.
 
+    Every model is single-input single-output: B is n x 1, C is 1 x n and
+    D is 1 x 1, checked here once so that no consumer re-checks. A 1-D B
+    is taken as a column and a 1-D C as a row; D defaults to zero.
     Zero-state models (n = 0) are allowed and represent static gains, so
-    pure-gain controllers flow through interconnections unchanged; their
-    matrices come with explicit shapes (see `static_gain`). A 1-D
-    B is taken as a column and a 1-D C as a row (the SISO reading).
+    pure-gain controllers flow through interconnections unchanged (see
+    `static_gain`).
     """
 
     a: np.ndarray
@@ -274,14 +276,13 @@ class StateSpaceModel:
         n = a.shape[0]
         if a.shape != (n, n):
             raise ValidationError(f"A must be square, got {a.shape}")
-        if b.shape[0] != n:
-            raise ValidationError(f"B must have {n} rows, got {b.shape}")
-        if c.shape[1] != n:
-            raise ValidationError(f"C must have {n} columns, got {c.shape}")
-        m, p = b.shape[1], c.shape[0]
-        d = np.zeros((p, m)) if d is None else np.array(d, dtype=float, ndmin=2)
-        if d.shape != (p, m):
-            raise ValidationError(f"D must be {p}x{m}, got {d.shape}")
+        if b.shape != (n, 1):
+            raise ValidationError(f"B must be {n}x1, got {b.shape}")
+        if c.shape != (1, n):
+            raise ValidationError(f"C must be 1x{n}, got {c.shape}")
+        d = np.zeros((1, 1)) if d is None else np.array(d, dtype=float, ndmin=2)
+        if d.shape != (1, 1):
+            raise ValidationError(f"D must be 1x1, got {d.shape}")
         for name, mat in (("A", a), ("B", b), ("C", c), ("D", d)):
             if not np.isfinite(mat).all():
                 raise ValidationError(f"{name} contains non-finite entries")
@@ -299,18 +300,6 @@ class StateSpaceModel:
     @property
     def n_states(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def is_siso(self) -> bool:
-        return self.n_inputs == 1 and self.n_outputs == 1
 
 
 def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:
@@ -388,8 +377,6 @@ def ss_to_tf(ss: StateSpaceModel) -> TransferFunction:
     Computed through the same Faddeev-LeVerrier recursion as char_poly; a
     zero-state model collapses to the constant D.
     """
-    if not ss.is_siso:
-        raise ValidationError("ss_to_tf supports SISO models only")
     n = ss.n_states
     d = ss.d[0, 0]
     if n == 0:
@@ -418,8 +405,6 @@ def feedback_interconnect(plant: StateSpaceModel, controller: StateSpaceModel) -
     y. A controller feedthrough creates an algebraic loop that is resolved
     exactly through the scalar 1 + Dp*Dc; a singular loop is rejected.
     """
-    if not (plant.is_siso and controller.is_siso):
-        raise ValidationError("feedback_interconnect supports SISO blocks only")
     dp = float(plant.d[0, 0])
     dc = float(controller.d[0, 0])
     gap = 1.0 + dp * dc

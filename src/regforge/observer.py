@@ -84,8 +84,6 @@ def build_observer_controller(plant: StateSpaceModel, k, h, convention: str) -> 
     convention table in the module docstring. The attached audit carries
     the Hurwitz verdicts of A - BK and A - HC.
     """
-    if not plant.is_siso:
-        raise ValidationError("observer-based controller needs a SISO plant")
     if plant.d[0, 0] != 0.0:
         raise ValidationError("plants with direct feedthrough are unsupported")
     if convention not in CONVENTIONS:
@@ -174,8 +172,6 @@ def luenberger_loop(
 
     State is [x_plant; x_hat], input r, output the plant output.
     """
-    if not plant.is_siso:
-        raise ValidationError("luenberger_loop needs a SISO plant")
     if plant.d[0, 0] != 0.0:
         raise ValidationError("plants with direct feedthrough are unsupported")
     n = plant.n_states

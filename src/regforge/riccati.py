@@ -4,24 +4,26 @@ solve_care finds the stabilizing solution of
 
     A'P + PA - P B R^-1 B' P + Q = 0
 
-by Newton-Kleinman iteration: starting from any stabilizing gain K0, each
-step solves the Lyapunov equation (A-BK)'P + P(A-BK) + Q + K'RK = 0 for P
-through its Kronecker-vectorized linear system (fine for the n <= 6
-matrices this toolkit sees, and quadratically convergent). K0 is zero when
-A is already Hurwitz, otherwise it comes from pole placement at
--1, -2, ..., -n.
+for a single-input pair (B is n x 1), with a diagonal state weight
+Q = diag(q) and a scalar input weight R = r, by Newton-Kleinman
+iteration: starting from a stabilizing gain K0, each step solves the
+Lyapunov equation (A-BK)'P + P(A-BK) + Q + K'RK = 0 for P through its
+Kronecker-vectorized linear system (fine for the n <= 6 matrices this
+toolkit sees, and quadratically convergent). K0 is zero when A is already
+Hurwitz, otherwise it comes from pole placement at -1, -2, ..., -n.
 
 Tolerances: iteration aims for a residual of 1e-12 so that scalar cases
 agree with the analytic root to 1e-10; success requires the Frobenius
-residual norm <= 1e-8, P symmetric (enforced by averaging each step) and
-positive semidefinite, and A - BK Hurwitz for the returned gain
-K = R^-1 B' P.
+residual norm <= 1e-8 (a non-finite residual stops the iteration and
+fails), P symmetric (enforced by averaging each step) and positive
+semidefinite, and A - BK Hurwitz for the returned gain K = B'P / r,
+formed as B'P times 1/r.
 
-Semidefiniteness of Q, R and P is judged from their spectra, computed by
-cyclic Jacobi rotations (`_symmetric_eigenvalues`): exact on diagonal
-weights and quadratically convergent on repeated eigenvalues, where a
-polynomial root finder stalls. Hurwitz checks go through char_poly and the
-Routh table.
+The weights are checked by sign: q >= -PSD_TOLERANCE entrywise and r > 0.
+Semidefiniteness of P is judged from its spectrum, computed by cyclic
+Jacobi rotations (`_symmetric_eigenvalues`): quadratically convergent on
+repeated eigenvalues, where a polynomial root finder stalls. Hurwitz
+checks go through char_poly and the Routh table.
 """
 
 from __future__ import annotations
@@ -97,29 +99,28 @@ def _symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostWeights:
-    """State weight Q (symmetric PSD) and input weight R (symmetric PD).
+    """State weight Q = diag(q_diag) (q_diag >= 0) and input weight R = [[r]] (r > 0).
 
-    Inputs are symmetrized as (M + M')/2 before validation, so a weight
-    with stray asymmetry yields exactly the same synthesis as its
-    symmetric part.
+    Both are stored as read-only matrices. Entries of q_diag down to
+    -PSD_TOLERANCE are accepted as rounding of zero.
     """
 
     q: np.ndarray
     r: np.ndarray
 
-    def __init__(self, q, r):
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        r = np.atleast_2d(np.asarray(r, dtype=float))
-        if q.shape[0] != q.shape[1] or r.shape[0] != r.shape[1]:
-            raise ValidationError("cost weights must be square matrices")
-        if not (np.isfinite(q).all() and np.isfinite(r).all()):
+    def __init__(self, q_diag, r):
+        q_diag = np.array(q_diag, dtype=float, ndmin=1)
+        if q_diag.ndim != 1 or np.ndim(r) != 0:
+            raise ValidationError("cost weights are a 1-D diagonal of Q and a scalar R")
+        r = float(r)
+        if not (np.isfinite(q_diag).all() and math.isfinite(r)):
             raise ValidationError("cost weights must be finite")
-        q = 0.5 * (q + q.T)
-        r = 0.5 * (r + r.T)
-        if q.size and _symmetric_eigenvalues(q).min() < -PSD_TOLERANCE:
+        if q_diag.min(initial=0.0) < -PSD_TOLERANCE:
             raise ValidationError("Q must be positive semidefinite")
-        if r.size == 0 or _symmetric_eigenvalues(r).min() <= 0.0:
+        if not r > 0.0:
             raise ValidationError("R must be positive definite")
+        q = np.diag(q_diag)
+        r = np.array([[r]])
         q.flags.writeable = False
         r.flags.writeable = False
         object.__setattr__(self, "q", q)
@@ -127,13 +128,13 @@ class CostWeights:
 
     @classmethod
     def diagonal(cls, q_diag, r) -> "CostWeights":
-        """Weights from a state-weight diagonal and a scalar (or matrix) R."""
-        return cls(np.diag(np.atleast_1d(np.asarray(q_diag, dtype=float))), r)
+        """Weights from a state-weight diagonal and a scalar R."""
+        return cls(q_diag, r)
 
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """Stabilizing CARE solution, its LQR gain K = R^-1 B' P, and diagnostics."""
+    """Stabilizing CARE solution, its LQR gain K = B'P / r, and diagnostics."""
 
     p: np.ndarray
     k: np.ndarray
@@ -167,8 +168,8 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def care_residual(a, b, p, q, r) -> np.ndarray:
-    """Residual matrix A'P + PA - P B R^-1 B' P + Q."""
-    return _residual(a, b, p, q, np.linalg.solve(r, b.T @ p))
+    """Residual matrix A'P + PA - P B R^-1 B' P + Q for a scalar or 1 x 1 R."""
+    return _residual(a, b, p, q, (b.T @ p) * (1.0 / r))
 
 
 def _residual(a, b, p, q, rinv_btp) -> np.ndarray:
@@ -177,49 +178,33 @@ def _residual(a, b, p, q, rinv_btp) -> np.ndarray:
 
 
 def _initial_stabilizing_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, m = b.shape
+    n = a.shape[0]
     if n == 0 or is_hurwitz(char_poly(a)):
-        return np.zeros((m, n))
-    targets = [-(i + 1.0) for i in range(n)]
-    if m == 1:
-        return place_poles(a, b, targets)
-    # Multi-input with unstable A: stabilize through any single column
-    # that is controllable on its own.
-    for j in range(m):
-        col = b[:, j : j + 1]
-        try:
-            k_row = place_poles(a, col, targets)
-        except ValidationError:
-            continue
-        k0 = np.zeros((m, n))
-        k0[j, :] = k_row[0, :]
-        return k0
-    raise CareConvergenceError(
-        "could not construct an initial stabilizing gain for the multi-input pair",
-        residual=float("inf"),
-    )
+        return np.zeros((1, n))
+    return place_poles(a, b, [-(i + 1.0) for i in range(n)])
 
 
 def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
     """Stabilizing solution of the CARE by Newton-Kleinman iteration.
 
     Raises CareConvergenceError when the residual stays above 1e-8 after
-    the iteration cap, and NumericalError if the converged P fails the
-    symmetric-PSD check or A - BK fails the Hurwitz check.
+    the iteration cap or goes non-finite, and NumericalError if the
+    converged P fails the symmetric-PSD check or A - BK fails the Hurwitz
+    check.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
     if b.ndim == 1:
         b = b.reshape(-1, 1)
     n = a.shape[0]
-    if a.shape != (n, n) or b.shape[0] != n:
-        raise ValidationError("A must be square and B must have matching rows")
+    if a.shape != (n, n) or b.shape != (n, 1):
+        raise ValidationError(f"A must be square and B must be {n}x1, got {a.shape} and {b.shape}")
     q, r = weights.q, weights.r
-    m = b.shape[1]
     if q.shape != (n, n):
         raise ValidationError(f"Q must be {n}x{n}, got {q.shape}")
-    if r.shape != (m, m):
-        raise ValidationError(f"R must be {m}x{m}, got {r.shape}")
+    # Multiply by 1/r rather than divide by r: the product rounds as a 1 x 1
+    # LAPACK solve does, which the pinned golden designs were computed with.
+    r_inv = 1.0 / r
 
     # P = 0 is not a Newton-Kleinman iterate, so the first iterate is always
     # taken, and k always holds R^-1 B' P for the p beside it.
@@ -232,15 +217,16 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
         rhs = q + k.T @ r @ k
         p_next = solve_lyapunov(a_cl, rhs)
         p_next = 0.5 * (p_next + p_next.T)
-        k_next = np.linalg.solve(r, b.T @ p_next)
+        k_next = (b.T @ p_next) * r_inv
         new_residual = float(np.linalg.norm(_residual(a, b, p_next, q, k_next)))
-        if new_residual >= residual and residual <= RESIDUAL_SUCCESS:
+        if not new_residual < residual and residual <= RESIDUAL_SUCCESS:
             # Rounding floor reached; keep the better iterate.
             break
         p, k, residual = p_next, k_next, new_residual
-        if residual <= RESIDUAL_TARGET:
+        # A non-finite residual (overflow, then NaN) never recovers.
+        if residual <= RESIDUAL_TARGET or not math.isfinite(residual):
             break
-    if residual > RESIDUAL_SUCCESS:
+    if not residual <= RESIDUAL_SUCCESS:
         raise CareConvergenceError(
             f"Riccati iteration did not converge in {iterations} steps", residual=residual
         )

@@ -174,7 +174,11 @@ def _parse_ss(mapping, prefix: str) -> StateSpaceModel:
     """The model of the required a, b, c and optional d keys under `prefix`."""
     a, b, c = (_parse_matrix(prefix + m, _required(mapping, prefix + m)) for m in "abc")
     d = _parse_matrix(prefix + "d", mapping.pop(prefix + "d")) if prefix + "d" in mapping else None
-    return StateSpaceModel(a, b, c, d)
+    try:
+        return StateSpaceModel(a, b, c, d)
+    except ValidationError as exc:
+        # The model's messages open with the matrix they reject ("B must be nx1 ...").
+        raise ValidationError(f"{prefix}{str(exc)[0].lower()}: {exc}") from None
 
 
 def _parse_plant_params(mapping: dict[str, str], prefix: str = "") -> PlantParams:

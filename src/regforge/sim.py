@@ -192,8 +192,6 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     columns of the `(samples, n + 1)` scan array), a truncated one holds
     copies of its samples. The inputs repeat one value with stride 0.
     """
-    if ss.n_inputs != 1 or ss.n_outputs != 1:
-        raise ValidationError("simulate drives single-input single-output models")
     n = ss.n_states
     steps = cfg.n_steps
     u = float(cfg.input_amplitude)

@@ -148,6 +148,14 @@ def random_controllable_siso(rng, n, scale=1.0, cond_limit=300.0, growth_limit=0
             return a, b
 
 
+def random_q_diag(rng, n):
+    """Nonnegative LQR state-weight diagonal: entries log-spread over
+    [1e-2, 1e1], each one zero with probability 1/4."""
+    q = 10.0 ** rng.uniform(-2.0, 1.0, size=n)
+    q[rng.random(n) < 0.25] = 0.0
+    return q
+
+
 def random_observable_row(rng, a, cond_limit=100.0):
     """Random output row C with a well-conditioned observability matrix."""
     n = a.shape[0]

@@ -25,6 +25,7 @@ from oracles import (
     care_2x2_bruteforce,
     random_controllable_siso,
     random_output_feedback_design,
+    random_q_diag,
     scalar_care,
 )
 
@@ -186,11 +187,10 @@ def test_criterion_08_care_property_suite():
     for _ in range(500):
         n = int(rng.integers(1, 5))
         a, b = random_controllable_siso(rng, n)
-        m = rng.normal(size=(n, n))
-        q = m @ m.T + 0.1 * np.eye(n)
+        q_diag = random_q_diag(rng, n)
         r = float(rng.uniform(0.3, 3.0))
-        sol = solve_care(a, b, CostWeights(q, [[r]]))
-        res = float(np.linalg.norm(care_residual(a, b, sol.p, q, np.atleast_2d(r))))
+        sol = solve_care(a, b, CostWeights(q_diag, r))
+        res = float(np.linalg.norm(care_residual(a, b, sol.p, np.diag(q_diag), np.atleast_2d(r))))
         worst_residual = max(worst_residual, res)
         assert res <= 1e-8
         assert np.max(np.abs(sol.p - sol.p.T)) <= 1e-10
@@ -205,7 +205,7 @@ def test_criterion_08_care_property_suite():
         b = rng.uniform(0.2, 3.0) * (1 if rng.random() < 0.5 else -1)
         q = rng.uniform(0.0, 5.0)
         r = rng.uniform(0.2, 5.0)
-        sol = solve_care(np.array([[a]]), np.array([[b]]), CostWeights([[q]], [[r]]))
+        sol = solve_care(np.array([[a]]), np.array([[b]]), CostWeights([q], r))
         worst_scalar = max(worst_scalar, abs(sol.p[0, 0] - scalar_care(a, b, q, r)))
     ok = worst_scalar <= 1e-10
     verdict(

@@ -297,9 +297,13 @@ class TestSsToTf:
         npt.assert_allclose(g.den.coeffs, [1.0, 2.5, 1.0], atol=1e-12)
 
     def test_rejects_mimo(self):
-        ss = StateSpaceModel(np.eye(2) * -1.0, np.eye(2), np.eye(2))
-        with pytest.raises(ValidationError):
-            ss_to_tf(ss)
+        # Models are SISO by construction, so ss_to_tf never sees a MIMO one.
+        with pytest.raises(ValidationError, match=r"^B must be 2x1, got \(2, 2\)$"):
+            StateSpaceModel(np.eye(2) * -1.0, np.eye(2), [1.0, 0.0])
+        with pytest.raises(ValidationError, match=r"^C must be 1x2, got \(2, 2\)$"):
+            StateSpaceModel(np.eye(2) * -1.0, [1.0, 0.0], np.eye(2))
+        with pytest.raises(ValidationError, match=r"^D must be 1x1, got \(1, 2\)$"):
+            StateSpaceModel(np.eye(2) * -1.0, [1.0, 0.0], [1.0, 0.0], [[0.0, 0.0]])
 
     def test_round_trip_random_strictly_proper(self):
         # Well-conditioned random TFs of degree <= 4, coefficient-wise
@@ -503,7 +507,6 @@ class TestFeedback:
         ctrl = tf_to_ss(TransferFunction([1.0], [1.0, 1.0]))
         loop = feedback_interconnect(tf_to_ss(reference_plant()), ctrl)
         assert loop.n_states == 3
-        assert loop.is_siso
 
     def test_singular_algebraic_loop_rejected(self):
         plant = StateSpaceModel.static_gain(1.0)

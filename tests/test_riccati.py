@@ -5,10 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regforge import riccati
-from regforge.errors import NumericalError, ValidationError
+from regforge.errors import CareConvergenceError, NumericalError, ValidationError
 from regforge.lti import char_poly, is_hurwitz, tf_to_ss
 from regforge.plant import PRESETS, preset_tf
 from regforge.riccati import (
+    PSD_TOLERANCE,
     CostWeights,
     _symmetric_eigenvalues,
     care_residual,
@@ -16,7 +17,7 @@ from regforge.riccati import (
     solve_lyapunov,
 )
 
-from oracles import care_2x2_bruteforce, random_controllable_siso, scalar_care
+from oracles import care_2x2_bruteforce, random_controllable_siso, random_q_diag, scalar_care
 
 PLANT_A = np.array([[-2.5, -1.0], [1.0, 0.0]])
 PLANT_B = np.array([[1.0], [0.0]])
@@ -31,33 +32,36 @@ K_LOW = np.array([(-25.0 + np.sqrt(737.9822128134704)) / 10.0, (-5.0 + 2.0 * np.
 class TestCostWeights:
     def test_diagonal_builder(self):
         w = CostWeights.diagonal([8.0, 8.0], 1.0)
-        npt.assert_allclose(w.q, 8.0 * np.eye(2))
-        npt.assert_allclose(w.r, [[1.0]])
+        npt.assert_array_equal(w.q, 8.0 * np.eye(2))
+        npt.assert_array_equal(w.r, [[1.0]])
+        assert not (w.q.flags.writeable or w.r.flags.writeable)
 
-    def test_symmetrizes_input(self):
-        w = CostWeights([[1.0, 0.2], [0.0, 1.0]], [[1.0]])
-        npt.assert_allclose(w.q, [[1.0, 0.1], [0.1, 1.0]])
+    @pytest.mark.parametrize("q_diag, r", [(np.eye(2), 1.0), ([1.0, 1.0], [[1.0]])], ids=["full-q", "matrix-r"])
+    def test_full_q_or_matrix_r_rejected(self, q_diag, r):
+        with pytest.raises(ValidationError, match="1-D diagonal of Q and a scalar R"):
+            CostWeights(q_diag, r)
 
     def test_indefinite_r_rejected(self):
         with pytest.raises(ValidationError):
-            CostWeights(np.eye(2), [[-1.0]])
+            CostWeights([1.0, 1.0], -1.0)
         with pytest.raises(ValidationError):
-            CostWeights(np.eye(2), [[0.0]])
+            CostWeights([1.0, 1.0], 0.0)
 
     def test_indefinite_q_rejected(self):
         with pytest.raises(ValidationError):
-            CostWeights([[1.0, 0.0], [0.0, -0.5]], [[1.0]])
+            CostWeights([1.0, -0.5], 1.0)
 
     def test_zero_q_allowed(self):
-        CostWeights(np.zeros((2, 2)), [[1.0]])
+        CostWeights([0.0, 0.0], 1.0)
 
     @pytest.mark.parametrize(
         "q, r",
         [
-            ([[np.nan, 0.0], [0.0, 1.0]], [[1.0]]),
-            ([[np.inf, 0.0], [0.0, 1.0]], [[1.0]]),
-            (np.eye(2), [[np.nan]]),
+            ([np.nan, 1.0], 1.0),
+            ([np.inf, 1.0], 1.0),
+            ([1.0, 1.0], np.nan),
         ],
+        ids=["q0-r0", "q1-r1", "q2-r2"],
     )
     def test_non_finite_rejected(self, q, r):
         with pytest.raises(ValidationError, match="cost weights must be finite"):
@@ -122,6 +126,8 @@ class TestSymmetricEigenvalues:
             _symmetric_eigenvalues(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     # PSD_TOLERANCE is 1e-9: an eigenvalue of -5e-10 is accepted, -2e-9 is not.
+    # A diagonal goes through CostWeights; a rotated matrix, whose check now
+    # guards only the Riccati solution P, goes through the Jacobi spectrum.
     @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
     @pytest.mark.parametrize(
         "spectrum",
@@ -129,8 +135,10 @@ class TestSymmetricEigenvalues:
         ids=["I4+(-5e-10)", "100I3+(-5e-10)"],
     )
     def test_near_singular_q_accepted(self, spectrum, rotate):
-        q = _rotated(spectrum, seed=len(spectrum)) if rotate else np.diag(spectrum)
-        CostWeights(q, [[1.0]])
+        if rotate:
+            assert _symmetric_eigenvalues(_rotated(spectrum, seed=len(spectrum))).min() >= -PSD_TOLERANCE
+        else:
+            CostWeights(spectrum, 1.0)
 
     @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
     @pytest.mark.parametrize(
@@ -139,9 +147,11 @@ class TestSymmetricEigenvalues:
         ids=["I4+(-2e-9)", "diag(9,9,-2e-9)"],
     )
     def test_indefinite_q_rejected(self, spectrum, rotate):
-        q = _rotated(spectrum, seed=len(spectrum)) if rotate else np.diag(spectrum)
-        with pytest.raises(ValidationError, match="Q must be positive semidefinite"):
-            CostWeights(q, [[1.0]])
+        if rotate:
+            assert _symmetric_eigenvalues(_rotated(spectrum, seed=len(spectrum))).min() < -PSD_TOLERANCE
+        else:
+            with pytest.raises(ValidationError, match="Q must be positive semidefinite"):
+                CostWeights(spectrum, 1.0)
 
 
 class TestLyapunov:
@@ -184,12 +194,12 @@ class TestLyapunov:
 
 class TestSolveCare:
     def test_scalar_analytic(self):
-        sol = solve_care(np.array([[-1.0]]), np.array([[1.0]]), CostWeights([[1.0]], [[1.0]]))
+        sol = solve_care(np.array([[-1.0]]), np.array([[1.0]]), CostWeights([1.0], 1.0))
         assert sol.p[0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)
         assert sol.residual_norm <= 1e-8
 
     def test_stable_plant_zero_q(self):
-        sol = solve_care(PLANT_A, PLANT_B, CostWeights(np.zeros((2, 2)), [[1.0]]))
+        sol = solve_care(PLANT_A, PLANT_B, CostWeights([0.0, 0.0], 1.0))
         npt.assert_allclose(sol.p, np.zeros((2, 2)), atol=1e-12)
 
     def test_reference_design_p_first_row(self):
@@ -201,16 +211,10 @@ class TestSolveCare:
         sol = solve_care(PLANT_A, PLANT_B, CostWeights.diagonal([8.0, 8.0], 1.0))
         npt.assert_allclose(sol.p, oracle_p, atol=1e-6)
 
-    def test_symmetrized_q_gives_identical_p(self):
-        q = np.array([[3.0, 0.4], [0.0, 3.0]])
-        direct = solve_care(PLANT_A, PLANT_B, CostWeights(q, [[5.0]]))
-        symmetric = solve_care(PLANT_A, PLANT_B, CostWeights(0.5 * (q + q.T), [[5.0]]))
-        npt.assert_array_equal(direct.p, symmetric.p)
-
     def test_unstable_plant(self):
         a = np.array([[1.0, 2.0], [0.0, 0.5]])
         b = np.array([[0.0], [1.0]])
-        sol = solve_care(a, b, CostWeights(np.eye(2), [[1.0]]))
+        sol = solve_care(a, b, CostWeights([1.0, 1.0], 1.0))
         k = np.linalg.solve(np.atleast_2d(1.0), b.T @ sol.p)
         assert is_hurwitz(char_poly(a - b @ k))
         assert sol.residual_norm <= 1e-8
@@ -224,7 +228,7 @@ class TestSolveCare:
         # solution must still move the unstable pole.
         linalg = pytest.importorskip("scipy.linalg")
         q = np.zeros_like(a)
-        sol = solve_care(a, b, CostWeights(q, [[1.0]]))
+        sol = solve_care(a, b, CostWeights(np.zeros(len(a)), 1.0))
         npt.assert_allclose(sol.p, linalg.solve_continuous_are(a, b, q, np.eye(1)), atol=1e-10)
         assert is_hurwitz(char_poly(a - b @ sol.k))
 
@@ -237,8 +241,7 @@ class TestSolveCare:
         rng = np.random.default_rng(14)
         for n in (1, 2, 3, 4, 2, 3):
             a, b = random_controllable_siso(rng, n)
-            m = rng.normal(size=(n, n))
-            designs.append((a, b, CostWeights(m @ m.T + 0.1 * np.eye(n), [[rng.uniform(0.3, 3.0)]])))
+            designs.append((a, b, CostWeights(random_q_diag(rng, n), rng.uniform(0.3, 3.0))))
         for a, b, weights in designs:
             sol = solve_care(a, b, weights)
             norm = float(np.linalg.norm(care_residual(a, b, sol.p, weights.q, weights.r)))
@@ -257,8 +260,20 @@ class TestSolveCare:
             b = rng.uniform(0.2, 3.0) * (1 if rng.random() < 0.5 else -1)
             q = rng.uniform(0.0, 5.0)
             r = rng.uniform(0.2, 5.0)
-            sol = solve_care(np.array([[a]]), np.array([[b]]), CostWeights([[q]], [[r]]))
+            sol = solve_care(np.array([[a]]), np.array([[b]]), CostWeights([q], r))
             assert sol.p[0, 0] == pytest.approx(scalar_care(a, b, q, r), abs=1e-10)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("q_diag, r", [([1e300, 1.0], 1.0), ([1.0, 1.0], 1e-320)], ids=["huge-q", "tiny-r"])
+    def test_non_finite_residual_is_not_converged(self, q_diag, r):
+        # The first residual overflows. Iterating on gives NaN residuals,
+        # which compare False with any threshold: none may count as converged.
+        with pytest.raises(CareConvergenceError, match="in 1 steps"):
+            solve_care(PLANT_A, PLANT_B, CostWeights(q_diag, r))
+
+    def test_multi_column_b_rejected(self):
+        with pytest.raises(ValidationError, match="B must be 2x1"):
+            solve_care(PLANT_A, np.eye(2), CostWeights([1.0, 1.0], 1.0))
 
     def test_2x2_oracle_100_random(self):
         # cond cap keeps |P| moderate so the absolute 1e-6 agreement bar
@@ -266,11 +281,10 @@ class TestSolveCare:
         rng = np.random.default_rng(12)
         for trial in range(100):
             a, b = random_controllable_siso(rng, 2, cond_limit=100.0)
-            m = rng.normal(size=(2, 2))
-            q = m @ m.T + 0.5 * np.eye(2)
+            q_diag = random_q_diag(rng, 2)
             r = float(rng.uniform(0.5, 2.0))
-            sol = solve_care(a, b, CostWeights(q, [[r]]))
-            oracle_p = care_2x2_bruteforce(a, b, q, r, seed=trial)
+            sol = solve_care(a, b, CostWeights(q_diag, r))
+            oracle_p = care_2x2_bruteforce(a, b, np.diag(q_diag), r, seed=trial)
             npt.assert_allclose(sol.p, oracle_p, atol=1e-6)
 
 
@@ -286,13 +300,13 @@ class TestLqrGain:
         npt.assert_allclose(k[0], [0.2166, 0.2649], atol=1e-3)
 
     def test_zero_q_on_stable_plant(self):
-        k = solve_care(PLANT_A, PLANT_B, CostWeights(np.zeros((2, 2)), [[1.0]])).k
+        k = solve_care(PLANT_A, PLANT_B, CostWeights([0.0, 0.0], 1.0)).k
         npt.assert_allclose(k, np.zeros((1, 2)), atol=1e-12)
 
     def test_zero_q_on_unstable_plant(self):
         a = np.array([[1.0, 0.0], [0.0, -2.0]])
         b = np.array([[1.0], [1.0]])
-        k = solve_care(a, b, CostWeights(np.zeros((2, 2)), [[1.0]])).k
+        k = solve_care(a, b, CostWeights([0.0, 0.0], 1.0)).k
         npt.assert_allclose(k, [[2.0, 0.0]], atol=1e-10)
 
     def test_property_suite_random_systems(self):
@@ -300,21 +314,13 @@ class TestLqrGain:
         for _ in range(200):
             n = int(rng.integers(1, 5))
             a, b = random_controllable_siso(rng, n)
-            m = rng.normal(size=(n, n))
-            q = m @ m.T + 0.1 * np.eye(n)
+            q_diag = random_q_diag(rng, n)
             r = float(rng.uniform(0.3, 3.0))
-            sol = solve_care(a, b, CostWeights(q, [[r]]))
-            res = care_residual(a, b, sol.p, q, np.atleast_2d(r))
+            sol = solve_care(a, b, CostWeights(q_diag, r))
+            res = care_residual(a, b, sol.p, np.diag(q_diag), np.atleast_2d(r))
             assert np.linalg.norm(res) <= 1e-8
             assert np.max(np.abs(sol.p - sol.p.T)) <= 1e-10
             assert np.min(np.linalg.eigvalsh(sol.p)) >= -1e-9
             k = (b.T @ sol.p) / r
             assert np.max(np.linalg.eigvals(a - b @ k).real) < 0.0
             assert is_hurwitz(char_poly(a - b @ k))
-
-    def test_multi_input_stable_plant(self):
-        a = np.array([[-1.0, 0.5], [0.0, -2.0]])
-        b = np.array([[1.0, 0.0], [0.0, 1.0]])
-        k = solve_care(a, b, CostWeights(np.eye(2), np.eye(2))).k
-        assert k.shape == (2, 2)
-        assert np.max(np.linalg.eigvals(a - b @ k).real) < 0.0

@@ -183,6 +183,8 @@ class TestScenario:
         ("plant.ss.a = -1 0; 1\nplant.ss.b = 1\nplant.ss.c = 1\n", "plant.ss.a: rows have unequal lengths"),
         ("plant.ss.a = -1\nplant.ss.b = 1\nplant.ss.c = 1\nplant.ss.d = x\n",
          "plant.ss.d: expected numbers, got 'x'"),
+        ("plant.ss.a = -1 0; 0 -2\nplant.ss.b = 1 0; 0 1\nplant.ss.c = 1 1\n",
+         "plant.ss.b: B must be 2x1, got (2, 2)"),
         ("plant.turbine.tau_t = 2\n", "missing required parameter plant.generator.k1"),
         ("plant.preset = exact\ncontroller.type = lqr\ncontroller.r = 1\n",
          "missing required parameter controller.q_diag"),
@@ -192,6 +194,8 @@ class TestScenario:
          "missing required parameter controller.b"),
         ("plant.preset = exact\ncontroller.type = ss\ncontroller.a = -1\ncontroller.b = 1\n"
          "controller.c = 1\ncontroller.d = 1; 2 3\n", "controller.d: rows have unequal lengths"),
+        ("plant.preset = exact\ncontroller.type = ss\ncontroller.a = -1 0; 0 -1\ncontroller.b = 1 0; 0 1\n"
+         "controller.c = 1 1\n", "controller.b: B must be 2x1, got (2, 2)"),
     ])
     def test_block_error_messages(self, tmp_path, text, message):
         with pytest.raises(ValidationError) as exc:
