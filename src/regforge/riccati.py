@@ -19,7 +19,8 @@ fails), P symmetric (enforced by averaging each step) and positive
 semidefinite, and A - BK Hurwitz for the returned gain K = B'P / r,
 formed as B'P times 1/r.
 
-The weights are checked by sign: q >= -PSD_TOLERANCE entrywise and r > 0.
+The weights are checked by sign: q >= -PSD_TOLERANCE entrywise and r > 0,
+with 1/r finite.
 Semidefiniteness of P is judged from its spectrum, computed by cyclic
 Jacobi rotations (`_symmetric_eigenvalues`): quadratically convergent on
 repeated eigenvalues, where a polynomial root finder stalls. Hurwitz
@@ -102,7 +103,8 @@ class CostWeights:
     """State weight Q = diag(q_diag) (q_diag >= 0) and input weight R = [[r]] (r > 0).
 
     Both are stored as read-only matrices. Entries of q_diag down to
-    -PSD_TOLERANCE are accepted as rounding of zero.
+    -PSD_TOLERANCE are accepted as rounding of zero; an r whose reciprocal
+    overflows (a subnormal r) is rejected.
     """
 
     q: np.ndarray
@@ -119,6 +121,9 @@ class CostWeights:
             raise ValidationError("Q must be positive semidefinite")
         if not r > 0.0:
             raise ValidationError("R must be positive definite")
+        # solve_care multiplies by 1/r; a subnormal r makes it overflow.
+        if not math.isfinite(1.0 / r):
+            raise ValidationError(f"R must have a finite reciprocal, got {r!r}")
         q = np.diag(q_diag)
         r = np.array([[r]])
         q.flags.writeable = False
@@ -212,20 +217,22 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
     p = np.zeros((n, n))
     residual = float("inf")
     iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        a_cl = a - b @ k
-        rhs = q + k.T @ r @ k
-        p_next = solve_lyapunov(a_cl, rhs)
-        p_next = 0.5 * (p_next + p_next.T)
-        k_next = (b.T @ p_next) * r_inv
-        new_residual = float(np.linalg.norm(_residual(a, b, p_next, q, k_next)))
-        if not new_residual < residual and residual <= RESIDUAL_SUCCESS:
-            # Rounding floor reached; keep the better iterate.
-            break
-        p, k, residual = p_next, k_next, new_residual
-        # A non-finite residual (overflow, then NaN) never recovers.
-        if residual <= RESIDUAL_TARGET or not math.isfinite(residual):
-            break
+    # Huge weights overflow on the way; the non-finite residual reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            a_cl = a - b @ k
+            rhs = q + k.T @ r @ k
+            p_next = solve_lyapunov(a_cl, rhs)
+            p_next = 0.5 * (p_next + p_next.T)
+            k_next = (b.T @ p_next) * r_inv
+            new_residual = float(np.linalg.norm(_residual(a, b, p_next, q, k_next)))
+            if not new_residual < residual and residual <= RESIDUAL_SUCCESS:
+                # Rounding floor reached; keep the better iterate.
+                break
+            p, k, residual = p_next, k_next, new_residual
+            # A non-finite residual (overflow, then NaN) never recovers.
+            if residual <= RESIDUAL_TARGET or not math.isfinite(residual):
+                break
     if not residual <= RESIDUAL_SUCCESS:
         raise CareConvergenceError(
             f"Riccati iteration did not converge in {iterations} steps", residual=residual

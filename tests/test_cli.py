@@ -140,6 +140,13 @@ class TestSynthesizeCommand:
         assert code == 1
         assert "cost weights must be finite" in capsys.readouterr().err
 
+    def test_weight_with_infinite_reciprocal_rejected(self, capsys, tmp_path):
+        scn = tmp_path / "tiny-r.cfg"
+        scn.write_text(ZERO_DC_SCENARIO.replace("controller.r = 1", "controller.r = 1e-320"))
+        code = main(["synthesize", "--scenario", str(scn)])
+        assert code == 1
+        assert "controller.r: R must have a finite reciprocal" in capsys.readouterr().err
+
     def test_open_loop_scenario_rejected(self, capsys):
         code = main(["synthesize", "--scenario", str(SCENARIOS / "open-loop.cfg")])
         assert code == 1

@@ -5,6 +5,10 @@ np.linalg call on the design or simulation path can move the output bits
 from one machine to the next. The set below is meant to shrink; a new
 call has to be added here on purpose, and one that is gone has to be
 taken out.
+
+The functions of `simulate`'s path take their products with np.dot, not
+`@` or np.matmul: on their small C-contiguous operands the two make the
+same BLAS call, and np.dot skips matmul's gufunc dispatch.
 """
 
 import ast
@@ -24,6 +28,10 @@ PINNED = {
     ("sim", "reference_prescaler", "LinAlgError"),
     ("sim", "reference_prescaler", "norm"),
 }
+
+# (module, function) that may take no product by `@` or matmul. sim's
+# module level is listed so that a matmul bound to a name there cannot hide.
+DOT_ONLY = {("sim", "<module>"), ("sim", "simulate"), ("sim", "_rk4_maps")}
 
 
 def _linalg_uses(source: str, module: str) -> set[tuple[str, str, str]]:
@@ -75,3 +83,47 @@ def test_scan_sees_every_spelling():
         ("m", "f", "<other>"),
         ("m", "f", "solve"),
     }
+
+
+def _matmul_uses(source: str, module: str) -> set[tuple[str, str]]:
+    """(module, function) for each `@`, `@=` or name `matmul` in `source`."""
+    uses = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Attribute) and node.attr == "matmul"
+                or isinstance(node, ast.Name) and node.id == "matmul"
+                or isinstance(node, ast.alias) and node.name.split(".")[-1] == "matmul"):
+            uses.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return uses
+
+
+def test_simulate_path_takes_no_matmul():
+    source = (SRC / "sim.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    assert {function for _, function in DOT_ONLY} - {"<module>"} <= defined
+    assert not _matmul_uses(source, "sim") & DOT_ONLY
+
+
+def test_matmul_scan_sees_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "from numpy import matmul\n"
+        "def f(a, b):\n"
+        "    return a @ b\n"
+        "def g(a, b):\n"
+        "    a @= b\n"
+        "def h(a, b, out):\n"
+        "    np.matmul(a, b, out=out)\n"
+        "def k(a, b):\n"
+        "    return matmul(a, b)\n"
+        "def ok(a, b):\n"
+        "    return np.dot(a, b)\n"
+    )
+    assert _matmul_uses(source, "m") == {("m", name) for name in ("<module>", "f", "g", "h", "k")}

@@ -51,6 +51,16 @@ class TestCostWeights:
         with pytest.raises(ValidationError):
             CostWeights([1.0, -0.5], 1.0)
 
+    @pytest.mark.parametrize("r", [1e-320, 5e-324, 5e-309])
+    def test_r_with_overflowing_reciprocal_rejected(self, r):
+        # solve_care multiplies by 1/r, which is inf for these.
+        with pytest.raises(ValidationError, match="R must have a finite reciprocal"):
+            CostWeights([1.0, 1.0], r)
+
+    def test_smallest_normal_r_accepted(self):
+        tiny = np.finfo(float).tiny
+        assert CostWeights([1.0, 1.0], tiny).r[0, 0] == tiny
+
     def test_zero_q_allowed(self):
         CostWeights([0.0, 0.0], 1.0)
 
@@ -263,11 +273,12 @@ class TestSolveCare:
             sol = solve_care(np.array([[a]]), np.array([[b]]), CostWeights([q], r))
             assert sol.p[0, 0] == pytest.approx(scalar_care(a, b, q, r), abs=1e-10)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize("q_diag, r", [([1e300, 1.0], 1.0), ([1.0, 1.0], 1e-320)], ids=["huge-q", "tiny-r"])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q_diag, r", [([1e300, 1.0], 1.0)], ids=["huge-q"])
     def test_non_finite_residual_is_not_converged(self, q_diag, r):
         # The first residual overflows. Iterating on gives NaN residuals,
         # which compare False with any threshold: none may count as converged.
+        # The overflow is reported by the error alone, with no numpy warning.
         with pytest.raises(CareConvergenceError, match="in 1 steps"):
             solve_care(PLANT_A, PLANT_B, CostWeights(q_diag, r))
 

@@ -196,6 +196,10 @@ class TestScenario:
          "controller.c = 1\ncontroller.d = 1; 2 3\n", "controller.d: rows have unequal lengths"),
         ("plant.preset = exact\ncontroller.type = ss\ncontroller.a = -1 0; 0 -1\ncontroller.b = 1 0; 0 1\n"
          "controller.c = 1 1\n", "controller.b: B must be 2x1, got (2, 2)"),
+        ("plant.preset = exact\ncontroller.type = lqr\ncontroller.q_diag = 1 1\ncontroller.r = 1e-320\n",
+         "controller.r: R must have a finite reciprocal, got 1e-320"),
+        ("plant.preset = exact\ncontroller.type = observer\ncontroller.q_diag = 1 -1\ncontroller.r = 1\n"
+         "controller.h = 2 -0.5\n", "controller.q_diag: Q must be positive semidefinite"),
     ])
     def test_block_error_messages(self, tmp_path, text, message):
         with pytest.raises(ValidationError) as exc:

@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from regforge.scenario import (
     run_scenario,
 )
 from regforge.sim import (
+    CHECK_ROWS,
     POWER_LIMIT,
     SimConfig,
     StepMetrics,
@@ -278,6 +280,92 @@ class TestBlockedScan:
         ts = assert_matches_stepwise(ss, cfg, x0)
         assert ts.diverged == diverges
         assert diverges or ts.n_samples == cfg.n_steps + 1
+
+
+def matmul_scan(ss: StateSpaceModel, cfg: SimConfig, x0=None):
+    """`simulate`'s scan with every product written as `@` or np.matmul.
+
+    It is the scan as it stood before its products went through np.dot,
+    with the power and batch tests written out in full (the norm bound
+    only skips power tests that pass). Returns the outputs, the states and
+    the diverged flag of the samples `simulate` keeps.
+    """
+    n, steps, u, dt = ss.n_states, cfg.n_steps, float(cfg.input_amplitude), cfg.dt
+    eye = np.eye(n)
+    ha = dt * ss.a
+    ha2 = ha @ ha
+    ha3 = ha2 @ ha
+    m = eye + ha + ha2 / 2.0 + ha3 / 6.0 + ha3 @ ha / 24.0
+    g = dt * (eye + ha / 2.0 + ha2 / 6.0 + ha3 / 24.0) @ ss.b
+    z = np.empty((steps + 1, n + 1))
+    z[0, :n] = 0.0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+    z[0, n] = 1.0
+    cd = np.append(ss.c.ravel(), ss.d[0, 0] * u)
+    outputs = np.empty(steps + 1)
+    outputs[0] = z[0] @ cd
+    if not np.all(np.abs(z[0]) <= LIMIT) or not abs(outputs[0]) <= LIMIT:
+        return outputs[:1], z[:1, :n], True
+    q = np.zeros((n + 1, n + 1))
+    q[:n, :n] = m.T
+    q[n, :n] = (g * u).ravel()
+    q[n, n] = 1.0
+    h = f = checked = 1
+    state_out = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        while f <= steps:
+            take = min(h, steps + 1 - f)
+            np.matmul(z[f - h:f - h + take], q, out=z[f:f + take])
+            f += take
+            if f - checked >= CHECK_ROWS or f > steps:
+                block = z[checked:f]
+                if not np.all(np.abs(block) <= LIMIT):
+                    state_out = True
+                    break
+                checked = f
+            if f == 2 * h and f <= steps:
+                q2 = q @ q
+                if np.all(np.abs(q2[:n, :n]) <= POWER_LIMIT):
+                    q, h = q2, f
+        if state_out:
+            r = checked + int(np.argmax(~(np.abs(block) <= LIMIT).ravel())) // (n + 1)
+            w = min(h, 1 << (r.bit_length() - 1))
+            f = min((r // w + 1) * w, f)
+        ys = outputs[1:f]
+        np.matmul(z[1:f], cd, out=ys)
+        bad = ~(np.abs(ys) <= LIMIT)
+    if state_out:
+        bad[r - 1] = True
+    if bad.any():
+        samples = int(np.argmax(bad)) + 2
+        return outputs[:samples], z[:samples, :n], True
+    return outputs, z[:, :n], False
+
+
+@pytest.mark.filterwarnings("error")
+def test_dot_products_keep_the_matmul_bits():
+    # np.dot and `@` make the same BLAS call on C-contiguous float64
+    # operands; this holds them to the same bits on the BLAS at hand, where
+    # a sha256 pin holds only on the kernels it was taken on. The runs are
+    # from rest and from a random x0; at dt = 2e-2 and 5e-2 most unstable
+    # models pass the limit within the horizon, between samples 144 and 509.
+    rng = np.random.default_rng(2200)
+    kinds = Counter()
+    for n in range(7):
+        for unstable in (False, True):
+            ss = scan_model(rng, n, unstable)
+            for dt in (1e-2, 2e-2, 5e-2):
+                for x0 in (None, rng.normal(size=n)):
+                    for steps in (LENGTH - 1, LENGTH, LENGTH + 1):
+                        cfg = SimConfig(dt=dt, duration=steps * dt, input_amplitude=-1.7)
+                        assert cfg.n_steps == steps
+                        ts = simulate(ss, cfg, x0)
+                        outputs, states, diverged = matmul_scan(ss, cfg, x0)
+                        assert ts.diverged == diverged
+                        assert np.array_equal(ts.outputs, outputs)
+                        assert np.array_equal(ts.states, states)
+                        kinds[("unstable" if unstable else "stable", diverged)] += 1
+    assert kinds[("stable", False)] == 126 and kinds[("stable", True)] == 0
+    assert kinds[("unstable", False)] >= 40 and kinds[("unstable", True)] >= 70
 
 
 class TestDivergenceSearch:
