@@ -280,7 +280,8 @@ def _resolve_controller(mapping) -> ControllerSpec:
         q_text, r_text = (_required(mapping, key) for key in ("controller.q_diag", "controller.r"))
         q_diag = _parse_vector("controller.q_diag", q_text)
         r = _parse_float("controller.r", r_text)
-        # Each weight is checked on its own here, so a bad one exits 1 naming its key.
+        # Each weight is checked on its own (r = 1 beside q_diag, no q beside r),
+        # so a bad one exits 1 naming its key before any synthesis.
         for key, weights in (("controller.q_diag", (q_diag, 1.0)), ("controller.r", ((), r))):
             try:
                 CostWeights(*weights)

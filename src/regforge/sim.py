@@ -35,8 +35,8 @@ Every product of the scan and of the step maps is an `np.dot`: on these
 C-contiguous float64 operands it makes the BLAS call `@` makes, so the bits
 are the same, without matmul's gufunc dispatch, about 0.25 us a call (a
 7 x 7 square: 0.36 against 0.63 us). A 1000-step run takes about 24
-products, and `simulate` plus `step_metrics` takes 44-46 us, against
-50-52 us with `@` (one CPU of a 2-CPU AMD EPYC, OpenBLAS SkylakeX kernels).
+products, and `simulate` plus `step_metrics` takes 41-44 us, against
+47-50 us with `@` (one CPU of a 2-CPU AMD EPYC, OpenBLAS SkylakeX kernels).
 A run allocates its trajectory once, an (N + 1, n + 1) array: the checks
 use min and max, which allocate nothing, and `TimeSeries` keeps views of
 the arrays it is given. A truncated run returns copies of the samples it
