@@ -20,6 +20,16 @@ The two polynomial kernels, `_durand_kerner` and `is_hurwitz`, loop over
 Python floats and complex numbers rather than numpy arrays: on vectors of
 at most seven entries numpy's per-call overhead outweighs the arithmetic
 several times over.
+
+Every linear solve of the design path (the symmetric Lyapunov solve of
+`riccati`, Ackermann's formula and the controllability rank of
+`observer.place_poles`, and `sim.reference_prescaler`) goes through one
+Gaussian elimination with partial pivoting, `lu_factor` and `lu_solve`,
+also on Python floats, and `ordered_dot` adds products in index order.
+Their arithmetic runs in a fixed order, so their bits do not depend on
+which BLAS or LAPACK kernel numpy picks for the CPU. Partial pivoting is
+backward stable in practice (Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 9).
 """
 
 from __future__ import annotations
@@ -43,6 +53,9 @@ __all__ = [
     "is_hurwitz",
     "dc_gain",
     "eigenvalues",
+    "lu_factor",
+    "lu_solve",
+    "ordered_dot",
 ]
 
 # Angle offset (radians) of the first Durand-Kerner start point on Aberth's
@@ -161,7 +174,10 @@ def _durand_kerner(coeffs, max_iter: int = 200, tol: float = 1e-12) -> tuple[np.
     monic, a zero Weierstrass denominator (coincident iterates) or a
     non-finite result raise NumericalError.
     """
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "f").tolist()
+    # A Polynomial has no leading zeros; a coefficient list passed directly may.
+    c = np.asarray(coeffs, dtype=float).tolist()
+    while c and c[0] == 0.0:
+        del c[0]
     if len(c) <= 1:
         return np.array([], dtype=complex), 0, True
     lead = c[0]
@@ -454,9 +470,9 @@ def is_hurwitz(p: Polynomial) -> bool:
         pivot = row[0]
         if not pivot > 0.0:
             return False
-        head = above[0]
-        above, row = row, [(pivot * above[j] - head * row[j]) / pivot
-                           for j in range(1, width + 1)] + [0.0]
+        # The ratio first: pivot * above[j] could overflow where the result does not.
+        ratio = above[0] / pivot
+        above, row = row, [above[j] - ratio * row[j] for j in range(1, width + 1)] + [0.0]
     return row[0] > 0.0
 
 
@@ -466,3 +482,73 @@ def dc_gain(tf: TransferFunction) -> float:
     if den0 == 0.0:
         raise NumericalError("dc gain undefined: pole at the origin")
     return float(tf.num(0.0)) / den0
+
+
+def lu_factor(a: list[list[float]], tol: float = 0.0) -> tuple[list[list[float]], list[int], int]:
+    """Gaussian elimination with partial pivoting on a square list of rows of floats.
+
+    The rows of `a` are overwritten. Column k takes as its pivot the entry
+    of largest magnitude in the rows not yet pivoted; when that magnitude
+    is not above `tol` (zero, or NaN) the column gets no pivot and the next
+    column is tried on the same row, so the count of pivots is the rank of
+    the row-echelon form. Returns (lu, perm, rank). When rank is n, row i
+    of lu is row perm[i] of A factored as L U: the unit lower triangle L
+    below the diagonal, U on and above it. `lu_solve` takes that output.
+    """
+    n = len(a)
+    perm = list(range(n))
+    rank = 0
+    for k in range(n):
+        p, big = rank, abs(a[rank][k])
+        for i in range(rank + 1, n):
+            v = abs(a[i][k])
+            if v > big:
+                p, big = i, v
+        if not big > tol:
+            continue
+        if p != rank:
+            a[p], a[rank] = a[rank], a[p]
+            perm[p], perm[rank] = perm[rank], perm[p]
+        row = a[rank]
+        pivot = row[k]
+        for i in range(rank + 1, n):
+            other = a[i]
+            f = other[k] / pivot
+            other[k] = f
+            if f != 0.0:
+                for j in range(k + 1, n):
+                    other[j] -= f * row[j]
+        rank += 1
+    return a, perm, rank
+
+
+def lu_solve(lu: list[list[float]], perm: list[int], b) -> list[float]:
+    """Solve A x = b from the full-rank output of `lu_factor`; b is a sequence of n floats."""
+    n = len(lu)
+    x = [b[i] for i in perm]
+    for i in range(1, n):
+        row = lu[i]
+        s = x[i]
+        for j in range(i):
+            s -= row[j] * x[j]
+        x[i] = s
+    for i in range(n - 1, -1, -1):
+        row = lu[i]
+        s = x[i]
+        for j in range(i + 1, n):
+            s -= row[j] * x[j]
+        x[i] = s / row[i]
+    return x
+
+
+def ordered_dot(u, v) -> float:
+    """Sum of u_i * v_i over two float sequences, added in index order from 0.0.
+
+    An explicit loop, not `sum`, whose float summation differs between
+    Python versions. `math.sqrt(ordered_dot(x, x))` is the Euclidean norm;
+    a square that overflows makes it inf.
+    """
+    total = 0.0
+    for x, y in zip(u, v):
+        total += x * y
+    return total

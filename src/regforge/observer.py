@@ -23,12 +23,13 @@ computed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .lti import Polynomial, StateSpaceModel, char_poly, is_hurwitz
+from .lti import Polynomial, StateSpaceModel, char_poly, is_hurwitz, lu_factor, lu_solve, ordered_dot
 
 __all__ = [
     "CONVENTIONS",
@@ -130,18 +131,29 @@ def place_poles(a, b, desired) -> np.ndarray:
         raise ValidationError(f"need exactly {n} desired poles, got {desired.size}")
     target = Polynomial.from_roots(desired)
 
-    ctrb = np.hstack([np.linalg.matrix_power(a, i) @ b for i in range(n)])
-    rank = int(np.linalg.matrix_rank(ctrb))
+    # Row i of the controllability matrix's transpose is (A^i b)', each a
+    # product of A with the row before it, in Python floats.
+    rows_a = a.tolist()
+    v = b[:, 0].tolist()
+    ctrb_t = [v]
+    for _ in range(n - 1):
+        v = [ordered_dot(row, v) for row in rows_a]
+        ctrb_t.append(v)
+    # One factorization gives the rank (pivots above n * eps * max|entry|)
+    # and, when the rank is n, K = y' phi(A) with C' y = e_n.
+    tol = n * sys.float_info.epsilon * max((abs(x) for row in ctrb_t for x in row), default=0.0)
+    lu, perm, rank = lu_factor([row[:] for row in ctrb_t], tol)
     if rank < n:
         raise ValidationError(f"(A, B) is uncontrollable: controllability matrix rank {rank} < {n}")
+    y = lu_solve(lu, perm, [0.0] * (n - 1) + [1.0])
 
-    phi = np.zeros((n, n))
-    eye = np.eye(n)
-    for coef in target.coeffs:
-        phi = phi @ a + coef * eye
-    e_last = np.zeros((1, n))
-    e_last[0, -1] = 1.0
-    return e_last @ np.linalg.solve(ctrb, phi)
+    # y' phi(A) by Horner on the row vector: w <- w A + c_i y'.
+    cols_a = list(zip(*rows_a))
+    coeffs = target.coeffs.tolist()
+    w = [coeffs[0] * yi for yi in y]
+    for coef in coeffs[1:]:
+        w = [ordered_dot(w, col) + coef * yi for col, yi in zip(cols_a, y)]
+    return np.array([w])
 
 
 def design_observer_gain(a, c, desired) -> np.ndarray:

@@ -29,13 +29,14 @@ checks go through char_poly and the Routh table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CareConvergenceError, NumericalError, ValidationError
-from .lti import char_poly, is_hurwitz
+from .lti import char_poly, is_hurwitz, lu_factor, lu_solve, ordered_dot
 from .observer import place_poles
 
 __all__ = [
@@ -153,23 +154,51 @@ class RiccatiSolution:
             object.__setattr__(self, name, arr)
 
 
+@functools.lru_cache(maxsize=8)
+def _lyapunov_index(n: int) -> tuple[tuple, tuple]:
+    # The unknowns of A'P + PA + Q = 0 for a symmetric P are p_ij, i <= j,
+    # numbered row by row. Equation (i, j), i <= j, reads
+    #   sum_k a_ki p_kj + sum_k a_kj p_ik = -q_ij,
+    # so its row of the system gets a_ki at unknown (k, j) and a_kj at
+    # unknown (i, k), each folded into i <= j. Returns the (row, column,
+    # flat index of A) terms, in the order they are added, and the unknown
+    # at each entry of P.
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    unknown = {pair: u for u, pair in enumerate(pairs)}
+    at = [[unknown[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    terms = []
+    for row, (i, j) in enumerate(pairs):
+        for k in range(n):
+            terms.append((row, at[k][j], k * n + i))
+            terms.append((row, at[i][k], k * n + j))
+    return tuple(terms), tuple(tuple(r) for r in at)
+
+
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve A'P + PA + Q = 0 via the Kronecker-vectorized linear system."""
+    """Solve A'P + PA + Q = 0 for symmetric P on its n(n+1)/2 unknowns p_ij, i <= j.
+
+    Q's symmetric part (Q + Q')/2 is used. The system is solved by
+    `lti.lu_factor` and `lti.lu_solve`, so P is exactly symmetric; a
+    singular system (A and -A sharing an eigenvalue) raises NumericalError.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
     n = a.shape[0]
     if a.shape != (n, n) or q.shape != (n, n):
         raise ValidationError("Lyapunov equation needs square A and Q of equal size")
-    # kron(A', I) + kron(I, A') as one broadcast product, indexed [i, k, j, l].
-    at = a.T
-    eye = np.eye(n)
-    lhs = at[:, None, :, None] * eye[None, :, None, :] + eye[:, None, :, None] * at[None, :, None, :]
-    lhs = lhs.reshape(n * n, n * n)
-    try:
-        vec_p = np.linalg.solve(lhs, -q.reshape(n * n))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Lyapunov system is singular: {exc}") from exc
-    return vec_p.reshape(n, n)
+    terms, at = _lyapunov_index(n)
+    m = n * (n + 1) // 2
+    af = a.ravel().tolist()
+    qf = q.ravel().tolist()
+    lhs = [[0.0] * m for _ in range(m)]
+    for row, col, src in terms:
+        lhs[row][col] += af[src]
+    rhs = [-0.5 * (qf[i * n + j] + qf[j * n + i]) for i in range(n) for j in range(i, n)]
+    lu, perm, rank = lu_factor(lhs)
+    if rank < m:
+        raise NumericalError("Lyapunov system is singular: A and -A share an eigenvalue")
+    x = lu_solve(lu, perm, rhs)
+    return np.array([[x[u] for u in row] for row in at]).reshape(n, n)
 
 
 def care_residual(a, b, p, q, r) -> np.ndarray:
@@ -223,9 +252,9 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
             a_cl = a - b @ k
             rhs = q + k.T @ r @ k
             p_next = solve_lyapunov(a_cl, rhs)
-            p_next = 0.5 * (p_next + p_next.T)
             k_next = (b.T @ p_next) * r_inv
-            new_residual = float(np.linalg.norm(_residual(a, b, p_next, q, k_next)))
+            res = _residual(a, b, p_next, q, k_next).ravel().tolist()
+            new_residual = math.sqrt(ordered_dot(res, res))
             if not new_residual < residual and residual <= RESIDUAL_SUCCESS:
                 # Rounding floor reached; keep the better iterate.
                 break

@@ -371,17 +371,22 @@ def electrical_trace(p: PlantParams, ts: TimeSeries) -> ElectricalTrace:
 def reference_prescaler(plant: StateSpaceModel, k) -> float:
     """Feedforward gain N = 1/(C (-(A-BK))^-1 B) making dc output equal r.
 
-    A dc gain within rounding of zero (relative to |C| |(-(A-BK))^-1 B|)
-    counts as zero: its reciprocal would be rounding noise.
+    The solve goes through `lti.lu_factor`; a zero pivot (a closed-loop
+    pole at the origin) raises NumericalError. A dc gain within rounding of
+    zero (relative to |C| |(-(A-BK))^-1 B|) counts as zero: its reciprocal
+    would be rounding noise.
     """
+    from .lti import lu_factor, lu_solve, ordered_dot
+
     k = np.atleast_2d(np.asarray(k, dtype=float))
     a_cl = plant.a - plant.b @ k
-    try:
-        x_dc = np.linalg.solve(-a_cl, plant.b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("closed loop has a pole at the origin; no prescaler exists") from exc
-    dc = (plant.c @ x_dc).item()
-    if abs(dc) <= 1e-12 * np.linalg.norm(plant.c) * np.linalg.norm(x_dc):
+    lu, perm, rank = lu_factor((-a_cl).tolist())
+    if rank < len(lu):
+        raise NumericalError("closed loop has a pole at the origin; no prescaler exists")
+    x_dc = lu_solve(lu, perm, plant.b[:, 0].tolist())
+    c = plant.c[0].tolist()
+    dc = ordered_dot(c, x_dc)
+    if abs(dc) <= 1e-12 * math.sqrt(ordered_dot(c, c)) * math.sqrt(ordered_dot(x_dc, x_dc)):
         raise NumericalError("closed-loop dc gain is zero; no prescaler exists")
     return 1.0 / dc
 

@@ -1,10 +1,11 @@
-"""The np.linalg calls that src/regforge makes, pinned by where they are.
+"""src/regforge makes no np.linalg call.
 
-LAPACK and BLAS kernels round differently on different CPUs, so each
-np.linalg call on the design or simulation path can move the output bits
-from one machine to the next. The set below is meant to shrink; a new
-call has to be added here on purpose, and one that is gone has to be
-taken out.
+LAPACK and BLAS kernels round differently on different CPUs, so an
+np.linalg call on the design or simulation path would move the output
+bits from one machine to the next. The design path's solves, its
+controllability rank and its norms go through `lti.lu_factor`,
+`lti.lu_solve` and `lti.ordered_dot` on Python floats instead. The pin
+below is empty; a new call has to be added to it on purpose.
 
 The functions of `simulate`'s path take their products with np.dot, not
 `@` or np.matmul: on their small C-contiguous operands the two make the
@@ -17,17 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "regforge"
 
 # (module, enclosing function, np.linalg attribute)
-PINNED = {
-    ("observer", "place_poles", "matrix_power"),
-    ("observer", "place_poles", "matrix_rank"),
-    ("observer", "place_poles", "solve"),
-    ("riccati", "solve_lyapunov", "solve"),
-    ("riccati", "solve_lyapunov", "LinAlgError"),
-    ("riccati", "solve_care", "norm"),
-    ("sim", "reference_prescaler", "solve"),
-    ("sim", "reference_prescaler", "LinAlgError"),
-    ("sim", "reference_prescaler", "norm"),
-}
+PINNED = set()
 
 # (module, function) that may take no product by `@` or matmul. sim's
 # module level is listed so that a matmul bound to a name there cannot hide.

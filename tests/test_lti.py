@@ -19,6 +19,9 @@ from regforge.lti import (
     eigenvalues,
     feedback_interconnect,
     is_hurwitz,
+    lu_factor,
+    lu_solve,
+    ordered_dot,
     ss_to_tf,
     tf_series,
     tf_to_ss,
@@ -92,9 +95,8 @@ def array_routh_hurwitz(p: Polynomial) -> bool:
             pivot = rows[k - 1, 0]
             if pivot == 0.0:
                 return False
-            rows[k, :width] = (
-                pivot * rows[k - 2, 1 : width + 1] - rows[k - 2, 0] * rows[k - 1, 1 : width + 1]
-            ) / pivot
+            ratio = rows[k - 2, 0] / pivot
+            rows[k, :width] = rows[k - 2, 1 : width + 1] - ratio * rows[k - 1, 1 : width + 1]
     return bool(np.all(rows[:, 0] > 0.0))
 
 
@@ -169,6 +171,13 @@ class TestDurandKerner:
         npt.assert_array_equal(roots, [1.5])
         assert (iterations, converged) == (0, True)
         assert _durand_kerner([4.0])[0].size == 0
+
+    def test_leading_zeros_are_stripped(self):
+        for coeffs in ([1.0, -3.0, 2.0], [2.0, -3.0], [4.0]):
+            stripped = _durand_kerner(coeffs)
+            padded = _durand_kerner([0.0, -0.0, *coeffs])
+            npt.assert_array_equal(padded[0], stripped[0])
+            assert padded[1:] == stripped[1:]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("coeffs", [[1e-300, 1.0, 1e300]], ids=["monic-overflow"])
@@ -430,6 +439,13 @@ class TestIsHurwitz:
         assert is_hurwitz(Polynomial([-1.0, -2.5, -1.0]))
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("root, hurwitz", [(-1e62, True), (-1e75, True), (1e62, False)])
+    def test_large_coefficients_do_not_overflow_the_table(self, root, hurwitz):
+        # (s - root)^4 has coefficients up to root^4; the table divides
+        # before it multiplies, so no entry overflows on the way.
+        assert is_hurwitz(Polynomial.from_roots([root] * 4)) is hurwitz
+
+    @pytest.mark.filterwarnings("error")
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.lists(routh_coefficient, min_size=2, max_size=7))
     @example([1.0, 1.0, 1.0, 1.0])  # zero pivot in the s^1 row
@@ -566,3 +582,52 @@ def test_library_uses_only_its_own_solvers(path):
             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if FOREIGN_SOLVERS.search(line)]
     assert not hits, "\n".join(hits)
+
+
+class TestLu:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 10, 21])
+    def test_solve_matches_lapack(self, n):
+        rng = np.random.default_rng(30 + n)
+        for _ in range(20):
+            a = rng.normal(size=(n, n))
+            x = rng.normal(size=n)
+            b = a @ x
+            lu, perm, rank = lu_factor(a.tolist())
+            assert rank == n
+            got = np.array(lu_solve(lu, perm, b.tolist()))
+            want = np.linalg.solve(a, b)
+            bound = 1e-13 * np.linalg.cond(a) * np.abs(want).max()
+            assert np.abs(got - want).max() <= bound
+
+    def test_factors_reproduce_the_permuted_matrix(self):
+        rng = np.random.default_rng(36)
+        a = rng.normal(size=(5, 5))
+        lu, perm, rank = lu_factor(a.tolist())
+        lu = np.array(lu)
+        lower = np.tril(lu, -1) + np.eye(5)
+        upper = np.triu(lu)
+        npt.assert_allclose(lower @ upper, a[perm], rtol=0.0, atol=1e-14 * np.abs(a).max())
+        # partial pivoting: no multiplier exceeds 1 in magnitude
+        assert np.abs(np.tril(lu, -1)).max() <= 1.0
+
+    @pytest.mark.parametrize("rows, rank", [
+        ([[0.0, 0.0], [0.0, 0.0]], 0),
+        ([[1.0, 2.0], [2.0, 4.0]], 1),
+        ([[0.0, 1.0], [0.0, 3.0]], 1),
+        ([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, 5.0]], 2),
+        ([[np.nan, 1.0], [1.0, 0.0]], 1),
+    ], ids=["zero", "dependent-rows", "zero-column", "zero-row", "nan-pivot"])
+    def test_rank_counts_pivots(self, rows, rank):
+        assert lu_factor(rows)[2] == rank
+
+    def test_tolerance_drops_small_pivots(self):
+        rows = [[1.0, 1.0], [1.0, 1.0 + 1e-10]]
+        assert lu_factor([r[:] for r in rows])[2] == 2
+        assert lu_factor([r[:] for r in rows], tol=1e-9)[2] == 1
+
+    def test_ordered_dot_adds_in_index_order(self):
+        # Left to right from 0.0: 1 - 1e17 rounds to -1e17, so the 1 is lost
+        # unless the large terms cancel first.
+        assert ordered_dot([1.0, -1e17, 1e17], [1.0, 1.0, 1.0]) == 0.0
+        assert ordered_dot([-1e17, 1e17, 1.0], [1.0, 1.0, 1.0]) == 1.0
+        assert ordered_dot([], []) == 0.0

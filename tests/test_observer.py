@@ -158,6 +158,31 @@ class TestPlacePoles:
                 1.0, np.max(np.abs(target.coeffs))
             )
 
+    def test_rank_matches_matrix_rank(self):
+        # A = T Ah T^-1 and b = T bh for a unimodular integer T, with (Ah, bh)
+        # in Kalman form: an uncontrollable block of size n - r. Every entry
+        # of A, b and the controllability matrix is an exact integer, so the
+        # rank deficiency is exact and only the elimination rounds.
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            r = int(rng.integers(1, n))
+            ah = rng.integers(-2, 3, size=(n, n)).astype(float)
+            ah[r:, :r] = 0.0
+            bh = np.zeros((n, 1))
+            bh[:r, 0] = rng.integers(-2, 3, size=r)
+            t = np.eye(n)
+            for _ in range(2 * n):
+                i, j = rng.choice(n, 2, replace=False)
+                t[i] += rng.integers(-2, 3) * t[j]
+            t = t[rng.permutation(n)]
+            a, b = t @ ah @ np.round(np.linalg.inv(t)), t @ bh
+            ctrb = np.hstack([np.linalg.matrix_power(a, i) @ b for i in range(n)])
+            rank = int(np.linalg.matrix_rank(ctrb))
+            assert rank < n
+            with pytest.raises(ValidationError, match=f"rank {rank} < {n}"):
+                place_poles(a, b, -np.arange(1.0, n + 1.0))
+
     def test_uncontrollable_rejected_with_rank(self):
         a = np.diag([1.0, 2.0])
         b = np.array([[1.0], [0.0]])

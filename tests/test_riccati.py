@@ -181,25 +181,33 @@ class TestLyapunov:
             npt.assert_allclose(a.T @ p + p @ a + q, np.zeros((n, n)), atol=1e-9)
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_system_matrix_is_kron_sum_byte_for_byte(self, n, monkeypatch):
-        # solve_lyapunov assembles kron(A', I) + kron(I, A') by broadcasting;
-        # capture its matrix and compare the bytes, signed zeros included.
-        captured = []
-
-        def spy(lhs, rhs):
-            captured.append(lhs.copy())
-            return np.zeros_like(rhs)
-
-        monkeypatch.setattr(riccati.np.linalg, "solve", spy)
-        rng = np.random.default_rng(100 + n)
+    def test_matches_scipy(self, n):
+        # scipy solves A X + X A^H = Q, so A' P + P A + Q = 0 is (A', -Q).
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(200 + n)
         for _ in range(20):
             a = rng.normal(size=(n, n))
-            a[rng.random((n, n)) < 0.3] = -0.0
-            a[rng.random((n, n)) < 0.2] = 0.0
-            captured.clear()
-            solve_lyapunov(a, np.eye(n))
-            eye = np.eye(n)
-            assert captured[0].tobytes() == (np.kron(a.T, eye) + np.kron(eye, a.T)).tobytes()
+            a -= (max(np.linalg.eigvals(a).real) + rng.uniform(0.1, 2.0)) * np.eye(n)
+            s = rng.normal(size=(n, n))
+            q = s @ s.T
+            p = solve_lyapunov(a, q)
+            want = linalg.solve_continuous_lyapunov(a.T, -q)
+            npt.assert_allclose(p, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_solution_is_bitwise_symmetric(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            a = rng.normal(size=(n, n)) - 2.0 * np.eye(n)
+            k = rng.normal(size=(1, n))
+            # K'K is symmetric only up to rounding of its two triangles
+            p = solve_lyapunov(a, np.eye(n) + k.T @ (3.0 * k))
+            npt.assert_array_equal(p, p.T)
+
+    def test_singular_operator_raises(self):
+        # eigenvalues 1 and -1 sum to zero, so A'P + PA is singular
+        with pytest.raises(NumericalError, match="Lyapunov system is singular"):
+            solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
 
 
 class TestSolveCare:

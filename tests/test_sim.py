@@ -801,6 +801,12 @@ class TestClosedLoop:
         # so the state-feedback loop dc gain is 18/(1 + k2)
         assert n_gain == pytest.approx((1.0 + K_LOW[0, 1]) / 18.0, rel=1e-12)
 
+    def test_prescaler_rejects_a_pole_at_the_origin(self):
+        # 1/(s (s + 1)) with K = 0 leaves the integrator pole in A - BK
+        plant = tf_to_ss(TransferFunction([1.0], [1.0, 1.0, 0.0]))
+        with pytest.raises(NumericalError, match="pole at the origin"):
+            reference_prescaler(plant, np.zeros((1, 2)))
+
     def test_prescaler_rejects_rounded_zero_dc_gain(self):
         # the plant zero at the origin makes C (-(A-BK))^-1 B vanish; in
         # floating point it rounds to about -7e-18, not 0
