@@ -114,8 +114,11 @@ def place_poles(a, b, desired) -> np.ndarray:
     """State-feedback gain placing the poles of A - BK, by Ackermann's formula.
 
     The desired set must have size n and be closed under conjugation. The
-    pair (A, B) must be controllable; an uncontrollable pair is rejected
-    with the rank of its controllability matrix.
+    pair (A, B) must be controllable: the controllability matrix C is
+    factored once by `lti.lu_factor`, its rank is the count of pivots above
+    n * eps * max|C|, and an uncontrollable pair is rejected with that
+    rank. The same factors solve C'y = e_n, and K = y' phi(A), with phi the
+    desired characteristic polynomial.
 
     Returns K as a 1 x n row matrix.
     """

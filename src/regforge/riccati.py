@@ -6,18 +6,22 @@ solve_care finds the stabilizing solution of
 
 for a single-input pair (B is n x 1), with a diagonal state weight
 Q = diag(q) and a scalar input weight R = r, by Newton-Kleinman
-iteration: starting from a stabilizing gain K0, each step solves the
-Lyapunov equation (A-BK)'P + P(A-BK) + Q + K'RK = 0 for P through its
-Kronecker-vectorized linear system (fine for the n <= 6 matrices this
-toolkit sees, and quadratically convergent). K0 is zero when A is already
-Hurwitz, otherwise it comes from pole placement at -1, -2, ..., -n.
+iteration (Kleinman 1968): starting from a stabilizing gain K0, each
+step solves the Lyapunov equation (A-BK)'P + P(A-BK) + Q + K'RK = 0 for
+P, and the iteration converges quadratically. `solve_lyapunov` writes that
+equation as a linear system on the n(n+1)/2 unknowns p_ij, i <= j, of the
+symmetric P (3 for a second-order plant) and solves it with the partial-
+pivoting LU of `lti`, so P is exactly symmetric and its bits do not depend
+on the BLAS kernel. Elimination costs grow as (n(n+1)/2)^3: cheaper than
+LAPACK's call overhead at n = 2, dearer from n = 4 on. K0 is zero when A
+is already Hurwitz, otherwise it comes from pole placement at -1, -2, ...,
+-n.
 
 Tolerances: iteration aims for a residual of 1e-12 so that scalar cases
 agree with the analytic root to 1e-10; success requires the Frobenius
-residual norm <= 1e-8 (a non-finite residual stops the iteration and
-fails), P symmetric (enforced by averaging each step) and positive
-semidefinite, and A - BK Hurwitz for the returned gain K = B'P / r,
-formed as B'P times 1/r.
+residual norm <= 1e-8 (summed in index order; a non-finite residual stops
+the iteration and fails), P symmetric and positive semidefinite, and
+A - BK Hurwitz for the returned gain K = B'P / r, formed as B'P times 1/r.
 
 The weights are checked by sign: q >= -PSD_TOLERANCE entrywise and r > 0,
 with 1/r finite.
