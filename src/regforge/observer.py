@@ -145,7 +145,7 @@ def place_poles(a, b, desired) -> np.ndarray:
     # One factorization gives the rank (pivots above n * eps * max|entry|)
     # and, when the rank is n, K = y' phi(A) with C' y = e_n.
     tol = n * sys.float_info.epsilon * max((abs(x) for row in ctrb_t for x in row), default=0.0)
-    lu, perm, rank = lu_factor([row[:] for row in ctrb_t], tol)
+    lu, perm, rank = lu_factor(ctrb_t, tol)
     if rank < n:
         raise ValidationError(f"(A, B) is uncontrollable: controllability matrix rank {rank} < {n}")
     y = lu_solve(lu, perm, [0.0] * (n - 1) + [1.0])
