@@ -16,19 +16,24 @@ Riccati solution) are computed by cyclic Jacobi in `riccati` instead. All
 systems in this toolkit are small (n <= 6), where these methods are exact
 up to rounding.
 
-The two polynomial kernels, `_durand_kerner` and `is_hurwitz`, loop over
-Python floats and complex numbers rather than numpy arrays: on vectors of
-at most seven entries numpy's per-call overhead outweighs the arithmetic
-several times over.
+The kernels loop over Python floats and complex numbers rather than numpy
+arrays: Faddeev-LeVerrier (`_faddeev_leverrier`, behind `char_poly` and
+`ss_to_tf`), `Polynomial.from_roots`, `_durand_kerner` and `is_hurwitz`.
+On matrices of at most 6 x 6 and vectors of at most seven entries numpy's
+per-call overhead outweighs the arithmetic; the Faddeev-LeVerrier loops
+grow as n^4, and are slower than numpy's products from about n = 4 on
+(README, "Cost by plant order").
 
 Every linear solve of the design path (the symmetric Lyapunov solve of
 `riccati`, Ackermann's formula and the controllability rank of
 `observer.place_poles`, and `sim.reference_prescaler`) goes through one
 Gaussian elimination with partial pivoting, `lu_factor` and `lu_solve`,
-also on Python floats, and `ordered_dot` adds products in index order.
-Their arithmetic runs in a fixed order, so their bits do not depend on
-which BLAS or LAPACK kernel numpy picks for the CPU. Partial pivoting is
-backward stable in practice (Higham, Accuracy and Stability of Numerical
+also on Python floats. Every product of the design path, here and in
+`riccati`, `observer.place_poles` and `sim.reference_prescaler`, is summed
+in index order from 0.0, written inline or through `ordered_dot`. This
+arithmetic runs in a fixed order, so its bits do not depend on which BLAS
+or LAPACK kernel numpy picks for the CPU. Partial pivoting is backward
+stable in practice (Higham, Accuracy and Stability of Numerical
 Algorithms, 2002, ch. 9).
 """
 
@@ -79,7 +84,7 @@ class Polynomial:
         c = np.array(coeffs, dtype=float, ndmin=1)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("polynomial coefficients must be a non-empty 1-D sequence")
-        if not np.isfinite(c).all():
+        if not all(map(math.isfinite, c.tolist())):
             raise ValidationError("polynomial coefficients must be finite")
         if c[0] == 0.0:
             nz = c.nonzero()[0]
@@ -94,13 +99,14 @@ class Polynomial:
         Complex roots must come in conjugate pairs so the product is real;
         residual imaginary parts are checked, not silently dropped.
         """
-        roots = np.atleast_1d(np.asarray(roots, dtype=complex))
-        c = np.array([1.0 + 0.0j])
+        roots = np.atleast_1d(np.asarray(roots, dtype=complex)).tolist()
+        # Multiply out (s - r) one root at a time on Python complex numbers.
+        c = [1.0 + 0.0j]
         for r in roots:
-            c = np.convolve(c, np.array([1.0, -r]))
-        if roots.size and np.abs(c.imag).max() > 1e-9 * max(1.0, np.abs(c.real).max()):
+            c = [c[0]] + [c_i + c_prev * -r for c_i, c_prev in zip(c[1:], c)] + [c[-1] * -r]
+        if roots and max(abs(x.imag) for x in c) > 1e-9 * max(1.0, max(abs(x.real) for x in c)):
             raise ValidationError("root set is not closed under conjugation")
-        return cls(leading * c.real)
+        return cls([leading * x.real for x in c])
 
     @property
     def degree(self) -> int:
@@ -300,7 +306,7 @@ class StateSpaceModel:
         if d.shape != (1, 1):
             raise ValidationError(f"D must be 1x1, got {d.shape}")
         for name, mat in (("A", a), ("B", b), ("C", c), ("D", d)):
-            if not np.isfinite(mat).all():
+            if not all(map(math.isfinite, mat.ravel().tolist())):
                 raise ValidationError(f"{name} contains non-finite entries")
             mat.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -349,25 +355,55 @@ def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:
     return StateSpaceModel(a, b, c, [[d0]])
 
 
-def _faddeev_leverrier(a: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _faddeev_leverrier(a: list[list[float]]) -> tuple[list[float], list[list[list[float]]]]:
     """Characteristic polynomial coefficients and adjugate expansion of (sI - A).
 
-    Returns (coeffs, blocks) with coeffs = [1, c1, ..., cn] such that
-    det(sI - A) = s^n + c1 s^(n-1) + ... + cn, and blocks[k] the matrix
-    coefficient of s^(n-1-k) in adj(sI - A).
+    Takes A (n >= 1) as a list of rows of floats. Returns (coeffs, blocks)
+    with coeffs = [1, c1, ..., cn] such that det(sI - A) = s^n + c1 s^(n-1)
+    + ... + cn, and blocks[k] the matrix coefficient M_(k+1) of s^(n-1-k) in
+    adj(sI - A), as lists of rows. The recursion is M_1 = I,
+    c_k = -tr(A M_k) / k and M_(k+1) = A M_k + c_k I. A M_1 is A itself,
+    and of A M_n only the trace is formed. Every product is summed in index
+    order on Python floats (see the module docstring). A coefficient that
+    overflows raises NumericalError, with no warning printed.
     """
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    blocks = []
-    eye = np.eye(n)
-    m = eye
-    for k in range(1, n + 1):
+    n = len(a)
+    span = range(n)
+    m = [[float(i == j) for j in span] for i in span]
+    coeffs = [1.0]
+    blocks = [m]
+    am = a
+    for k in range(1, n):
+        trace = 0.0
+        for i in span:
+            trace += am[i][i]
+        c = -trace / k
+        coeffs.append(c)
+        m = [list(row) for row in am]
+        for i in span:
+            m[i][i] += c
         blocks.append(m)
-        am = a @ m
-        coeffs[k] = -am.trace() / k
-        if k < n:
-            m = am + coeffs[k] * eye
+        if k < n - 1:
+            cols = list(zip(*m))
+            am = []
+            for row in a:
+                am_row = []
+                for col in cols:
+                    s = 0.0
+                    for j in span:
+                        s += row[j] * col[j]
+                    am_row.append(s)
+                am.append(am_row)
+    # tr(A M_n) = sum_i (row i of A) . (column i of M_n).
+    trace = 0.0
+    for row, col in zip(a, zip(*m)):
+        s = 0.0
+        for j in span:
+            s += row[j] * col[j]
+        trace += s
+    coeffs.append(-trace / n)
+    if not all(map(math.isfinite, coeffs)):
+        raise NumericalError("characteristic polynomial coefficients overflow")
     return coeffs, blocks
 
 
@@ -378,7 +414,7 @@ def char_poly(a: np.ndarray) -> Polynomial:
         return Polynomial([1.0])
     if a.shape[0] != a.shape[1]:
         raise ValidationError(f"char_poly needs a square matrix, got {a.shape}")
-    coeffs, _ = _faddeev_leverrier(a)
+    coeffs, _ = _faddeev_leverrier(a.tolist())
     return Polynomial(coeffs)
 
 
@@ -391,16 +427,27 @@ def ss_to_tf(ss: StateSpaceModel) -> TransferFunction:
     """SISO transfer function C adj(sI-A) B / det(sI-A) + D.
 
     Computed through the same Faddeev-LeVerrier recursion as char_poly; a
-    zero-state model collapses to the constant D.
+    zero-state model collapses to the constant D. A numerator or
+    denominator coefficient that overflows raises NumericalError.
     """
     n = ss.n_states
-    d = ss.d[0, 0]
+    d = float(ss.d[0, 0])
     if n == 0:
         return TransferFunction([d], [1.0])
-    den, blocks = _faddeev_leverrier(ss.a)
-    num = np.zeros(n + 1)
-    num[1:] = [(ss.c @ blk @ ss.b).item() for blk in blocks]
-    num += d * den
+    den, blocks = _faddeev_leverrier(ss.a.tolist())
+    c, b = ss.c[0].tolist(), ss.b[:, 0].tolist()
+    num = [d * den[0]]
+    for blk, den_k in zip(blocks, den[1:]):
+        # (C M) B, each product summed in index order.
+        cb = 0.0
+        for col, b_j in zip(zip(*blk), b):
+            cm_j = 0.0
+            for x, y in zip(c, col):
+                cm_j += x * y
+            cb += cm_j * b_j
+        num.append(cb + d * den_k)
+    if not all(map(math.isfinite, num)):
+        raise NumericalError("transfer function numerator coefficients overflow")
     return TransferFunction(num, den)
 
 

@@ -11,11 +11,18 @@ step solves the Lyapunov equation (A-BK)'P + P(A-BK) + Q + K'RK = 0 for
 P, and the iteration converges quadratically. `solve_lyapunov` writes that
 equation as a linear system on the n(n+1)/2 unknowns p_ij, i <= j, of the
 symmetric P (3 for a second-order plant) and solves it with the partial-
-pivoting LU of `lti`, so P is exactly symmetric and its bits do not depend
-on the BLAS kernel. Elimination costs grow as (n(n+1)/2)^3: cheaper than
-LAPACK's call overhead at n = 2, dearer from n = 4 on. K0 is zero when A
-is already Hurwitz, otherwise it comes from pole placement at -1, -2, ...,
--n.
+pivoting LU of `lti`, so P is exactly symmetric. K0 is zero when A is
+already Hurwitz, otherwise it comes from pole placement at -1, -2, ..., -n.
+
+The iteration runs on lists of Python floats, converted from the arrays
+once: A - BK, Q + (K'r)K, the Lyapunov system, K = (B'P)(1/r) and the
+residual A'P + PA - (PB)K + Q with its Frobenius norm, every product summed
+in index order (`care_residual` goes through the same kernel). No BLAS or
+LAPACK kernel takes part, so the bits of P, K and the residual do not
+depend on the CPU. On the n = 2 plants the program designs for this is
+faster than numpy's per-call cost; the Lyapunov elimination grows as
+(n(n+1)/2)^3, so from n = 4 on a call costs more than it did on numpy
+(README, "Cost by plant order").
 
 Tolerances: iteration aims for a residual of 1e-12 so that scalar cases
 agree with the analytic root to 1e-10; success requires the Frobenius
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CareConvergenceError, NumericalError, ValidationError
-from .lti import char_poly, is_hurwitz, lu_factor, lu_solve, ordered_dot
+from .lti import char_poly, is_hurwitz, lu_factor, lu_solve
 from .observer import place_poles
 
 __all__ = [
@@ -165,17 +172,33 @@ def _lyapunov_index(n: int) -> tuple[tuple, tuple]:
     #   sum_k a_ki p_kj + sum_k a_kj p_ik = -q_ij,
     # so its row of the system gets a_ki at unknown (k, j) and a_kj at
     # unknown (i, k), each folded into i <= j. Returns the (row, column,
-    # flat index of A) terms, in the order they are added, and the unknown
-    # at each entry of P.
+    # row of A, column of A) terms, in the order they are added, and the
+    # unknown at each entry of P.
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     unknown = {pair: u for u, pair in enumerate(pairs)}
     at = [[unknown[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
     terms = []
     for row, (i, j) in enumerate(pairs):
         for k in range(n):
-            terms.append((row, at[k][j], k * n + i))
-            terms.append((row, at[i][k], k * n + j))
+            terms.append((row, at[k][j], k, i))
+            terms.append((row, at[i][k], k, j))
     return tuple(terms), tuple(tuple(r) for r in at)
+
+
+def _lyapunov_rows(a: list[list[float]], q: list[list[float]]) -> list[list[float]]:
+    # solve_lyapunov on lists of rows of floats; returns P as rows.
+    n = len(a)
+    terms, at = _lyapunov_index(n)
+    m = n * (n + 1) // 2
+    lhs = [[0.0] * m for _ in range(m)]
+    for row, col, k, i in terms:
+        lhs[row][col] += a[k][i]
+    rhs = [-0.5 * (q[i][j] + q[j][i]) for i in range(n) for j in range(i, n)]
+    lu, perm, rank = lu_factor(lhs)
+    if rank < m:
+        raise NumericalError("Lyapunov system is singular: A and -A share an eigenvalue")
+    x = lu_solve(lu, perm, rhs)
+    return [[x[u] for u in row] for row in at]
 
 
 def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -190,29 +213,63 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if a.shape != (n, n) or q.shape != (n, n):
         raise ValidationError("Lyapunov equation needs square A and Q of equal size")
-    terms, at = _lyapunov_index(n)
-    m = n * (n + 1) // 2
-    af = a.ravel().tolist()
-    qf = q.ravel().tolist()
-    lhs = [[0.0] * m for _ in range(m)]
-    for row, col, src in terms:
-        lhs[row][col] += af[src]
-    rhs = [-0.5 * (qf[i * n + j] + qf[j * n + i]) for i in range(n) for j in range(i, n)]
-    lu, perm, rank = lu_factor(lhs)
-    if rank < m:
-        raise NumericalError("Lyapunov system is singular: A and -A share an eigenvalue")
-    x = lu_solve(lu, perm, rhs)
-    return np.array([[x[u] for u in row] for row in at]).reshape(n, n)
+    return np.array(_lyapunov_rows(a.tolist(), q.tolist())).reshape(n, n)
+
+
+def _closed_loop(a: list[list[float]], b: list[float], k: list[float]) -> list[list[float]]:
+    # A - BK on lists of rows; each entry takes one product, as with numpy.
+    return [[a_ij - b_i * k_j for a_ij, k_j in zip(row, k)] for row, b_i in zip(a, b)]
+
+
+def _gain_row(b: list[float], p: list[list[float]], r_inv: float) -> list[float]:
+    # K = (B'P) * (1/r), each entry of B'P summed in index order.
+    span = range(len(b))
+    k = []
+    for j in span:
+        s = 0.0
+        for i in span:
+            s += b[i] * p[i][j]
+        k.append(s * r_inv)
+    return k
+
+
+def _residual_rows(a, b, p, q, k) -> list[list[float]]:
+    # A'P + PA - (PB)K + Q on lists of rows, K = R^-1 B'P given as a row,
+    # every product summed in index order.
+    span = range(len(a))
+    cols_a = list(zip(*a))
+    cols_p = list(zip(*p))
+    out = []
+    for i in span:
+        p_i, col_a_i, q_i = p[i], cols_a[i], q[i]
+        pb = 0.0
+        for l in span:
+            pb += p_i[l] * b[l]
+        row = []
+        for j in span:
+            col_a_j, col_p_j = cols_a[j], cols_p[j]
+            atp = 0.0
+            pa = 0.0
+            for l in span:
+                atp += col_a_i[l] * col_p_j[l]
+                pa += p_i[l] * col_a_j[l]
+            row.append(atp + pa - pb * k[j] + q_i[j])
+        out.append(row)
+    return out
 
 
 def care_residual(a, b, p, q, r) -> np.ndarray:
-    """Residual matrix A'P + PA - P B R^-1 B' P + Q for a scalar or 1 x 1 R."""
-    return _residual(a, b, p, q, (b.T @ p) * (1.0 / r))
+    """Residual matrix A'P + PA - P B R^-1 B' P + Q for a scalar or 1 x 1 R.
 
-
-def _residual(a, b, p, q, rinv_btp) -> np.ndarray:
-    # care_residual with R^-1 B' P given, as solve_care holds it in its gain.
-    return a.T @ p + p @ a - p @ b @ rinv_btp + q
+    Computed on Python floats, every product summed in index order, by the
+    same kernel as `solve_care`'s residual.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float).reshape(-1).tolist()
+    p = np.atleast_2d(np.asarray(p, dtype=float)).tolist()
+    k = _gain_row(b, p, 1.0 / float(np.asarray(r, dtype=float).item()))
+    q = np.atleast_2d(np.asarray(q, dtype=float)).tolist()
+    return np.array(_residual_rows(a.tolist(), b, p, q, k)).reshape(a.shape)
 
 
 def _initial_stabilizing_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,40 +299,47 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
         raise ValidationError(f"Q must be {n}x{n}, got {q.shape}")
     # Multiply by 1/r rather than divide by r: the product rounds as a 1 x 1
     # LAPACK solve does, which the pinned golden designs were computed with.
+    r = float(r[0, 0])
     r_inv = 1.0 / r
+    rows_a, col_b, rows_q = a.tolist(), b[:, 0].tolist(), q.tolist()
 
     # P = 0 is not a Newton-Kleinman iterate, so the first iterate is always
-    # taken, and k always holds R^-1 B' P for the p beside it.
-    k = _initial_stabilizing_gain(a, b)
-    p = np.zeros((n, n))
+    # taken, and k always holds R^-1 B' P for the p beside it. Huge weights
+    # overflow on the way (Python floats go to inf without a warning); the
+    # non-finite residual reports it.
+    k = _initial_stabilizing_gain(a, b)[0].tolist()
+    p = []
     residual = float("inf")
     iterations = 0
-    # Huge weights overflow on the way; the non-finite residual reports it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, MAX_ITERATIONS + 1):
-            a_cl = a - b @ k
-            rhs = q + k.T @ r @ k
-            p_next = solve_lyapunov(a_cl, rhs)
-            k_next = (b.T @ p_next) * r_inv
-            res = _residual(a, b, p_next, q, k_next).ravel().tolist()
-            new_residual = math.sqrt(ordered_dot(res, res))
-            if not new_residual < residual and residual <= RESIDUAL_SUCCESS:
-                # Rounding floor reached; keep the better iterate.
-                break
-            p, k, residual = p_next, k_next, new_residual
-            # A non-finite residual (overflow, then NaN) never recovers.
-            if residual <= RESIDUAL_TARGET or not math.isfinite(residual):
-                break
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        a_cl = _closed_loop(rows_a, col_b, k)
+        rhs = [[q_ij + (k_i * r) * k_j for q_ij, k_j in zip(row, k)] for row, k_i in zip(rows_q, k)]
+        p_next = _lyapunov_rows(a_cl, rhs)
+        k_next = _gain_row(col_b, p_next, r_inv)
+        square = 0.0
+        for row in _residual_rows(rows_a, col_b, p_next, rows_q, k_next):
+            for x in row:
+                square += x * x
+        new_residual = math.sqrt(square)
+        if not new_residual < residual and residual <= RESIDUAL_SUCCESS:
+            # Rounding floor reached; keep the better iterate.
+            break
+        p, k, residual = p_next, k_next, new_residual
+        # A non-finite residual (overflow, then NaN) never recovers.
+        if residual <= RESIDUAL_TARGET or not math.isfinite(residual):
+            break
     if not residual <= RESIDUAL_SUCCESS:
         raise CareConvergenceError(
             f"Riccati iteration did not converge in {iterations} steps", residual=residual
         )
 
     if n > 0:
-        if np.abs(p - p.T).max() > 1e-10:
+        if any(abs(p[i][j] - p[j][i]) > 1e-10 for i in range(n) for j in range(i)):
             raise NumericalError("Riccati solution lost symmetry")
+        p = np.array(p)
         if _symmetric_eigenvalues(p).min() < -PSD_TOLERANCE:
             raise NumericalError("Riccati solution is not positive semidefinite")
-        if not is_hurwitz(char_poly(a - b @ k)):
+        if not is_hurwitz(char_poly(_closed_loop(rows_a, col_b, k))):
             raise NumericalError("closed loop A - BK is not Hurwitz after synthesis")
-    return RiccatiSolution(p=p, k=k, residual_norm=residual, iterations=iterations)
+    return RiccatiSolution(p=np.reshape(p, (n, n)), k=np.reshape(k, (1, n)),
+                           residual_norm=residual, iterations=iterations)

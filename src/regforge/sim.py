@@ -378,12 +378,17 @@ def reference_prescaler(plant: StateSpaceModel, k) -> float:
     """
     from .lti import lu_factor, lu_solve, ordered_dot
 
-    k = np.atleast_2d(np.asarray(k, dtype=float))
-    a_cl = plant.a - plant.b @ k
-    lu, perm, rank = lu_factor((-a_cl).tolist())
+    b = plant.b[:, 0].tolist()
+    k = np.asarray(k, dtype=float).reshape(-1).tolist()
+    if len(k) != len(b):
+        raise ValidationError(f"state-feedback gain must have {len(b)} entries, got {len(k)}")
+    # -(A - BK), each entry of BK one product, on Python floats.
+    lu, perm, rank = lu_factor(
+        [[-(a_ij - b_i * k_j) for a_ij, k_j in zip(row, k)] for row, b_i in zip(plant.a.tolist(), b)]
+    )
     if rank < len(lu):
         raise NumericalError("closed loop has a pole at the origin; no prescaler exists")
-    x_dc = lu_solve(lu, perm, plant.b[:, 0].tolist())
+    x_dc = lu_solve(lu, perm, b)
     c = plant.c[0].tolist()
     dc = ordered_dot(c, x_dc)
     if abs(dc) <= 1e-12 * math.sqrt(ordered_dot(c, c)) * math.sqrt(ordered_dot(x_dc, x_dc)):

@@ -133,6 +133,18 @@ class TestSynthesizeCommand:
         assert lines[4].startswith("CARE residual")
         assert lines[5] == "stability[A-BK]: stable (Hurwitz)"
 
+    def test_overflowing_characteristic_polynomial_exits_2(self, capsys, tmp_path, recwarn):
+        # A is finite and valid; det(sI - A) = s^2 + 2e160 s + 1e320 is not
+        # representable. That is a numerical failure, not bad input, and
+        # it is reported without a numpy warning.
+        scn = tmp_path / "overflow.cfg"
+        scn.write_text("plant.ss.a = -1e160 1; 0 -1e160\nplant.ss.b = 0; 1\nplant.ss.c = 1 0\n"
+                       "controller.type = none\n")
+        code = main(["synthesize", "--scenario", str(scn)])
+        assert code == 2
+        assert "characteristic polynomial coefficients overflow" in capsys.readouterr().err
+        assert [str(w.message) for w in recwarn] == []
+
     def test_non_finite_weight_rejected(self, capsys, tmp_path):
         scn = tmp_path / "nan-q.cfg"
         scn.write_text(ZERO_DC_SCENARIO.replace("q_diag = 1 1", "q_diag = nan 3"))

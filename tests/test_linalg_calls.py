@@ -1,4 +1,4 @@
-"""src/regforge makes no np.linalg call.
+"""src/regforge makes no np.linalg call, and its design path takes no BLAS product.
 
 LAPACK and BLAS kernels round differently on different CPUs, so an
 np.linalg call on the design or simulation path would move the output
@@ -7,9 +7,12 @@ controllability rank and its norms go through `lti.lu_factor`,
 `lti.lu_solve` and `lti.ordered_dot` on Python floats instead. The pin
 below is empty; a new call has to be added to it on purpose.
 
-The functions of `simulate`'s path take their products with np.dot, not
-`@` or np.matmul: on their small C-contiguous operands the two make the
-same BLAS call, and np.dot skips matmul's gufunc dispatch.
+The design path's products (Newton-Kleinman, Faddeev-LeVerrier, Ackermann
+and the prescaler) are sums in index order on Python floats, so its
+functions take no `@`, matmul or np.dot (NO_BLAS). The functions of
+`simulate`'s path take their products with np.dot, not `@` or np.matmul:
+on their small C-contiguous operands the two make the same BLAS call, and
+np.dot skips matmul's gufunc dispatch.
 """
 
 import ast
@@ -23,6 +26,19 @@ PINNED = set()
 # (module, function) that may take no product by `@` or matmul. sim's
 # module level is listed so that a matmul bound to a name there cannot hide.
 DOT_ONLY = {("sim", "<module>"), ("sim", "simulate"), ("sim", "_rk4_maps")}
+
+# (module, function) of the design path, which may take no product by `@`,
+# matmul or dot.
+NO_BLAS = {
+    ("riccati", "solve_care"), ("riccati", "solve_lyapunov"), ("riccati", "care_residual"),
+    ("riccati", "_initial_stabilizing_gain"), ("riccati", "_symmetric_eigenvalues"),
+    ("riccati", "_lyapunov_rows"), ("riccati", "_closed_loop"), ("riccati", "_gain_row"),
+    ("riccati", "_residual_rows"),
+    ("lti", "_faddeev_leverrier"), ("lti", "char_poly"), ("lti", "ss_to_tf"),
+    ("lti", "from_roots"), ("lti", "lu_factor"), ("lti", "lu_solve"),
+    ("observer", "place_poles"),
+    ("sim", "reference_prescaler"),
+}
 
 
 def _linalg_uses(source: str, module: str) -> set[tuple[str, str, str]]:
@@ -76,18 +92,24 @@ def test_scan_sees_every_spelling():
     }
 
 
-def _matmul_uses(source: str, module: str) -> set[tuple[str, str]]:
-    """(module, function) for each `@`, `@=` or name `matmul` in `source`."""
+def _matmul_uses(source: str, module: str) -> set[tuple[str, str, str]]:
+    """(module, function, "matmul" or "dot") for each product spelling in `source`.
+
+    "matmul" is an `@`, an `@=` or the name `matmul`; "dot" is the name
+    `dot`, as `np.dot`, a method `.dot` or an imported `dot`.
+    """
     uses = set()
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
-                or isinstance(node, ast.Attribute) and node.attr == "matmul"
-                or isinstance(node, ast.Name) and node.id == "matmul"
-                or isinstance(node, ast.alias) and node.name.split(".")[-1] == "matmul"):
-            uses.add((module, function))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.add((module, function, "matmul"))
+        for name in ("matmul", "dot"):
+            if (isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.alias) and node.name.split(".")[-1] == name):
+                uses.add((module, function, name))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -95,17 +117,32 @@ def _matmul_uses(source: str, module: str) -> set[tuple[str, str]]:
     return uses
 
 
+def _defined(source: str) -> set[str]:
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+
+
 def test_simulate_path_takes_no_matmul():
     source = (SRC / "sim.py").read_text(encoding="utf-8")
-    defined = {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
-    assert {function for _, function in DOT_ONLY} - {"<module>"} <= defined
-    assert not _matmul_uses(source, "sim") & DOT_ONLY
+    assert {function for _, function in DOT_ONLY} - {"<module>"} <= _defined(source)
+    matmuls = {(module, function) for module, function, kind in _matmul_uses(source, "sim")
+               if kind == "matmul"}
+    assert not matmuls & DOT_ONLY
+
+
+def test_design_path_takes_no_blas_product():
+    found = set()
+    for module in sorted({module for module, _ in NO_BLAS}):
+        source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+        assert {f for m, f in NO_BLAS if m == module} <= _defined(source), module
+        found |= {(m, f) for m, f, _ in _matmul_uses(source, module)}
+    assert not found & NO_BLAS
 
 
 def test_matmul_scan_sees_every_spelling():
     source = (
         "import numpy as np\n"
         "from numpy import matmul\n"
+        "from numpy import dot\n"
         "def f(a, b):\n"
         "    return a @ b\n"
         "def g(a, b):\n"
@@ -114,7 +151,16 @@ def test_matmul_scan_sees_every_spelling():
         "    np.matmul(a, b, out=out)\n"
         "def k(a, b):\n"
         "    return matmul(a, b)\n"
-        "def ok(a, b):\n"
+        "def d(a, b):\n"
         "    return np.dot(a, b)\n"
+        "def e(a, b):\n"
+        "    return a.dot(b)\n"
+        "def g2(a, b):\n"
+        "    return dot(a, b)\n"
+        "def ok(a, b):\n"
+        "    return a * b + np.einsum('i,i', a, b)\n"
     )
-    assert _matmul_uses(source, "m") == {("m", name) for name in ("<module>", "f", "g", "h", "k")}
+    assert _matmul_uses(source, "m") == {
+        *(("m", name, "matmul") for name in ("<module>", "f", "g", "h", "k")),
+        *(("m", name, "dot") for name in ("<module>", "d", "e", "g2")),
+    }

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from regforge import riccati
 from regforge.errors import CareConvergenceError, NumericalError, ValidationError
 from regforge.lti import char_poly, is_hurwitz, tf_to_ss
-from regforge.plant import PRESETS, preset_tf
+from regforge.plant import PRESETS, REFERENCE_PARAMS, PlantParams, TurbineParams, plant_tf, preset_tf
 from regforge.riccati import (
     PSD_TOLERANCE,
     CostWeights,
@@ -305,6 +308,61 @@ class TestSolveCare:
             sol = solve_care(a, b, CostWeights(q_diag, r))
             oracle_p = care_2x2_bruteforce(a, b, np.diag(q_diag), r, seed=trial)
             npt.assert_allclose(sol.p, oracle_p, atol=1e-6)
+
+
+def numpy_newton_kleinman(a, b, weights):
+    """solve_care's iteration as it ran on numpy arrays, with `@` products.
+
+    Returns (P, K, iterations, residual norm), for a pair that converges.
+    """
+    q, r = weights.q, weights.r
+    r_inv = 1.0 / r
+    k = riccati._initial_stabilizing_gain(a, b)
+    residual = float("inf")
+    for iterations in range(1, riccati.MAX_ITERATIONS + 1):
+        p_next = solve_lyapunov(a - b @ k, q + k.T @ r @ k)
+        k_next = (b.T @ p_next) * r_inv
+        square = 0.0
+        for x in (a.T @ p_next + p_next @ a - p_next @ b @ k_next + q).ravel().tolist():
+            square += x * x
+        new_residual = math.sqrt(square)
+        if not new_residual < residual and residual <= riccati.RESIDUAL_SUCCESS:
+            break
+        p, k, residual = p_next, k_next, new_residual
+        if residual <= riccati.RESIDUAL_TARGET or not math.isfinite(residual):
+            break
+    return p, k, iterations, residual
+
+
+def test_designs_keep_the_matmul_bits():
+    # The iteration sums its products in index order on Python floats. On
+    # the plants the program designs for (both presets with the paper's
+    # weights, and plants within x0.5..x2 of the reference) that gives the
+    # bits of the `@` products on the BLAS at hand, where a sha256 pin holds
+    # only on the kernels it was taken on.
+    designs = [(preset_tf(name), q_diag, r) for name in PRESETS
+               for q_diag, r in (((3.0, 3.0), 5.0), ((8.0, 8.0), 1.0))]
+    rng = np.random.default_rng(2400)
+    ref = REFERENCE_PARAMS
+    fields = dataclasses.fields(ref.generator)
+    for i in range(200):
+        scale = 2.0 ** rng.uniform(-1.0, 1.0, size=1 + len(fields))
+        params = PlantParams(
+            turbine=TurbineParams(tau_t=ref.turbine.tau_t * scale[0]),
+            generator=type(ref.generator)(**{f.name: getattr(ref.generator, f.name) * x
+                                             for f, x in zip(fields, scale[1:])}),
+        )
+        q = 10.0 ** rng.uniform(0.0, 1.0)
+        q_diag = (q, q) if i % 2 == 0 else (q, q * 10.0 ** rng.uniform(0.2, 0.8))
+        designs.append((plant_tf(params), q_diag, 10.0 ** rng.uniform(-0.3, 1.0)))
+    for tf, q_diag, r in designs:
+        model = tf_to_ss(tf)
+        weights = CostWeights.diagonal(q_diag, r)
+        sol = solve_care(model.a, model.b, weights)
+        p, k, iterations, residual = numpy_newton_kleinman(model.a, model.b, weights)
+        assert sol.p.tobytes() == p.tobytes()
+        assert sol.k.tobytes() == k.tobytes()
+        assert (sol.iterations, sol.residual_norm.hex()) == (iterations, residual.hex())
 
 
 class TestLqrGain:
