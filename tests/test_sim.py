@@ -807,6 +807,11 @@ class TestClosedLoop:
         with pytest.raises(NumericalError, match="pole at the origin"):
             reference_prescaler(plant, np.zeros((1, 2)))
 
+    def test_prescaler_rejects_a_gain_of_the_wrong_length(self):
+        plant = tf_to_ss(rounded_plant_tf())
+        with pytest.raises(ValidationError, match="must have 2 entries, got 3"):
+            reference_prescaler(plant, np.ones((1, 3)))
+
     def test_prescaler_rejects_rounded_zero_dc_gain(self):
         # the plant zero at the origin makes C (-(A-BK))^-1 B vanish; in
         # floating point it rounds to about -7e-18, not 0
