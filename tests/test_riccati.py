@@ -311,7 +311,7 @@ class TestSolveCare:
 
 
 def numpy_newton_kleinman(a, b, weights):
-    """solve_care's iteration as it ran on numpy arrays, with `@` products.
+    """solve_care's iteration written on numpy arrays, with `@` products.
 
     Returns (P, K, iterations, residual norm), for a pair that converges.
     """
