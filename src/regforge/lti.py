@@ -20,8 +20,8 @@ The kernels loop over Python floats and complex numbers rather than numpy
 arrays: Faddeev-LeVerrier (`_faddeev_leverrier`, behind `char_poly` and
 `ss_to_tf`), `Polynomial.from_roots`, `_durand_kerner` and `is_hurwitz`.
 On matrices of at most 6 x 6 and vectors of at most seven entries numpy's
-per-call overhead outweighs the arithmetic; the Faddeev-LeVerrier loops
-grow as n^4, and are slower than numpy's products from about n = 4 on
+per-call overhead outweighs most of the arithmetic; the Faddeev-LeVerrier
+loops grow as n^4, and at n = 6 they are slower than numpy's products
 (README, "Cost by plant order").
 
 Every linear solve of the design path (the symmetric Lyapunov solve of

@@ -20,9 +20,9 @@ residual A'P + PA - (PB)K + Q with its Frobenius norm, every product summed
 in index order (`care_residual` goes through the same kernel). No BLAS or
 LAPACK kernel takes part, so the bits of P, K and the residual do not
 depend on the CPU. On the n = 2 plants the program designs for this is
-faster than numpy's per-call cost; the Lyapunov elimination grows as
-(n(n+1)/2)^3, so from n = 4 on a call costs more than it did on numpy
-(README, "Cost by plant order").
+cheaper than numpy's per-call cost; the Lyapunov elimination grows as
+(n(n+1)/2)^3, so at n = 4 the two are about even and at n = 6 a call
+costs more (README, "Cost by plant order").
 
 Tolerances: iteration aims for a residual of 1e-12 so that scalar cases
 agree with the analytic root to 1e-10; success requires the Frobenius
@@ -217,7 +217,8 @@ def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _closed_loop(a: list[list[float]], b: list[float], k: list[float]) -> list[list[float]]:
-    # A - BK on lists of rows; each entry takes one product, as with numpy.
+    # A - BK on lists of rows: each entry is one product and one difference,
+    # the same bits as numpy's a - b @ k.
     return [[a_ij - b_i * k_j for a_ij, k_j in zip(row, k)] for row, b_i in zip(a, b)]
 
 
@@ -265,11 +266,11 @@ def care_residual(a, b, p, q, r) -> np.ndarray:
     same kernel as `solve_care`'s residual.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float).reshape(-1).tolist()
-    p = np.atleast_2d(np.asarray(p, dtype=float)).tolist()
-    k = _gain_row(b, p, 1.0 / float(np.asarray(r, dtype=float).item()))
-    q = np.atleast_2d(np.asarray(q, dtype=float)).tolist()
-    return np.array(_residual_rows(a.tolist(), b, p, q, k)).reshape(a.shape)
+    col_b = np.asarray(b, dtype=float).reshape(-1).tolist()
+    rows_p = np.atleast_2d(np.asarray(p, dtype=float)).tolist()
+    rows_q = np.atleast_2d(np.asarray(q, dtype=float)).tolist()
+    k = _gain_row(col_b, rows_p, 1.0 / float(np.asarray(r, dtype=float).item()))
+    return np.array(_residual_rows(a.tolist(), col_b, rows_p, rows_q, k)).reshape(a.shape)
 
 
 def _initial_stabilizing_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
