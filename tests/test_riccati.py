@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from regforge import riccati
 from regforge.errors import CareConvergenceError, NumericalError, ValidationError
 from regforge.lti import char_poly, is_hurwitz, tf_to_ss
-from regforge.plant import PRESETS, REFERENCE_PARAMS, PlantParams, TurbineParams, plant_tf, preset_tf
+from regforge.plant import (
+    PRESETS,
+    REFERENCE_PARAMS,
+    GeneratorParams,
+    PlantParams,
+    TurbineParams,
+    plant_tf,
+    preset_tf,
+)
 from regforge.riccati import (
     PSD_TOLERANCE,
     CostWeights,
@@ -349,8 +357,8 @@ def test_designs_keep_the_matmul_bits():
         scale = 2.0 ** rng.uniform(-1.0, 1.0, size=1 + len(fields))
         params = PlantParams(
             turbine=TurbineParams(tau_t=ref.turbine.tau_t * scale[0]),
-            generator=type(ref.generator)(**{f.name: getattr(ref.generator, f.name) * x
-                                             for f, x in zip(fields, scale[1:])}),
+            generator=GeneratorParams(**{f.name: getattr(ref.generator, f.name) * x
+                                         for f, x in zip(fields, scale[1:])}),
         )
         q = 10.0 ** rng.uniform(0.0, 1.0)
         q_diag = (q, q) if i % 2 == 0 else (q, q * 10.0 ** rng.uniform(0.2, 0.8))
