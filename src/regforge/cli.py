@@ -188,8 +188,17 @@ def cmd_plant(args) -> int:
 # synthesize
 
 
+def _add_plant(report: RunReport, scn) -> None:
+    """The plant's transfer function and stability lines; a zero-state plant is stable."""
+    from .lti import char_poly, is_hurwitz
+
+    report.add_tf("plant", scn.plant_tf)
+    report.add_stability("plant", is_hurwitz(char_poly(scn.plant_model.a))
+                         if scn.plant_model.n_states else True)
+
+
 def cmd_synthesize(args) -> int:
-    from .lti import char_poly, eigenvalues, is_hurwitz
+    from .lti import eigenvalues
     from .scenario import closed_loop, load_scenario
 
     scn = load_scenario(args.scenario)
@@ -197,8 +206,7 @@ def cmd_synthesize(args) -> int:
     if spec.kind not in ("lqr", "observer"):
         raise ValidationError("synthesize needs a scenario with an lqr or observer controller")
     report = RunReport(scenario=scn.name)
-    report.add_tf("plant", scn.plant_tf)
-    report.add_stability("plant", is_hurwitz(char_poly(scn.plant_model.a)))
+    _add_plant(report, scn)
 
     loop = closed_loop(scn)
     care, observer = loop.care, loop.observer
@@ -234,16 +242,13 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .lti import char_poly, is_hurwitz
     from .plant import steady_state_report
     from .scenario import load_scenario, run_scenario
 
     scn = load_scenario(args.scenario)
     spec = scn.controller
     report = RunReport(scenario=scn.name)
-    report.add_tf("plant", scn.plant_tf)
-    report.add_stability("plant", is_hurwitz(char_poly(scn.plant_model.a))
-                         if scn.plant_model.n_states else True)
+    _add_plant(report, scn)
     run = run_scenario(scn)
 
     loop = run.loop

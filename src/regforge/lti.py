@@ -16,8 +16,11 @@ Riccati solution) are computed by cyclic Jacobi in `riccati` instead. All
 systems in this toolkit are small (n <= 6), where these methods are exact
 up to rounding.
 
-The kernels loop over Python floats and complex numbers rather than numpy
-arrays: Faddeev-LeVerrier (`_faddeev_leverrier`, behind `char_poly` and
+Python floats are the one number representation inside; numpy arrays stay
+at the edges (the matrices of `StateSpaceModel` and `char_poly`, the roots
+`eigenvalues` returns). `Polynomial.coeffs` is a tuple of floats, and the
+polynomial algebra and the kernels loop over Python floats and complex
+numbers: Faddeev-LeVerrier (`_faddeev_leverrier`, behind `char_poly` and
 `ss_to_tf`), `Polynomial.from_roots`, `_durand_kerner` and `is_hurwitz`.
 On matrices of at most 6 x 6 and vectors of at most seven entries numpy's
 per-call overhead outweighs most of the arithmetic; the Faddeev-LeVerrier
@@ -73,24 +76,23 @@ START_ANGLE = 0.4
 class Polynomial:
     """Real polynomial in the Laplace variable s, coefficients highest degree first.
 
-    Leading zeros are trimmed on construction; the zero polynomial is
-    stored as the single coefficient [0.0].
+    The coefficients are a tuple of floats, checked finite and trimmed of
+    leading zeros on construction; the zero polynomial is (0.0,).
     """
 
-    coeffs: np.ndarray
+    coeffs: tuple[float, ...]
 
     def __init__(self, coeffs):
-        # One copy, owned by the polynomial: later writes to `coeffs` do not reach it.
-        c = np.array(coeffs, dtype=float, ndmin=1)
-        if c.ndim != 1 or c.size == 0:
+        try:
+            c = [float(x) for x in coeffs]
+        except TypeError:  # not iterable, or an entry that is not a number
+            c = []
+        if not c:
             raise ValidationError("polynomial coefficients must be a non-empty 1-D sequence")
-        if not all(map(math.isfinite, c.tolist())):
+        if not all(map(math.isfinite, c)):
             raise ValidationError("polynomial coefficients must be finite")
-        if c[0] == 0.0:
-            nz = c.nonzero()[0]
-            c = c[nz[0]:] if nz.size else np.zeros(1)
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        lead = next((i for i, x in enumerate(c) if x != 0.0), None)
+        object.__setattr__(self, "coeffs", (0.0,) if lead is None else tuple(c[lead:]))
 
     @classmethod
     def from_roots(cls, roots, leading: float = 1.0) -> "Polynomial":
@@ -99,7 +101,7 @@ class Polynomial:
         Complex roots must come in conjugate pairs so the product is real;
         residual imaginary parts are checked, not silently dropped.
         """
-        roots = np.atleast_1d(np.asarray(roots, dtype=complex)).tolist()
+        roots = [complex(r) for r in roots]
         # Multiply out (s - r) one root at a time on Python complex numbers.
         c = [1.0 + 0.0j]
         for r in roots:
@@ -117,18 +119,28 @@ class Polynomial:
         return self.degree == 0 and self.coeffs[0] == 0.0
 
     def __call__(self, s):
-        return np.polyval(self.coeffs, s)
+        """p(s) by Horner's rule from 0.0; s may be a number or an array."""
+        y = 0.0
+        for c in self.coeffs:
+            y = y * s + c
+        return y
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(np.convolve(self.coeffs, other.coeffs))
+        """Product by convolution, each coefficient summed in index order from 0.0."""
+        out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return Polynomial(out)
 
     def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial(self.coeffs * factor)
+        return Polynomial([c * factor for c in self.coeffs])
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValidationError("cannot normalize the zero polynomial")
-        return Polynomial(self.coeffs / self.coeffs[0])
+        lead = self.coeffs[0]
+        return Polynomial([c / lead for c in self.coeffs])
 
     def roots(self) -> np.ndarray:
         """All complex roots, via Durand-Kerner iteration."""
@@ -181,7 +193,7 @@ def _durand_kerner(coeffs, max_iter: int = 200, tol: float = 1e-12) -> tuple[np.
     non-finite result raise NumericalError.
     """
     # A Polynomial has no leading zeros; a coefficient list passed directly may.
-    c = np.asarray(coeffs, dtype=float).tolist()
+    c = [float(x) for x in coeffs]
     while c and c[0] == 0.0:
         del c[0]
     if len(c) <= 1:
@@ -340,18 +352,13 @@ def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:
     tf = tf.normalized()
     den = tf.den.coeffs
     n = len(den) - 1
-    num = np.zeros(n + 1)
-    num[n + 1 - len(tf.num.coeffs):] = tf.num.coeffs
+    num = (0.0,) * (n + 1 - len(tf.num.coeffs)) + tf.num.coeffs
     d0 = num[0]
-    rem = num[1:] - d0 * den[1:]
     if n == 0:
         return StateSpaceModel.static_gain(d0)
-    a = np.zeros((n, n))
-    a[0, :] = -den[1:]
-    a[1:, :-1] += np.eye(n - 1)
-    b = np.zeros((n, 1))
-    b[0, 0] = 1.0
-    c = rem.reshape(1, n)
+    a = [[-x for x in den[1:]]] + [[float(j == i - 1) for j in range(n)] for i in range(1, n)]
+    b = [[1.0]] + [[0.0]] * (n - 1)
+    c = [[x - d0 * y for x, y in zip(num[1:], den[1:])]]
     return StateSpaceModel(a, b, c, [[d0]])
 
 
@@ -505,9 +512,7 @@ def is_hurwitz(p: Polynomial) -> bool:
     """
     if p.degree < 1:
         raise ValidationError("stability of a constant polynomial is undefined")
-    c = p.coeffs.tolist()
-    if c[0] < 0:
-        c = [-x for x in c]
+    c = [-x for x in p.coeffs] if p.coeffs[0] < 0 else list(p.coeffs)
     width = (len(c) - 1) // 2 + 1
     above = c[0::2] + [0.0] * (width + 1 - len(c[0::2]))
     row = c[1::2] + [0.0] * (width + 1 - len(c[1::2]))
@@ -525,10 +530,10 @@ def is_hurwitz(p: Polynomial) -> bool:
 
 def dc_gain(tf: TransferFunction) -> float:
     """Steady-state gain num(0)/den(0); a pole at the origin is an error."""
-    den0 = float(tf.den(0.0))
+    den0 = tf.den(0.0)
     if den0 == 0.0:
         raise NumericalError("dc gain undefined: pole at the origin")
-    return float(tf.num(0.0)) / den0
+    return tf.num(0.0) / den0
 
 
 def lu_factor(a: list[list[float]], tol: float = 0.0) -> tuple[list[list[float]], list[int], int]:

@@ -152,7 +152,7 @@ def place_poles(a, b, desired) -> np.ndarray:
 
     # y' phi(A) by Horner on the row vector: w <- w A + c_i y'.
     cols_a = list(zip(*rows_a))
-    coeffs = target.coeffs.tolist()
+    coeffs = target.coeffs
     w = [coeffs[0] * yi for yi in y]
     for coef in coeffs[1:]:
         w = [ordered_dot(w, col) + coef * yi for col, yi in zip(cols_a, y)]

@@ -14,21 +14,23 @@ symmetric P (3 for a second-order plant) and solves it with the partial-
 pivoting LU of `lti`, so P is exactly symmetric. K0 is zero when A is
 already Hurwitz, otherwise it comes from pole placement at -1, -2, ..., -n.
 
-The iteration runs on lists of Python floats, converted from the arrays
-once: A - BK, Q + (K'r)K, the Lyapunov system, K = (B'P)(1/r) and the
-residual A'P + PA - (PB)K + Q with its Frobenius norm, every product summed
-in index order (`care_residual` goes through the same kernel). No BLAS or
-LAPACK kernel takes part, so the bits of P, K and the residual do not
-depend on the CPU. On the n = 2 plants the program designs for this is
-cheaper than numpy's per-call cost; the Lyapunov elimination grows as
-(n(n+1)/2)^3, so at n = 4 the two are about even and at n = 6 a call
-costs more (README, "Cost by plant order").
+Python floats are the one number representation inside: `solve_care`
+reads A, B and Q from their arrays once, iterates on lists of rows (A - BK,
+Q + (K'r)K, `solve_lyapunov`, K = (B'P)(1/r), and `care_residual`'s
+A'P + PA - (PB)K + Q with its Frobenius norm) and builds P and K as
+read-only arrays at its return. Every product is summed in index order, so
+no BLAS or LAPACK kernel moves the bits of P, K or the residual. On the
+n = 2 plants the program designs for this is cheaper than numpy's per-call
+cost; the Lyapunov elimination grows as (n(n+1)/2)^3, so at n = 4 the two
+are about even and at n = 6 a call costs more (README, "Cost by plant
+order").
 
 Tolerances: iteration aims for a residual of 1e-12 so that scalar cases
 agree with the analytic root to 1e-10; success requires the Frobenius
 residual norm <= 1e-8 (summed in index order; a non-finite residual stops
-the iteration and fails), P symmetric and positive semidefinite, and
-A - BK Hurwitz for the returned gain K = B'P / r, formed as B'P times 1/r.
+the iteration and fails), P positive semidefinite (it is exactly
+symmetric by construction), and A - BK Hurwitz for the returned gain
+K = B'P / r, formed as B'P times 1/r.
 
 The weights are checked by sign: q >= -PSD_TOLERANCE entrywise and r > 0,
 with 1/r finite.
@@ -66,19 +68,18 @@ JACOBI_TOLERANCE = 1e-15
 JACOBI_MAX_SWEEPS = 30
 
 
-def _symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
-    # Cyclic Jacobi (Golub and Van Loan, Matrix Computations, 8.5): sweep the
-    # pairs (p, q) in row order and zero each a_pq with one rotation, until
-    # the off-diagonal Frobenius norm is within JACOBI_TOLERANCE of ||M||.
-    # The matrix is first scaled by a power of two to max|a| in [0.5, 1), so
-    # no square can overflow; a diagonal input takes no sweep and is
-    # returned exactly.
-    n = m.shape[0]
-    peak = float(np.abs(m).max(initial=0.0))
-    if not math.isfinite(peak):
+def _symmetric_eigenvalues(m: list[list[float]]) -> list[float]:
+    # Cyclic Jacobi (Golub and Van Loan, Matrix Computations, 8.5) on the
+    # rows of a symmetric M: sweep the pairs (p, q) in row order and zero
+    # each a_pq with one rotation, until the off-diagonal Frobenius norm is
+    # within JACOBI_TOLERANCE of ||M||. The matrix is first scaled by a
+    # power of two to max|a| in [0.5, 1), so no square can overflow; a
+    # diagonal input takes no sweep and is returned exactly.
+    n = len(m)
+    if not all(math.isfinite(x) for row in m for x in row):
         raise NumericalError("symmetric eigenvalue input is not finite")
-    exponent = math.frexp(peak)[1]
-    a = np.ldexp(m, -exponent).tolist()
+    exponent = math.frexp(max((abs(x) for row in m for x in row), default=0.0))[1]
+    a = [[math.ldexp(x, -exponent) for x in row] for row in m]
     pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
     limit = JACOBI_TOLERANCE**2 * sum(x * x for row in a for x in row)
     for sweep in range(JACOBI_MAX_SWEEPS + 1):
@@ -106,8 +107,8 @@ def _symmetric_eigenvalues(m: np.ndarray) -> np.ndarray:
                     a[r][p] = a[p][r] = c * g - s * h
                     a[r][q] = a[q][r] = s * g + c * h
     if sweep == 0:
-        return m.diagonal().copy()
-    return np.ldexp([a[i][i] for i in range(n)], exponent)
+        return [m[i][i] for i in range(n)]
+    return [math.ldexp(a[i][i], exponent) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -151,18 +152,16 @@ class CostWeights:
 
 @dataclass(frozen=True, eq=False)
 class RiccatiSolution:
-    """Stabilizing CARE solution, its LQR gain K = B'P / r, and diagnostics."""
+    """Stabilizing CARE solution, its LQR gain K = B'P / r, and diagnostics.
+
+    P (n x n) and K (1 x n) are the read-only arrays `solve_care` built;
+    they are stored as given, not copied.
+    """
 
     p: np.ndarray
     k: np.ndarray
     residual_norm: float
     iterations: int
-
-    def __post_init__(self):
-        for name in ("p", "k"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 @functools.lru_cache(maxsize=8)
@@ -185,9 +184,17 @@ def _lyapunov_index(n: int) -> tuple[tuple, tuple]:
     return tuple(terms), tuple(tuple(r) for r in at)
 
 
-def _lyapunov_rows(a: list[list[float]], q: list[list[float]]) -> list[list[float]]:
-    # solve_lyapunov on lists of rows of floats; returns P as rows.
+def solve_lyapunov(a: list[list[float]], q: list[list[float]]) -> list[list[float]]:
+    """Solve A'P + PA + Q = 0 for symmetric P on its n(n+1)/2 unknowns p_ij, i <= j.
+
+    A and Q are n x n lists of rows of floats, and P is returned as one.
+    Q's symmetric part (Q + Q')/2 is used. The system is solved by
+    `lti.lu_factor` and `lti.lu_solve`, so P is exactly symmetric; a
+    singular system (A and -A sharing an eigenvalue) raises NumericalError.
+    """
     n = len(a)
+    if len(q) != n or any(len(row) != n for row in (*a, *q)):
+        raise ValidationError("Lyapunov equation needs square A and Q of equal size")
     terms, at = _lyapunov_index(n)
     m = n * (n + 1) // 2
     lhs = [[0.0] * m for _ in range(m)]
@@ -199,21 +206,6 @@ def _lyapunov_rows(a: list[list[float]], q: list[list[float]]) -> list[list[floa
         raise NumericalError("Lyapunov system is singular: A and -A share an eigenvalue")
     x = lu_solve(lu, perm, rhs)
     return [[x[u] for u in row] for row in at]
-
-
-def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve A'P + PA + Q = 0 for symmetric P on its n(n+1)/2 unknowns p_ij, i <= j.
-
-    Q's symmetric part (Q + Q')/2 is used. The system is solved by
-    `lti.lu_factor` and `lti.lu_solve`, so P is exactly symmetric; a
-    singular system (A and -A sharing an eigenvalue) raises NumericalError.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    n = a.shape[0]
-    if a.shape != (n, n) or q.shape != (n, n):
-        raise ValidationError("Lyapunov equation needs square A and Q of equal size")
-    return np.array(_lyapunov_rows(a.tolist(), q.tolist())).reshape(n, n)
 
 
 def _closed_loop(a: list[list[float]], b: list[float], k: list[float]) -> list[list[float]]:
@@ -234,9 +226,15 @@ def _gain_row(b: list[float], p: list[list[float]], r_inv: float) -> list[float]
     return k
 
 
-def _residual_rows(a, b, p, q, k) -> list[list[float]]:
-    # A'P + PA - (PB)K + Q on lists of rows, K = R^-1 B'P given as a row,
-    # every product summed in index order.
+def care_residual(a, b, p, q, r: float) -> list[list[float]]:
+    """Residual A'P + PA - P B R^-1 B' P + Q, as a list of rows.
+
+    A, P and Q are n x n lists of rows of floats, b is the column of B as
+    n floats and r the scalar R. Computed as A'P + PA - (PB)K + Q with
+    K = (B'P)(1/r), every product summed in index order on Python floats;
+    `solve_care` takes its residual from this function.
+    """
+    k = _gain_row(b, p, 1.0 / r)
     span = range(len(a))
     cols_a = list(zip(*a))
     cols_p = list(zip(*p))
@@ -259,25 +257,11 @@ def _residual_rows(a, b, p, q, k) -> list[list[float]]:
     return out
 
 
-def care_residual(a, b, p, q, r) -> np.ndarray:
-    """Residual matrix A'P + PA - P B R^-1 B' P + Q for a scalar or 1 x 1 R.
-
-    Computed on Python floats, every product summed in index order, by the
-    same kernel as `solve_care`'s residual.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    col_b = np.asarray(b, dtype=float).reshape(-1).tolist()
-    rows_p = np.atleast_2d(np.asarray(p, dtype=float)).tolist()
-    rows_q = np.atleast_2d(np.asarray(q, dtype=float)).tolist()
-    k = _gain_row(col_b, rows_p, 1.0 / float(np.asarray(r, dtype=float).item()))
-    return np.array(_residual_rows(a.tolist(), col_b, rows_p, rows_q, k)).reshape(a.shape)
-
-
-def _initial_stabilizing_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _initial_stabilizing_gain(a: np.ndarray, b: np.ndarray) -> list[float]:
     n = a.shape[0]
     if n == 0 or is_hurwitz(char_poly(a)):
-        return np.zeros((1, n))
-    return place_poles(a, b, [-(i + 1.0) for i in range(n)])
+        return [0.0] * n
+    return place_poles(a, b, [-(i + 1.0) for i in range(n)])[0].tolist()
 
 
 def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
@@ -308,17 +292,17 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
     # taken, and k always holds R^-1 B' P for the p beside it. Huge weights
     # overflow on the way (Python floats go to inf without a warning); the
     # non-finite residual reports it.
-    k = _initial_stabilizing_gain(a, b)[0].tolist()
+    k = _initial_stabilizing_gain(a, b)
     p = []
     residual = float("inf")
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         a_cl = _closed_loop(rows_a, col_b, k)
         rhs = [[q_ij + (k_i * r) * k_j for q_ij, k_j in zip(row, k)] for row, k_i in zip(rows_q, k)]
-        p_next = _lyapunov_rows(a_cl, rhs)
+        p_next = solve_lyapunov(a_cl, rhs)
         k_next = _gain_row(col_b, p_next, r_inv)
         square = 0.0
-        for row in _residual_rows(rows_a, col_b, p_next, rows_q, k_next):
+        for row in care_residual(rows_a, col_b, p_next, rows_q, r):
             for x in row:
                 square += x * x
         new_residual = math.sqrt(square)
@@ -334,13 +318,12 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
             f"Riccati iteration did not converge in {iterations} steps", residual=residual
         )
 
+    # P is exactly symmetric: solve_lyapunov fills p_ij and p_ji from one unknown.
     if n > 0:
-        if any(abs(p[i][j] - p[j][i]) > 1e-10 for i in range(n) for j in range(i)):
-            raise NumericalError("Riccati solution lost symmetry")
-        p = np.array(p)
-        if _symmetric_eigenvalues(p).min() < -PSD_TOLERANCE:
+        if min(_symmetric_eigenvalues(p)) < -PSD_TOLERANCE:
             raise NumericalError("Riccati solution is not positive semidefinite")
         if not is_hurwitz(char_poly(_closed_loop(rows_a, col_b, k))):
             raise NumericalError("closed loop A - BK is not Hurwitz after synthesis")
-    return RiccatiSolution(p=np.reshape(p, (n, n)), k=np.reshape(k, (1, n)),
-                           residual_norm=residual, iterations=iterations)
+    p, k = np.array(p, dtype=float).reshape(n, n), np.array([k], dtype=float)
+    p.flags.writeable = k.flags.writeable = False
+    return RiccatiSolution(p=p, k=k, residual_norm=residual, iterations=iterations)

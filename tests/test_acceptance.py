@@ -137,7 +137,7 @@ def test_criterion_07_observer_audit_and_separation(capsys, tmp_path):
     # (a) published H fails the stability audit with the stated polynomial
     audit = build_observer_controller(plant, K_PUBLISHED_HIGH, H_PUBLISHED, "standard-luenberger").audit
     poly = audit.error_poly
-    audit_ok = (not audit.error_hurwitz) and np.max(np.abs(poly.coeffs - [1.0, -6.5, 14.5])) <= 1e-9
+    audit_ok = (not audit.error_hurwitz) and np.max(np.abs(np.subtract(poly.coeffs, [1.0, -6.5, 14.5]))) <= 1e-9
 
     # (b) the irreproducibility of the published 7 s settling is declared
     main(["reproduce", "--figure", "8", "--preset", "paper-rounded",
@@ -155,7 +155,7 @@ def test_criterion_07_observer_audit_and_separation(capsys, tmp_path):
         a, b, c, k, h = random_output_feedback_design(rng, n, place_poles, design_observer_gain)
         loop = luenberger_loop(StateSpaceModel(a, b, c), k, h)
         product = char_poly(a - b @ k) * char_poly(a - h @ c)
-        worst = max(worst, float(np.max(np.abs(char_poly(loop.a).coeffs - product.coeffs))))
+        worst = max(worst, float(np.max(np.abs(np.subtract(char_poly(loop.a).coeffs, product.coeffs)))))
     separation_ok = worst <= 1e-8
 
     # (d) stable replacement H from dual placement settles at 220 V
@@ -190,7 +190,8 @@ def test_criterion_08_care_property_suite():
         q_diag = random_q_diag(rng, n)
         r = float(rng.uniform(0.3, 3.0))
         sol = solve_care(a, b, CostWeights(q_diag, r))
-        res = float(np.linalg.norm(care_residual(a, b, sol.p, np.diag(q_diag), np.atleast_2d(r))))
+        res = float(np.linalg.norm(care_residual(a.tolist(), b[:, 0].tolist(), sol.p.tolist(),
+                                                np.diag(q_diag).tolist(), r)))
         worst_residual = max(worst_residual, res)
         assert res <= 1e-8
         assert np.max(np.abs(sol.p - sol.p.T)) <= 1e-10

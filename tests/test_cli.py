@@ -434,6 +434,20 @@ def test_convention_option_removed(capsys, tmp_path, command):
     assert not any(tmp_path.iterdir())
 
 
+def test_zero_state_lqr_plant_fails_alike(capsys, tmp_path, monkeypatch):
+    # A static plant has no state to weight: both commands reject the
+    # weights with the same message, not on the plant's stability line.
+    monkeypatch.setenv("REGFORGE_OUT", str(tmp_path))
+    scn = tmp_path / "static.cfg"
+    scn.write_text("plant.tf.num = 5\nplant.tf.den = 1\ncontroller.type = lqr\n"
+                   "controller.q_diag = 1\ncontroller.r = 1\nreference = 1\n")
+    errors = []
+    for command in ("synthesize", "simulate"):
+        assert main([command, "--scenario", str(scn)]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: Q must be 0x0, got (1, 1)\n"
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         env = {"PYTHONPATH": str(SRC), "REGFORGE_OUT": str(tmp_path)}

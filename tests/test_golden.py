@@ -235,8 +235,8 @@ def synthesis_entry(tf, q_diag, r, poles) -> dict:
         "residual_norm": solution.residual_norm, "iterations": solution.iterations,
         "h": h, "prescaler": n_gain,
         "loop.a": loop.a, "loop.b": loop.b, "loop.c": loop.c,
-        "feedback_poly": feedback_poly.coeffs, "error_poly": error_poly.coeffs,
-        "loop_poly": loop_poly.coeffs,
+        "feedback_poly": np.array(feedback_poly.coeffs), "error_poly": np.array(error_poly.coeffs),
+        "loop_poly": np.array(loop_poly.coeffs),
         "loop_eigenvalues": lti.eigenvalues(loop.a),
         "feedback_hurwitz": lti.is_hurwitz(feedback_poly),
         "error_hurwitz": lti.is_hurwitz(error_poly),

@@ -7,9 +7,11 @@ controllability rank and its norms go through `lti.lu_factor`,
 `lti.lu_solve` and `lti.ordered_dot` on Python floats instead. The pin
 below is empty; a new call has to be added to it on purpose.
 
-The design path's products (Newton-Kleinman, Faddeev-LeVerrier, Ackermann
-and the prescaler) are sums in index order on Python floats, so its
-functions take no `@`, matmul or np.dot (NO_BLAS). The functions of
+The design path's products (Newton-Kleinman, Faddeev-LeVerrier, Ackermann,
+the prescaler, and the evaluation and product of polynomials) are sums in
+index order on Python floats, so its functions take no `@`, matmul, np.dot,
+np.convolve or np.correlate (NO_BLAS); the last two reach the same BLAS dot
+as np.dot. The functions of
 `simulate`'s path take their products with np.dot, not `@` or np.matmul:
 on their small C-contiguous operands the two make the same BLAS call, and
 np.dot skips matmul's gufunc dispatch.
@@ -28,14 +30,14 @@ PINNED = set()
 DOT_ONLY = {("sim", "<module>"), ("sim", "simulate"), ("sim", "_rk4_maps")}
 
 # (module, function) of the design path, which may take no product by `@`,
-# matmul or dot.
+# matmul, dot, convolve or correlate.
 NO_BLAS = {
     ("riccati", "solve_care"), ("riccati", "solve_lyapunov"), ("riccati", "care_residual"),
     ("riccati", "_initial_stabilizing_gain"), ("riccati", "_symmetric_eigenvalues"),
-    ("riccati", "_lyapunov_rows"), ("riccati", "_closed_loop"), ("riccati", "_gain_row"),
-    ("riccati", "_residual_rows"),
+    ("riccati", "_closed_loop"), ("riccati", "_gain_row"),
     ("lti", "_faddeev_leverrier"), ("lti", "char_poly"), ("lti", "ss_to_tf"),
     ("lti", "from_roots"), ("lti", "lu_factor"), ("lti", "lu_solve"),
+    ("lti", "__mul__"), ("lti", "__call__"),
     ("observer", "place_poles"),
     ("sim", "reference_prescaler"),
 }
@@ -93,10 +95,11 @@ def test_scan_sees_every_spelling():
 
 
 def _matmul_uses(source: str, module: str) -> set[tuple[str, str, str]]:
-    """(module, function, "matmul" or "dot") for each product spelling in `source`.
+    """(module, function, kind) for each product spelling in `source`.
 
-    "matmul" is an `@`, an `@=` or the name `matmul`; "dot" is the name
-    `dot`, as `np.dot`, a method `.dot` or an imported `dot`.
+    The kind "matmul" is an `@`, an `@=` or the name `matmul`; "dot",
+    "convolve" and "correlate" are those names, as an attribute (`np.dot`,
+    a method `.dot`), a bare name or an import.
     """
     uses = set()
 
@@ -105,7 +108,7 @@ def _matmul_uses(source: str, module: str) -> set[tuple[str, str, str]]:
             function = node.name
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             uses.add((module, function, "matmul"))
-        for name in ("matmul", "dot"):
+        for name in ("matmul", "dot", "convolve", "correlate"):
             if (isinstance(node, ast.Attribute) and node.attr == name
                     or isinstance(node, ast.Name) and node.id == name
                     or isinstance(node, ast.alias) and node.name.split(".")[-1] == name):
@@ -157,10 +160,16 @@ def test_matmul_scan_sees_every_spelling():
         "    return a.dot(b)\n"
         "def g2(a, b):\n"
         "    return dot(a, b)\n"
+        "def cv(a, b):\n"
+        "    return np.convolve(a, b)\n"
+        "def cr(a, b):\n"
+        "    return np.correlate(a, b, 'full')\n"
         "def ok(a, b):\n"
         "    return a * b + np.einsum('i,i', a, b)\n"
     )
     assert _matmul_uses(source, "m") == {
         *(("m", name, "matmul") for name in ("<module>", "f", "g", "h", "k")),
         *(("m", name, "dot") for name in ("<module>", "d", "e", "g2")),
+        ("m", "cv", "convolve"),
+        ("m", "cr", "correlate"),
     }

@@ -154,7 +154,7 @@ class TestPlacePoles:
             k = place_poles(a, b, desired)
             target = Polynomial.from_roots(desired)
             achieved = char_poly(a - b @ k)
-            assert np.max(np.abs(achieved.coeffs - target.coeffs)) < 1e-8 * max(
+            assert np.max(np.abs(np.subtract(achieved.coeffs, target.coeffs))) < 1e-8 * max(
                 1.0, np.max(np.abs(target.coeffs))
             )
 
@@ -236,4 +236,4 @@ class TestSeparationPrinciple:
             )
             loop = luenberger_loop(StateSpaceModel(a, b, c), k, h)
             product = char_poly(a - b @ k) * char_poly(a - h @ c)
-            assert np.max(np.abs(char_poly(loop.a).coeffs - product.coeffs)) <= 1e-8
+            assert np.max(np.abs(np.subtract(char_poly(loop.a).coeffs, product.coeffs))) <= 1e-8

@@ -129,7 +129,7 @@ class TestSymmetricEigenvalues:
     @given(symmetric_matrices())
     def test_matches_eigvalsh(self, case):
         kind, m = case
-        got = np.sort(_symmetric_eigenvalues(m))
+        got = np.sort(_symmetric_eigenvalues(m.tolist()))
         if kind == "diagonal":
             assert got.tobytes() == np.sort(np.diag(m)).tobytes()
         else:
@@ -139,12 +139,12 @@ class TestSymmetricEigenvalues:
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(riccati, "JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(NumericalError, match="did not converge"):
-            _symmetric_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        npt.assert_array_equal(_symmetric_eigenvalues(np.diag([3.0, 3.0])), [3.0, 3.0])
+            _symmetric_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
+        assert _symmetric_eigenvalues([[3.0, 0.0], [0.0, 3.0]]) == [3.0, 3.0]
 
     def test_non_finite_input_raises(self):
         with pytest.raises(NumericalError):
-            _symmetric_eigenvalues(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+            _symmetric_eigenvalues([[1.0, math.nan], [math.nan, 1.0]])
 
     # PSD_TOLERANCE is 1e-9: an eigenvalue of -5e-10 is accepted, -2e-9 is not.
     # A diagonal goes through CostWeights; a rotated matrix, whose check now
@@ -157,7 +157,7 @@ class TestSymmetricEigenvalues:
     )
     def test_near_singular_q_accepted(self, spectrum, rotate):
         if rotate:
-            assert _symmetric_eigenvalues(_rotated(spectrum, seed=len(spectrum))).min() >= -PSD_TOLERANCE
+            assert min(_symmetric_eigenvalues(_rotated(spectrum, seed=len(spectrum)).tolist())) >= -PSD_TOLERANCE
         else:
             CostWeights(spectrum, 1.0)
 
@@ -169,7 +169,7 @@ class TestSymmetricEigenvalues:
     )
     def test_indefinite_q_rejected(self, spectrum, rotate):
         if rotate:
-            assert _symmetric_eigenvalues(_rotated(spectrum, seed=len(spectrum))).min() < -PSD_TOLERANCE
+            assert min(_symmetric_eigenvalues(_rotated(spectrum, seed=len(spectrum)).tolist())) < -PSD_TOLERANCE
         else:
             with pytest.raises(ValidationError, match="Q must be positive semidefinite"):
                 CostWeights(spectrum, 1.0)
@@ -178,8 +178,7 @@ class TestSymmetricEigenvalues:
 class TestLyapunov:
     def test_known_scalar(self):
         # a = -1: -2p + q = 0 -> p = q/2
-        p = solve_lyapunov(np.array([[-1.0]]), np.array([[4.0]]))
-        npt.assert_allclose(p, [[2.0]])
+        assert solve_lyapunov([[-1.0]], [[4.0]]) == [[2.0]]
 
     def test_random_residuals(self):
         rng = np.random.default_rng(10)
@@ -188,7 +187,7 @@ class TestLyapunov:
             a = rng.normal(size=(n, n)) - 2.0 * np.eye(n)
             s = rng.normal(size=(n, n))
             q = s @ s.T
-            p = solve_lyapunov(a, q)
+            p = np.array(solve_lyapunov(a.tolist(), q.tolist()))
             npt.assert_allclose(a.T @ p + p @ a + q, np.zeros((n, n)), atol=1e-9)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -201,7 +200,7 @@ class TestLyapunov:
             a -= (max(np.linalg.eigvals(a).real) + rng.uniform(0.1, 2.0)) * np.eye(n)
             s = rng.normal(size=(n, n))
             q = s @ s.T
-            p = solve_lyapunov(a, q)
+            p = np.array(solve_lyapunov(a.tolist(), q.tolist()))
             want = linalg.solve_continuous_lyapunov(a.T, -q)
             npt.assert_allclose(p, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
 
@@ -212,13 +211,13 @@ class TestLyapunov:
             a = rng.normal(size=(n, n)) - 2.0 * np.eye(n)
             k = rng.normal(size=(1, n))
             # K'K is symmetric only up to rounding of its two triangles
-            p = solve_lyapunov(a, np.eye(n) + k.T @ (3.0 * k))
+            p = np.array(solve_lyapunov(a.tolist(), (np.eye(n) + k.T @ (3.0 * k)).tolist()))
             npt.assert_array_equal(p, p.T)
 
     def test_singular_operator_raises(self):
         # eigenvalues 1 and -1 sum to zero, so A'P + PA is singular
         with pytest.raises(NumericalError, match="Lyapunov system is singular"):
-            solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+            solve_lyapunov([[1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestSolveCare:
@@ -273,7 +272,8 @@ class TestSolveCare:
             designs.append((a, b, CostWeights(random_q_diag(rng, n), rng.uniform(0.3, 3.0))))
         for a, b, weights in designs:
             sol = solve_care(a, b, weights)
-            norm = float(np.linalg.norm(care_residual(a, b, sol.p, weights.q, weights.r)))
+            norm = float(np.linalg.norm(care_residual(a.tolist(), b.ravel().tolist(), sol.p.tolist(),
+                                                      weights.q.tolist(), float(weights.r[0, 0]))))
             assert sol.residual_norm == norm
 
     @pytest.mark.parametrize("q_diag, r", [([8.0, 8.0], 1.0), ([3.0, 3.0], 5.0)])
@@ -325,10 +325,10 @@ def numpy_newton_kleinman(a, b, weights):
     """
     q, r = weights.q, weights.r
     r_inv = 1.0 / r
-    k = riccati._initial_stabilizing_gain(a, b)
+    k = np.array([riccati._initial_stabilizing_gain(a, b)])
     residual = float("inf")
     for iterations in range(1, riccati.MAX_ITERATIONS + 1):
-        p_next = solve_lyapunov(a - b @ k, q + k.T @ r @ k)
+        p_next = np.array(solve_lyapunov((a - b @ k).tolist(), (q + k.T @ r @ k).tolist()))
         k_next = (b.T @ p_next) * r_inv
         square = 0.0
         for x in (a.T @ p_next + p_next @ a - p_next @ b @ k_next + q).ravel().tolist():
@@ -402,9 +402,9 @@ class TestLqrGain:
             q_diag = random_q_diag(rng, n)
             r = float(rng.uniform(0.3, 3.0))
             sol = solve_care(a, b, CostWeights(q_diag, r))
-            res = care_residual(a, b, sol.p, np.diag(q_diag), np.atleast_2d(r))
+            res = care_residual(a.tolist(), b.ravel().tolist(), sol.p.tolist(), np.diag(q_diag).tolist(), r)
             assert np.linalg.norm(res) <= 1e-8
-            assert np.max(np.abs(sol.p - sol.p.T)) <= 1e-10
+            npt.assert_array_equal(sol.p, sol.p.T)
             assert np.min(np.linalg.eigvalsh(sol.p)) >= -1e-9
             k = (b.T @ sol.p) / r
             assert np.max(np.linalg.eigvals(a - b @ k).real) < 0.0
