@@ -84,7 +84,8 @@ class Polynomial:
 
     def __init__(self, coeffs):
         try:
-            c = [float(x) for x in coeffs]
+            # An array's rank is read first: numpy < 2 converts a 1-element row with float().
+            c = [float(x) for x in coeffs] if getattr(coeffs, "ndim", 1) == 1 else []
         except TypeError:  # not iterable, or an entry that is not a number
             c = []
         if not c:

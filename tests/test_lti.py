@@ -120,6 +120,18 @@ class TestPolynomial:
         p = Polynomial([0.0, 0.0])
         assert p.is_zero
         assert p.degree == 0
+        assert Polynomial([-0.0]).coeffs == (0.0,)
+
+    @pytest.mark.parametrize("coeffs", [[], [[1.0, 2.0]], np.ones((2, 1)), 3.0, [1.0 + 1.0j]],
+                             ids=["empty", "nested", "column", "scalar", "complex"])
+    def test_rejects_what_is_not_a_sequence_of_reals(self, coeffs):
+        with pytest.raises(ValidationError, match="non-empty 1-D sequence"):
+            Polynomial(coeffs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            Polynomial([1.0, bad])
 
     def test_multiplication(self):
         prod = Polynomial([2.0, 1.0]) * Polynomial([7.0, 14.0])

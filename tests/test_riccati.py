@@ -214,6 +214,13 @@ class TestLyapunov:
             p = np.array(solve_lyapunov(a.tolist(), (np.eye(n) + k.T @ (3.0 * k)).tolist()))
             npt.assert_array_equal(p, p.T)
 
+    @pytest.mark.parametrize("a, q", [([[-1.0, 0.0]], [[1.0]]), ([[-1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+                                      ([[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]])],
+                             ids=["wide-a", "large-q", "narrow-q"])
+    def test_mismatched_rows_rejected(self, a, q):
+        with pytest.raises(ValidationError, match="square A and Q of equal size"):
+            solve_lyapunov(a, q)
+
     def test_singular_operator_raises(self):
         # eigenvalues 1 and -1 sum to zero, so A'P + PA is singular
         with pytest.raises(NumericalError, match="Lyapunov system is singular"):
