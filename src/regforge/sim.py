@@ -55,8 +55,10 @@ N = 1 / (C (-(A-BK))^-1 B) ahead of the loop (`reference_prescaler`,
 from __future__ import annotations
 
 import math
+import struct
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -85,6 +87,9 @@ STEADY_STATE_FRACTION = 0.05
 POWER_LIMIT = 1e100
 # `simulate` checks the states once this many rows are unchecked, and at the end.
 CHECK_ROWS = 1024
+# The most propagators `simulate` keeps: 64 ladders of at most 24 rungs
+# (the 1e7-sample guard) of at most 7 x 7 floats, about 0.6 MB.
+PROPAGATOR_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ class TimeSeries:
     caller that writes to its own array afterwards changes the series. A
     view may be strided: `simulate`'s states are the first n columns of its
     `(samples, n + 1)` scan array, and its inputs have stride 0. Only the
-    column lengths are checked. `simulate` spaces its samples uniformly
+    ranks and the column lengths are checked. `simulate` spaces its samples uniformly
     by construction, and times from outside enter through
     `output.read_timeseries_csv`, which checks their spacing.
     """
@@ -140,6 +145,8 @@ class TimeSeries:
             arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if not (self.times.ndim == self.inputs.ndim == self.outputs.ndim == 1 and self.states.ndim == 2):
+            raise ValidationError("a time series takes 1-D times, inputs and outputs and a 2-D states array")
         n = len(self.times)
         if len(self.inputs) != n or len(self.outputs) != n or self.states.shape[0] != n:
             raise ValidationError("time series columns must have equal length")
@@ -188,6 +195,86 @@ def _rk4_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.n
     return m, g
 
 
+class _Propagator(NamedTuple):
+    """The doubling ladder of one (A, B, dt, u): ladder[k] is Q_(2^k), read-only.
+
+    `capped` marks a ladder whose next square was non-finite or beyond
+    POWER_LIMIT; it never grows, and the scan slides at its top width.
+    """
+
+    ladder: tuple[np.ndarray, ...]
+    capped: bool
+    safe_2h: float
+
+
+# The propagators `simulate` has built, oldest first, at most PROPAGATOR_MEMO_SIZE.
+_PROPAGATORS: dict[tuple, _Propagator] = {}
+_PROPAGATORS_LOCK = threading.Lock()
+
+
+def _propagator(a: np.ndarray, b: np.ndarray, dt: float, u: float, steps: int) -> _Propagator:
+    """The ladder of (A, B, dt, u) up to Q_(2^k), 2^k <= steps, or to its cap, memoized.
+
+    The key holds the bytes of A and B and the bit patterns of dt and u, so
+    0.0 and -0.0 are two keys. A cold call computes the products a scan
+    used to compute as it went; a warm one reads them back, and a longer
+    horizon squares on from the top of the ladder it finds.
+    """
+    key = (a.shape, a.tobytes(), b.shape, b.tobytes(), struct.pack("<2d", dt, u))
+    prop = _PROPAGATORS.get(key)
+    if prop is not None and (prop.capped or len(prop.ladder) >= steps.bit_length()):
+        return prop
+    prop = _extend(_step_map(a, b, dt, u) if prop is None else prop, steps.bit_length())
+    # Entries are never changed in place: a race between two threads can only repeat work.
+    with _PROPAGATORS_LOCK:
+        if key not in _PROPAGATORS and len(_PROPAGATORS) >= PROPAGATOR_MEMO_SIZE:
+            del _PROPAGATORS[next(iter(_PROPAGATORS))]
+        _PROPAGATORS[key] = prop
+    return prop
+
+
+def _step_map(a: np.ndarray, b: np.ndarray, dt: float, u: float) -> _Propagator:
+    n = a.shape[0]
+    m, g = _rk4_maps(a, b, dt)
+    # Entries of M^k are at most beta^k, beta = ||M||_inf: a square M^2h with
+    # beta^2h within POWER_LIMIT / 2 (a margin for rounding) needs no test.
+    row_sums = [sum(map(abs, row)) for row in m.tolist()]
+    beta = max(row_sums, default=0.0) if math.isfinite(sum(row_sums)) else math.inf
+    safe_2h = math.log(POWER_LIMIT / 2) / math.log(beta) if beta > 1.0 else math.inf
+    # Q_1 is kept C-contiguous: BLAS is several times slower on a transposed view.
+    q = np.zeros((n + 1, n + 1))
+    q[:n, :n] = m.T
+    q[n, :n] = (g * u).ravel()
+    q[n, n] = 1.0
+    q.flags.writeable = False
+    return _Propagator((q,), False, safe_2h)
+
+
+def _extend(prop: _Propagator, levels: int) -> _Propagator:
+    """`prop` with its ladder squared up to `levels` rungs, or until a square fails."""
+    ladder = list(prop.ladder)
+    n = len(ladder[0]) - 1
+    for k in range(len(ladder), levels):
+        q2 = np.dot(ladder[-1], ladder[-1])
+        # Past POWER_LIMIT the window stops growing and slides instead.
+        if (1 << k) > prop.safe_2h and not (-POWER_LIMIT <= q2[:n, :n].min(initial=0.0)
+                                            and q2[:n, :n].max(initial=0.0) <= POWER_LIMIT):
+            return _Propagator(tuple(ladder), True, prop.safe_2h)
+        q2.flags.writeable = False
+        ladder.append(q2)
+    return _Propagator(tuple(ladder), False, prop.safe_2h)
+
+
+def _initial_state(x0, n: int) -> np.ndarray:
+    try:
+        x = np.asarray(x0)
+    except ValueError:  # a ragged nesting
+        x = None
+    if x is None or x.dtype.kind not in "iuf" or x.size != n:
+        raise ValidationError(f"x0 must be {n} real numbers, got {x0!r}")
+    return x.reshape(n)
+
+
 def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     """Response to the constant input cfg.input_amplitude, from rest unless x0 is given.
 
@@ -197,14 +284,14 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     from x0 and D u. A full series views the run's buffers (its states are the first n
     columns of the `(samples, n + 1)` scan array), a truncated one holds
     copies of its samples. The inputs repeat one value with stride 0.
+    x0 must hold n real numbers; ValidationError otherwise.
     """
     n = ss.n_states
     steps = cfg.n_steps
     u = float(cfg.input_amplitude)
-    m, g = _rk4_maps(ss.a, ss.b, cfg.dt)
     # Row k of z is [x[k], 1], so y[k] = z[k] . [C, D u].
     z = np.empty((steps + 1, n + 1))
-    z[0, :n] = 0.0 if x0 is None else np.asarray(x0, dtype=float).reshape(n)
+    z[0, :n] = 0.0 if x0 is None else _initial_state(x0, n)
     z[0, n] = 1.0
     cd = np.empty(n + 1)
     cd[:n], cd[n] = ss.c, ss.d[0, 0] * u
@@ -215,21 +302,13 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     # Sample 0 has a few states: Python floats check them faster than two reductions.
     if not (-limit <= outputs[0] <= limit and all(-limit <= v <= limit for v in z[0, :n].tolist())):
         return _truncated(z, outputs, u, cfg.dt, 1)
-    # Entries of M^k are at most beta^k, beta = ||M||_inf: a square M^2h with
-    # beta^2h within POWER_LIMIT / 2 (a margin for rounding) needs no test.
-    row_sums = [sum(map(abs, row)) for row in m.tolist()]
-    beta = max(row_sums, default=0.0) if math.isfinite(sum(row_sums)) else math.inf
-    safe_2h = math.log(POWER_LIMIT / 2) / math.log(beta) if beta > 1.0 else math.inf
-    # f samples are known; each chunk extends them from the h before by
-    # q = Q_h, kept C-contiguous: BLAS is several times slower on a transposed view.
-    q = np.zeros((n + 1, n + 1))
-    q[:n, :n] = m.T
-    q[n, :n] = (g * u).ravel()
-    q[n, n] = 1.0
     h = f = checked = 1
     state_out = False
     # Overflow on the way to divergence is expected; the checks below report it.
     with np.errstate(over="ignore", invalid="ignore"):
+        ladder = _propagator(ss.a, ss.b, float(cfg.dt), u, steps).ladder
+        # f samples are known; each chunk extends them from the h before by q = Q_h.
+        q = ladder[0]
         while f <= steps:
             take = min(h, steps + 1 - f)
             np.dot(z[f - h:f - h + take], q, out=z[f:f + take])
@@ -243,12 +322,9 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
                     state_out = True
                     break
                 checked = f
-            if f == 2 * h and f <= steps:
-                q2 = np.dot(q, q)
-                # Past POWER_LIMIT the window stops growing and slides instead.
-                if 2 * h <= safe_2h or (-POWER_LIMIT <= q2[:n, :n].min(initial=0.0)
-                                        and q2[:n, :n].max(initial=0.0) <= POWER_LIMIT):
-                    q, h = q2, f
+            # Q_2h is the next rung; a capped ladder has none, and the window slides.
+            if f == 2 * h and h.bit_length() < len(ladder):
+                q, h = ladder[h.bit_length()], f
         if state_out:
             # Row-major: the first bad entry lies in the first bad row, r.
             r = checked + int(np.argmax(~(np.abs(block) <= limit).ravel())) // (n + 1)
