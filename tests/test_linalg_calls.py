@@ -27,7 +27,8 @@ PINNED = set()
 
 # (module, function) that may take no product by `@` or matmul. sim's
 # module level is listed so that a matmul bound to a name there cannot hide.
-DOT_ONLY = {("sim", "<module>"), ("sim", "simulate"), ("sim", "_rk4_maps")}
+DOT_ONLY = {("sim", "<module>"), ("sim", "simulate"), ("sim", "_rk4_maps"),
+            ("sim", "_propagator"), ("sim", "_step_map"), ("sim", "_extend")}
 
 # (module, function) of the design path, which may take no product by `@`,
 # matmul, dot, convolve or correlate.

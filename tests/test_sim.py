@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -11,11 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from regforge import sim
 from regforge.errors import NumericalError, ValidationError
 from regforge.lti import StateSpaceModel, TransferFunction, dc_gain, ss_to_tf, tf_to_ss
 from regforge.observer import design_observer_gain
 from regforge.output import read_timeseries_csv
-from regforge.plant import REFERENCE_PARAMS, plant_tf, rounded_plant_tf
+from regforge.plant import PRESETS, REFERENCE_PARAMS, plant_tf, rounded_plant_tf
 from regforge.scenario import (
     DEFAULT_OUTPUTS,
     ControllerSpec,
@@ -156,6 +159,14 @@ class TestSimulate:
         ss = StateSpaceModel([[-0.5]], [[1.0]], [[1.0]])
         ts = simulate(ss, SimConfig(dt=1e-3, duration=2.0, input_amplitude=0.0), x0=[1.0])
         npt.assert_allclose(ts.outputs, np.exp(-ts.times / 2.0), atol=1e-9)
+
+    @pytest.mark.parametrize("x0", [
+        [1.0, 2.0, 3.0], [1.0], "ab", [[1.0], [2.0, 3.0]], [1j, 2.0], [None, 1.0], [True, False],
+    ], ids=["long", "short", "string", "ragged", "complex", "none", "bool"])
+    def test_rejects_an_x0_that_is_not_n_reals(self, x0):
+        ss = StateSpaceModel([[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]], [[1.0, 1.0]])
+        with pytest.raises(ValidationError, match="x0 must be 2 real numbers"):
+            simulate(ss, SimConfig(dt=1e-2, duration=1.0), x0)
 
     def test_linearity_in_amplitude(self):
         one = simulate(first_order(), SimConfig(dt=1e-2, duration=5.0, input_amplitude=1.0))
@@ -493,6 +504,147 @@ class TestDivergenceSearch:
             "3896ceab6f4cc11bde831dab1e212bdf5cc357e29529921da69e104bc187b541"
 
 
+def run_bytes(ts: TimeSeries) -> tuple:
+    """Everything a run returns, as bytes."""
+    return ts.times.tobytes(), ts.inputs.tobytes(), ts.outputs.tobytes(), ts.states.tobytes(), ts.diverged
+
+
+@pytest.mark.filterwarnings("error")
+class TestPropagatorMemo:
+    """A warm `simulate` reads back the ladder a cold one builds, bit for bit."""
+
+    @staticmethod
+    def assert_warm_is_cold(runs) -> None:
+        """Each (ss, cfg, x0) of `runs`, run in turn on one memo, equals itself run on an empty memo.
+
+        The memo is left as the runs in turn leave it.
+        """
+        cold = []
+        for run in runs:
+            sim._PROPAGATORS.clear()
+            cold.append(run_bytes(simulate(*run)))
+        sim._PROPAGATORS.clear()
+        assert [run_bytes(simulate(*run)) for run in runs] == cold
+
+    @pytest.mark.parametrize("unstable", [False, True], ids=["stable", "unstable"])
+    def test_random_models(self, unstable):
+        rng = np.random.default_rng(2700 + unstable)
+        runs = []
+        for n in range(7):
+            ss = scan_model(rng, n, unstable)
+            for steps in (LENGTH, 7, 3 * LENGTH + 5, LENGTH):
+                for x0 in (None, rng.normal(size=n)):
+                    runs.append((ss, SimConfig(dt=1e-2, duration=steps * 1e-2, input_amplitude=-1.7), x0))
+            # A, B, dt and u each changed alone: four more keys.
+            runs += [(StateSpaceModel(ss.a, 2.0 * ss.b, ss.c, ss.d), runs[-1][1], None),
+                     (StateSpaceModel(ss.a + np.eye(n), ss.b, ss.c, ss.d), runs[-1][1], None),
+                     (ss, replace(runs[-1][1], dt=5e-3), None),
+                     (ss, replace(runs[-1][1], input_amplitude=2.0), None)]
+        self.assert_warm_is_cold(runs)
+        # Five keys a model with states. The zero-state model has no A or B to
+        # change, so three; unstable, a gain of 2e12, it leaves the bounds at
+        # sample 0 and builds none.
+        assert len(sim._PROPAGATORS) == (30 if unstable else 33)
+
+    def test_a_longer_horizon_extends_the_ladder(self):
+        cfg = SimConfig(dt=1e-2, duration=LENGTH * 1e-2)
+        longer = replace(cfg, duration=4 * LENGTH * 1e-2)
+        ss = first_order()
+        self.assert_warm_is_cold([(ss, cfg, None), (ss, longer, None), (ss, cfg, None)])
+        (prop,) = sim._PROPAGATORS.values()
+        assert len(prop.ladder) == (4 * LENGTH).bit_length() and not prop.capped
+        # A horizon the ladder covers reuses it as it is.
+        simulate(ss, cfg)
+        assert next(iter(sim._PROPAGATORS.values())) is prop
+
+    def test_a_capped_ladder_slides(self):
+        # The fast mode's powers pass POWER_LIMIT near 55, so the ladder stops
+        # at Q_32; the mode is never excited and the run holds every sample.
+        ss = StateSpaceModel([[50.0, 0.0], [0.0, -1.0]], [[0.0], [1.0]], [[0.0, 1.0]])
+        cfg = SimConfig(dt=0.1, duration=100.0)
+        longer = replace(cfg, duration=400.0)
+        self.assert_warm_is_cold([(ss, cfg, [0.0, 1.0]), (ss, longer, [0.0, 1.0]), (ss, cfg, [0.0, 1.0])])
+        (prop,) = sim._PROPAGATORS.values()
+        assert prop.capped and len(prop.ladder) == 6
+        assert simulate(ss, longer, [0.0, 1.0]).n_samples == longer.n_steps + 1
+
+    def test_truncated_runs(self):
+        cfg = SimConfig(dt=1e-3, duration=15.0, input_amplitude=220.0)
+        loop = closed_loop(preset_scenario("published", "paper-rounded", observer_spec(H_PUB), cfg, 220.0))
+        fast = StateSpaceModel([[50.0]], [[1.0]], [[1.0]])
+        fast_cfg = SimConfig(dt=0.1, duration=100.0)
+        runs = [(loop.model, cfg, loop.x0), (fast, fast_cfg, None)] * 2
+        self.assert_warm_is_cold(runs)
+        assert all(simulate(*run).diverged for run in runs)
+
+    def test_signed_zero_inputs_are_two_keys(self):
+        ss = first_order()
+        plus, minus = (SimConfig(dt=1e-2, duration=5.0, input_amplitude=u) for u in (0.0, -0.0))
+        self.assert_warm_is_cold([(ss, plus, None), (ss, minus, None)])
+        assert len(sim._PROPAGATORS) == 2
+        # Q_1's last row is g u: -0.0 under the negative zero, not the positive zero's 0.0.
+        signs = [bool(np.signbit(prop.ladder[0][1, 0])) for prop in sim._PROPAGATORS.values()]
+        assert signs == [False, True]
+
+    def test_figure_presets_share_one_propagator(self):
+        # Both presets realize the plant as A = [[-2.5, -1], [1, 0]], B = e1
+        # and differ in C, which the key leaves out.
+        cfg = SimConfig(dt=1e-3, duration=20.0, input_amplitude=5.0)
+        scenarios = [preset_scenario(f"figure4-{preset}", preset, ControllerSpec(), cfg) for preset in PRESETS]
+        exact, rounded = (scn.plant_model for scn in scenarios)
+        npt.assert_array_equal(exact.a, [[-2.5, -1.0], [1.0, 0.0]])
+        npt.assert_array_equal(exact.a, rounded.a)
+        npt.assert_array_equal(exact.b, rounded.b)
+        assert not np.array_equal(exact.c, rounded.c)
+        self.assert_warm_is_cold([(scn.plant_model, scn.sim, None) for scn in scenarios])
+        assert len(sim._PROPAGATORS) == 1
+
+    def test_the_memo_is_bounded(self):
+        sim._PROPAGATORS.clear()
+        for k in range(sim._PROPAGATORS_MAX + 5):
+            cfg = SimConfig(dt=1e-3 * (k + 1), duration=1e-2 * (k + 1))
+            simulate(first_order(), cfg)
+            assert len(sim._PROPAGATORS) == min(k + 1, sim._PROPAGATORS_MAX)
+        # The newest entry is held: running it again builds nothing.
+        held = list(sim._PROPAGATORS.values())
+        simulate(first_order(), cfg)
+        assert all(a is b for a, b in zip(sim._PROPAGATORS.values(), held, strict=True))
+
+    def test_threads_share_the_memo(self):
+        # More keys than the bound, run from more threads than CPUs that switch
+        # often, so entries are built, replaced and dropped concurrently.
+        runs = [(first_order(1.0 + 0.1 * k), SimConfig(dt=1e-2, duration=1.0))
+                for k in range(sim._PROPAGATORS_MAX + 8)]
+        cold = []
+        for run in runs:
+            sim._PROPAGATORS.clear()
+            cold.append(run_bytes(simulate(*run)))
+        errors = []
+
+        def work(offset):
+            try:
+                for k in range(len(runs)):
+                    j = (k + offset) % len(runs)
+                    if run_bytes(simulate(*runs[j])) != cold[j]:
+                        errors.append(f"run {j} differs from its cold run")
+            except Exception as exc:  # reported by the assertion below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(9 * i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(sim._PROPAGATORS) <= sim._PROPAGATORS_MAX
+
+
 def paper_runs() -> dict:
     """The paper's three step responses: the open-loop plant, the LQR loop and the stable-H observer loop."""
     plant = tf_to_ss(rounded_plant_tf())
@@ -640,6 +792,20 @@ class TestTimeSeries:
     def test_keeps_the_length_check(self):
         with pytest.raises(ValidationError, match="equal length"):
             TimeSeries(times=np.arange(3.0), inputs=np.zeros(3), outputs=np.zeros(2), states=np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("field,value", [
+        ("states", np.zeros(5)),
+        ("states", np.zeros((5, 1, 1))),
+        ("times", np.arange(5.0).reshape(5, 1)),
+        ("times", np.float64(0.0)),
+        ("inputs", np.zeros((5, 1))),
+        ("outputs", np.zeros((5, 2))),
+    ], ids=["1-D-states", "3-D-states", "column-times", "scalar-times", "column-inputs", "2-D-outputs"])
+    def test_checks_the_ranks(self, field, value):
+        columns = dict(times=np.arange(5.0), inputs=np.zeros(5), outputs=np.zeros(5), states=np.zeros((5, 2)))
+        columns[field] = value
+        with pytest.raises(ValidationError, match="1-D times, inputs and outputs and a 2-D states array"):
+            TimeSeries(**columns)
 
 
 class TestStepMetrics:
