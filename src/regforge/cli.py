@@ -22,15 +22,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import NumericalError, ValidationError
 from .report import RunReport, fmt, fmt_vector
-from .sim import SimConfig, step_metrics
 
-# Each command imports the other modules it runs when it runs: a `metrics`
-# process loads no model, synthesis or scenario code, and `plant` no
-# `output`. tests/test_cli.py (TestImportOnUse) pins both module sets.
+# Each command imports the other modules it runs, and numpy, when it runs: a
+# `metrics` process loads no numpy and no model, simulation, synthesis or
+# scenario code, and `plant` no `output`. tests/test_cli.py (TestImportOnUse)
+# pins both module sets.
 
 REPRODUCE_INFLOW = 5.0
 REPRODUCE_REFERENCE = 220.0
@@ -198,6 +196,8 @@ def _add_plant(report: RunReport, scn) -> None:
 
 
 def cmd_synthesize(args) -> int:
+    import numpy as np
+
     from .lti import eigenvalues
     from .scenario import closed_loop, load_scenario
 
@@ -286,11 +286,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    from .output import read_timeseries_csv
+    from .output import column_step_metrics, read_csv_columns
 
-    series, _ = read_timeseries_csv(args.csv)
+    columns = read_csv_columns(args.csv)
     report = RunReport(scenario=f"metrics {args.csv}")
-    report.add_metrics(step_metrics(series))
+    report.add_metrics(column_step_metrics(columns["t"], columns["y"]))
     print(report.to_text(), end="")
     return 0
 
@@ -303,6 +303,7 @@ def _open_loop_figure(args, figure: int, preset: str, report: RunReport) -> list
     from .lti import dc_gain
     from .plant import PUBLISHED_OPEN_LOOP, REFERENCE_PARAMS, steady_state_report
     from .scenario import ControllerSpec, preset_scenario, run_scenario
+    from .sim import SimConfig
 
     cfg = SimConfig(dt=1e-3, duration=20.0, input_amplitude=REPRODUCE_INFLOW)
     run = run_scenario(preset_scenario(f"figure{figure}-{preset}", preset, ControllerSpec(), cfg))
@@ -335,8 +336,11 @@ def _open_loop_figure(args, figure: int, preset: str, report: RunReport) -> list
 
 
 def _figure8_legs(args, preset: str, report: RunReport) -> list:
+    import numpy as np
+
     from .observer import design_observer_gain
     from .scenario import ControllerSpec, preset_scenario, run_scenario
+    from .sim import SimConfig
 
     cfg = SimConfig(dt=1e-3, duration=15.0)
     ylabel = "output voltage [V]"

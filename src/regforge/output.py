@@ -5,19 +5,27 @@ formatted with 9 significant digits, ``.`` decimal separator, ``\\n`` line
 endings. The formatting is deterministic, so identical runs produce
 byte-identical files and golden-file comparisons are meaningful.
 
-The reader accepts UTF-8 text whose first non-blank line is a header naming
+The reader accepts UTF-8 text, with or without a byte-order mark (as
+spreadsheet exports write it), whose first non-blank line is a header naming
 at least ``t``, ``u`` and ``y``, followed by one or more rows with exactly
 as many comma-separated cells as the header. Lines end at ``\\n``, ``\\r\\n``
-or ``\\r`` only, and lines holding only whitespace are skipped. Each cell is
-a decimal or exponent float literal, or ``nan``, ``inf`` or ``infinity`` in
-any case and with either sign, optionally padded with whitespace; numpy's C
-tokenizer parses it to the float64 that ``float()`` gives. Underscore digit
-separators and non-ASCII digits, which ``float()`` also accepts, are
-rejected. Anything else (no header, a column named twice, no data row, a
-ragged row, an empty or malformed cell, bytes that are not UTF-8, sample
-instants that are not uniformly spaced) raises ``ValidationError`` naming the
-file. The spacing check is made here and nowhere else: ``TimeSeries`` holds
-views of the arrays it is given and checks only that their lengths agree.
+or ``\\r`` only, and lines holding only whitespace are skipped. A cell is
+stripped with ``str.strip()`` and parsed with ``float()``, which takes a
+decimal or exponent float literal, or ``nan``, ``inf`` or ``infinity`` in
+any case and with either sign; a stripped cell holding ``_`` or a non-ASCII
+character is rejected, so underscore digit separators and non-ASCII digits,
+which ``float()`` accepts, are not numbers here. Anything else (no header, a
+column named twice, no data row, a ragged row, an empty or malformed cell,
+bytes that are not UTF-8, sample instants that are not uniformly spaced)
+raises ``ValidationError`` naming the file. The rows stream in chunks of
+``CSV_READ_ROWS`` lines into one ``array('d')`` per column
+(``read_csv_columns``), so the file's text and its cells are never held
+whole. The spacing check is made there and nowhere else: ``TimeSeries``
+holds views of the arrays it is given and checks only that their lengths
+agree. ``read_timeseries_csv`` wraps the columns as numpy arrays without a
+copy, and ``column_step_metrics`` reads the step figures off the ``t`` and
+``y`` columns as they are. This module imports numpy, and ``sim``, in the
+functions that use them, so ``regforge metrics`` loads neither.
 
 Every artifact is written through ``open_artifact``, which replaces a
 regular file already at the path with a new file (truncating it in place
@@ -36,23 +44,34 @@ import itertools
 import math
 import os
 import stat
-
-import numpy as np
+import sys
+from array import array
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .sim import ElectricalTrace, TimeSeries
+from .steps import SETTLING_BAND, STEADY_STATE_FRACTION, StepMetrics
+
+if TYPE_CHECKING:  # annotations only: a CSV and its figures are read without numpy
+    import numpy as np
+
+    from .sim import ElectricalTrace, TimeSeries
 
 __all__ = [
     "format_value",
     "open_artifact",
     "write_timeseries_csv",
+    "read_csv_columns",
     "read_timeseries_csv",
+    "column_step_metrics",
     "line_chart_svg",
 ]
 
 MAX_SVG_POINTS = 1000
 SVG_WIDTH, SVG_HEIGHT = 720, 440
 CSV_CHUNK_ROWS = 4096
+# Rows the reader parses at a time: a chunk's cells, several times its text,
+# stay small enough for the allocator to reuse their memory chunk after chunk.
+CSV_READ_ROWS = 1024
 _PALETTE = ("#1f6fb4", "#d94f30", "#3a9648", "#8450a8", "#b58900", "#3c3c3c")
 
 
@@ -79,6 +98,8 @@ def open_artifact(path):
 
 def write_timeseries_csv(path, ts: TimeSeries, electrical: ElectricalTrace | None = None) -> None:
     """Write a trajectory (and optional electrical columns) to CSV."""
+    import numpy as np
+
     n = ts.states.shape[1]
     header = ["t", "u", "y"] + [f"x{i + 1}" for i in range(n)]
     columns = [ts.times, ts.inputs, ts.outputs] + [ts.states[:, i] for i in range(n)]
@@ -99,18 +120,16 @@ def write_timeseries_csv(path, ts: TimeSeries, electrical: ElectricalTrace | Non
             fh.write((template * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:
-    """Read a trajectory CSV back into a TimeSeries plus extra columns.
+def read_csv_columns(path) -> dict[str, array]:
+    """The columns of a trajectory CSV by header name, each an ``array('d')``.
 
-    The rows stream from the file into numpy's C tokenizer; see the module
-    docstring for what is accepted. This is where times from outside enter
-    a ``TimeSeries``, so the uniform spacing that ``TimeSeries`` assumes is
-    checked here. The series and the extra columns view the one table
-    parsed from the file.
+    See the module docstring for what is accepted. This is where times from
+    outside enter the program, so their uniform spacing is checked here.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            header_line = next((ln for ln in fh if not ln.isspace()), None)
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = itertools.filterfalse(str.isspace, fh)
+            header_line = next(lines, None)
             if header_line is None:
                 raise ValidationError(f"{path}: empty CSV")
             header = header_line.rstrip("\n").split(",")
@@ -120,61 +139,137 @@ def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:
             for name in ("t", "u", "y"):
                 if name not in header:
                     raise ValidationError(f"{path}: missing column {name!r}")
-            rows = _rows(path, fh, len(header))
-            first = next(rows, None)
-            if first is None:
-                raise ValidationError(f"{path}: no data rows")
-            try:
-                data = np.loadtxt(itertools.chain((first,), rows),
-                                  delimiter=",", comments=None, ndmin=2)
-            except (ValidationError, UnicodeDecodeError):
-                raise
-            except ValueError as exc:
-                raise ValidationError(f"{path}: malformed numeric cell: {exc}") from exc
+            width = len(header)
+            columns = [array("d") for _ in header]
+            while chunk := list(itertools.islice(lines, CSV_READ_ROWS)):
+                values = _parse_rows(path, chunk, width)
+                for j, column in enumerate(columns):
+                    column.extend(values[j::width])
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
-    cols = {name: data[:, i] for i, name in enumerate(header)}
-    state_names = sorted((n for n in header if n.startswith("x") and n[1:].isdigit()),
+    if not columns[0]:
+        raise ValidationError(f"{path}: no data rows")
+    _check_spacing(path, columns[header.index("t")])
+    return dict(zip(header, columns))
+
+
+# Characters float() treats otherwise than the reader: it accepts `_` and,
+# as padding, not \x1c-\x1f, which str.strip() removes.
+_FLOAT_DIFFERS = "_\x1c\x1d\x1e\x1f"
+
+
+def _parse_rows(path, rows: list[str], width: int) -> array:
+    """The cells of ``rows``, ``width`` to a row, as floats in row-major order."""
+    if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
+        raise ValidationError(f"{path}: rows do not match the header width")
+    if not rows[-1].endswith("\n"):
+        rows[-1] += "\n"
+    text = "".join(rows)
+    cells = text.replace("\n", ",").split(",")
+    cells.pop()
+    # On ASCII text without those characters, float() of a cell is float()
+    # of the cell stripped, and no cell can hold what the reader rejects.
+    if not text.isascii() or any(c in text for c in _FLOAT_DIFFERS):
+        cells = [cell.strip() for cell in cells]
+        for cell in cells:
+            if "_" in cell or not cell.isascii():
+                raise ValidationError(f"{path}: malformed numeric cell: {cell!r}")
+    try:
+        return array("d", map(float, cells))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed numeric cell: {exc}") from exc
+
+
+def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:
+    """Read a trajectory CSV back into a TimeSeries plus extra columns.
+
+    The columns of `read_csv_columns`, viewed as numpy arrays.
+    """
+    import numpy as np
+
+    from .sim import TimeSeries
+
+    cols = {name: np.frombuffer(column) for name, column in read_csv_columns(path).items()}
+    state_names = sorted((n for n in cols if n.startswith("x") and n[1:].isdigit()),
                          key=lambda n: int(n[1:]))
     states = (
         np.column_stack([cols[n] for n in state_names])
         if state_names
         else np.zeros((len(cols["t"]), 0))
     )
-    _check_spacing(path, cols["t"])
     ts = TimeSeries(times=cols["t"], inputs=cols["u"], outputs=cols["y"], states=states)
-    extras = {n: cols[n] for n in header if n not in ("t", "u", "y") and n not in state_names}
+    extras = {n: cols[n] for n in cols if n not in ("t", "u", "y") and n not in state_names}
     return ts, extras
 
 
-def _rows(path, lines, width: int):
-    """Yield the non-blank lines, checking that each has ``width`` cells.
-
-    numpy would report a ragged row as a bad cell or a changed column
-    count; counting commas here gives one message for every width mismatch.
-    """
-    for ln in lines:
-        if ln.isspace():
-            continue
-        if ln.count(",") != width - 1:
-            raise ValidationError(f"{path}: rows do not match the header width")
-        yield ln
-
-
-def _check_spacing(path, times: np.ndarray) -> None:
+def _check_spacing(path, times: array) -> None:
     """Every gap within 1e-6 of a positive, finite first gap.
 
     A NaN gap fails the comparison and so is rejected too.
     """
     if len(times) < 2:
         return
-    gaps = np.diff(times)
-    g0 = gaps[0]
-    if not (0.0 < g0 < math.inf and np.max(np.abs(gaps - g0)) <= 1e-6 * g0):
+    g0 = times[1] - times[0]
+    tol = 1e-6 * g0
+    gaps = zip(times, itertools.islice(times, 1, None))
+    if not (0.0 < g0 < math.inf and all(abs(b - a - g0) <= tol for a, b in gaps)):
         raise ValidationError(f"{path}: sample instants must increase with uniform spacing")
 
 
+def column_step_metrics(times, outputs, diverged: bool = False) -> StepMetrics:
+    """`sim.step_metrics` of a series given as float sequences, on Python floats.
+
+    The rules are `sim`'s. The tail is summed in index order from 0.0, where
+    numpy sums pairwise, so the steady state may differ from `step_metrics`'s
+    in its last bits; every other operation is the same.
+    """
+    y, n = outputs, len(outputs)
+    if n < 100:
+        raise ValidationError(f"need at least 100 samples for metrics, got {n}")
+    # numpy's max and min are NaN when any sample is; Python's skip a NaN
+    # that is not the first.
+    if any(map(math.isnan, y)):
+        y_max = y_min = math.nan
+    else:
+        y_max, y_min = max(y), min(y)
+    peak = max(y_max, -y_min)
+    if peak == 0.0:
+        return StepMetrics(0.0, 0.0, 0.0, 0.0, settled=True, degenerate=True)
+
+    tail = max(1, int(round(STEADY_STATE_FRACTION * n)))
+    total = 0.0
+    for v in y[n - tail:]:
+        total += v
+    ss_value = total / tail
+    if abs(ss_value) <= sys.float_info.epsilon * peak < math.inf or ss_value == 0.0:
+        return StepMetrics(0.0, 0.0, None, None, settled=False)
+
+    peak_along = y_max if ss_value > 0.0 else -y_min
+    overshoot = 100.0 * (peak_along - abs(ss_value)) / abs(ss_value)
+    overshoot = 0.0 if overshoot <= 0.0 else overshoot
+
+    band = SETTLING_BAND * abs(ss_value)
+    last_out = next((i for i in range(n - 1, -1, -1) if not abs(y[i] - ss_value) <= band), -1)
+    if last_out < 0:
+        settling: float | None = 0.0
+        settled = True
+    elif last_out == n - 1 or diverged:
+        settling, settled = None, False
+    else:
+        settling, settled = times[last_out + 1], True
+
+    rise: float | None = None
+    i90 = next((i for i, v in enumerate(y) if v / ss_value >= 0.9), None)
+    if i90 is not None:
+        i10 = next(i for i, v in enumerate(y) if v / ss_value >= 0.1)
+        rise = times[i90] - times[i10]
+
+    return StepMetrics(ss_value, overshoot, settling, rise, settled=settled)
+
+
 def _strided(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     if len(x) <= MAX_SVG_POINTS:
         return x
     stride = int(np.ceil(len(x) / MAX_SVG_POINTS))
@@ -185,6 +280,8 @@ def _strided(x: np.ndarray) -> np.ndarray:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
+    import numpy as np
+
     if hi == lo:
         hi = lo + 1.0
     return np.linspace(lo, hi, count)
@@ -192,6 +289,8 @@ def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
 
 def line_chart_svg(series, title: str, xlabel: str, ylabel: str) -> str:
     """Render labeled (name, x, y) series as a static SVG_WIDTH x SVG_HEIGHT line chart."""
+    import numpy as np
+
     if not series:
         raise ValidationError("line chart needs at least one series")
     margin_l, margin_r, margin_t, margin_b = 62.0, 18.0, 34.0, 46.0

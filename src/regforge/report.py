@@ -10,13 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
+from .steps import SETTLING_BAND
 
-from .sim import SETTLING_BAND, StepMetrics
-
-if TYPE_CHECKING:  # annotations only, as in `sim`
+if TYPE_CHECKING:  # annotations only: a `metrics` report loads no numpy and no model code
     from .lti import StateSpaceModel, TransferFunction
     from .plant import ElectricalReport
+    from .steps import StepMetrics
 
 __all__ = ["RunReport", "fmt", "fmt_matrix", "fmt_vector"]
 
@@ -26,10 +25,14 @@ def fmt(x: float) -> str:
 
 
 def fmt_vector(v) -> str:
+    import numpy as np
+
     return "[" + ", ".join(fmt(x) for x in np.asarray(v).ravel()) + "]"
 
 
 def fmt_matrix(m) -> str:
+    import numpy as np
+
     m = np.atleast_2d(np.asarray(m))
     return "[" + "; ".join(", ".join(fmt(x) for x in row) for row in m) + "]"
 

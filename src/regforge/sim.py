@@ -54,6 +54,16 @@ kept instead, so it does not hold the rest of the horizon's buffers.
 The settling band used everywhere is +/-2 % of the steady-state value
 (declared in all outputs so published settling figures are compared
 like-for-like). Steady state is the mean of the final 5 % of samples.
+A non-finite sample lies outside every band, so a NaN steady state (a
+NaN in the tail) leaves the series unsettled, and a NaN or inf anywhere
+ends the settling no earlier than the sample after it. A NaN sample makes
+the overshoot NaN. A steady state within rounding of zero against a finite
+peak (|ss| <= eps * peak), or exactly zero, counts as zero and unsettled;
+against an infinite peak a nonzero one stands. `step_metrics` applies these
+rules to numpy arrays; `output.column_step_metrics` applies them to the
+float columns of a CSV readback, for `regforge metrics`, and sums the tail
+in index order from 0.0 where numpy sums pairwise, so the two steady states
+may differ in their last bits.
 
 A bare state-feedback regulator drives its output to zero, not to a
 voltage target, so tracking loops take an explicit reference prescaler
@@ -72,6 +82,7 @@ from typing import TYPE_CHECKING, ClassVar, NamedTuple
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .steps import SETTLING_BAND, STEADY_STATE_FRACTION, StepMetrics
 
 if TYPE_CHECKING:  # annotations only: `metrics` reads a CSV without the model modules
     from .lti import StateSpaceModel
@@ -90,8 +101,6 @@ __all__ = [
     "SETTLING_BAND",
 ]
 
-SETTLING_BAND = 0.02
-STEADY_STATE_FRACTION = 0.05
 # The largest magnitude a power of the step map may reach in `simulate`.
 POWER_LIMIT = 1e100
 # `simulate` checks the states once this many rows are unchecked, and at the end.
@@ -160,23 +169,6 @@ class TimeSeries:
     @property
     def n_samples(self) -> int:
         return len(self.times)
-
-
-@dataclass(frozen=True)
-class StepMetrics:
-    """Figures read off a step response against the +/-2 % band.
-
-    settling_time and rise_time are None when the series never settles or
-    never completes the 10-90 % rise; `degenerate` marks an all-zero
-    series whose metrics are zero by convention.
-    """
-
-    steady_state: float
-    overshoot_pct: float
-    settling_time: float | None
-    rise_time: float | None
-    settled: bool
-    degenerate: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,21 +385,24 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
     tail = max(1, int(round(STEADY_STATE_FRACTION * len(y))))
     # The bits of y[-tail:].mean(), at a third of its call cost.
     ss_value = float(y[-tail:].sum()) / tail
-    # A steady state lost in rounding against the peak counts as zero:
-    # normalizing by it would overflow.
-    if abs(ss_value) <= np.finfo(float).eps * peak:
+    # A steady state lost in rounding against a finite peak counts as zero:
+    # normalizing by it would overflow. An exact zero counts as zero against any peak.
+    if abs(ss_value) <= np.finfo(float).eps * peak < math.inf or ss_value == 0.0:
         return StepMetrics(0.0, 0.0, None, None, settled=False)
 
-    # Overshoot is the peak beyond the steady state, in its direction.
+    # Overshoot is the peak beyond the steady state, in its direction; a NaN
+    # peak makes it NaN.
     peak_along = y_max if ss_value > 0.0 else -y_min
-    overshoot = max(0.0, 100.0 * (peak_along - abs(ss_value)) / abs(ss_value))
+    overshoot = 100.0 * (peak_along - abs(ss_value)) / abs(ss_value)
+    overshoot = 0.0 if overshoot <= 0.0 else overshoot
 
     band = SETTLING_BAND * abs(ss_value)
     dev = np.subtract(y, ss_value)
-    mask = np.abs(dev, out=dev) > band
+    # Written so that a non-finite sample lies outside the band.
+    inside = np.abs(dev, out=dev) <= band
     # The last sample outside the band; none is outside when even it is in.
-    last_out = len(y) - 1 - int(mask[::-1].argmax())
-    if not mask[last_out]:
+    last_out = len(y) - 1 - int(inside[::-1].argmin())
+    if inside[last_out]:
         settling: float | None = 0.0
         settled = True
     elif last_out == len(y) - 1 or ts.diverged:
@@ -419,9 +414,9 @@ def step_metrics(ts: TimeSeries) -> StepMetrics:
     # implies reaching 10 %.
     yn = np.divide(y, ss_value, out=dev)
     rise: float | None = None
-    i90 = int(np.greater_equal(yn, 0.9, out=mask).argmax())
-    if mask[i90]:
-        i10 = int(np.greater_equal(yn, 0.1, out=mask).argmax())
+    i90 = int(np.greater_equal(yn, 0.9, out=inside).argmax())
+    if inside[i90]:
+        i10 = int(np.greater_equal(yn, 0.1, out=inside).argmax())
         rise = float(t[i90] - t[i10])
 
     return StepMetrics(ss_value, overshoot, settling, rise, settled=settled)

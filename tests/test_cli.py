@@ -459,17 +459,21 @@ class TestEntryPoint:
         assert "steady state at 5 g/s" in proc.stdout
 
 
-def _regforge_modules(tmp_path, *argv) -> set:
-    """The regforge modules a fresh ``python -m regforge`` process imports."""
+def _imported_modules(tmp_path, *argv) -> set:
+    """Every module a fresh ``python -m regforge`` process imports."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "regforge", *argv],
         capture_output=True, text=True, cwd=tmp_path,
         env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:") and line.count("|") == 2}
-    return {name for name in names if name.split(".")[0] == "regforge"}
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+
+
+def _regforge_modules(tmp_path, *argv) -> set:
+    """The regforge modules a fresh ``python -m regforge`` process imports."""
+    return {name for name in _imported_modules(tmp_path, *argv) if name.split(".")[0] == "regforge"}
 
 
 class TestImportOnUse:
@@ -478,9 +482,11 @@ class TestImportOnUse:
     def test_metrics_loads_only_the_csv_and_metrics_path(self, capsys, tmp_path):
         assert main(["simulate", "--scenario", str(SCENARIOS / "open-loop.cfg"), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        loaded = _regforge_modules(tmp_path, "metrics", str(tmp_path / "open-loop.csv"))
-        assert loaded == {"regforge", "regforge.cli", "regforge.errors", "regforge.output",
-                          "regforge.report", "regforge.sim"}
+        loaded = _imported_modules(tmp_path, "metrics", str(tmp_path / "open-loop.csv"))
+        assert {name for name in loaded if name.split(".")[0] == "regforge"} == {
+            "regforge", "regforge.cli", "regforge.errors", "regforge.output", "regforge.report",
+            "regforge.steps"}
+        assert [name for name in loaded if name.startswith("numpy")] == []
 
     def test_plant_loads_no_scenario_synthesis_or_artifact_code(self, tmp_path):
         loaded = _regforge_modules(tmp_path, "plant")

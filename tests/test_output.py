@@ -1,5 +1,8 @@
+import io
+import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,10 +14,12 @@ from regforge.errors import ValidationError
 from regforge.lti import TransferFunction, tf_to_ss
 from regforge.output import (
     CSV_CHUNK_ROWS,
+    CSV_READ_ROWS,
     MAX_SVG_POINTS,
     format_value,
     line_chart_svg,
     open_artifact,
+    read_csv_columns,
     read_timeseries_csv,
     write_timeseries_csv,
 )
@@ -38,6 +43,13 @@ MALFORMED_CSVS = {
     "non-uniform-time": (b"t,u,y\n0,1,2\n1,1,2\n3,1,2\n",
                          "sample instants must increase with uniform spacing"),
 }
+
+# Single cells that np.loadtxt(..., delimiter=",", comments=None) parses, with
+# padding it strips (ASCII, \x1c-\x1f and Unicode whitespace), and cells it
+# rejects, among them literals float() takes: `_` separators and non-ASCII digits.
+LOADTXT_ACCEPTS = [" 1", "\t1", "\x0b1", "\x0c1", "\x1c1", "\x1f1", "\x851", "\xa01", "\u20031",
+                   "\u30001", "+1", "-0", ".5", "5.", "1E+05", "-NaN", "+inf", "-iNfInItY"]
+LOADTXT_REJECTS = ["\u0661", "\uff11", "1_0", "1e", "e5", "infinit", "0x10", "1d5", "", " ", "+"]
 
 
 def sample_series(duration=0.5):
@@ -169,6 +181,65 @@ class TestCsv:
                               + [extras[n] for n in ("i_a", "e_g", "p_out", "p_in")])
         expected = np.array([[float(format_value(v)) for v in row] for row in zip(t, *cols)])
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cell", LOADTXT_ACCEPTS + LOADTXT_REJECTS)
+    def test_cell_parsed_as_loadtxt_parses_it(self, tmp_path, cell):
+        # numpy's tokenizer is the oracle: the same float bits, or a rejection by both
+        path = tmp_path / "cell.csv"
+        path.write_text(f"t,u,y\n0,0,{cell}\n", encoding="utf-8")
+        try:
+            want = float(np.loadtxt(io.StringIO(f"0,0,{cell}\n"), delimiter=",", comments=None)[2])
+        except ValueError:
+            want = None
+        assert (want is not None) == (cell in LOADTXT_ACCEPTS)
+        if want is None:
+            with pytest.raises(ValidationError, match="malformed numeric cell"):
+                read_csv_columns(path)
+            return
+        got = read_csv_columns(path)["y"][0]
+        assert math.isnan(got) if math.isnan(want) else got.hex() == want.hex()
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "export.csv"
+        path.write_bytes(b"\xef\xbb\xbft,u,y\n0,1,2\n0.5,1,3\n")
+        series, extras = read_timeseries_csv(path)
+        assert extras == {}
+        assert series.times.tolist() == [0.0, 0.5]
+        assert series.outputs.tolist() == [2.0, 3.0]
+
+    def test_columns_across_read_chunks(self, tmp_path):
+        # a ragged row and a bad cell are found in a later chunk, and the
+        # columns run on across chunk edges
+        rows = 2 * CSV_READ_ROWS + 1
+        lines = [f"{k * 1e-3!r},{k},{-k - 0.5!r}\n" for k in range(rows)]
+        path = tmp_path / "run.csv"
+        path.write_text("t,u,y\n" + "".join(lines), encoding="utf-8")
+        cols = read_csv_columns(path)
+        assert list(cols) == ["t", "u", "y"]
+        assert cols["u"].tolist() == [float(k) for k in range(rows)]
+        assert cols["y"].tolist() == [-k - 0.5 for k in range(rows)]
+        for bad, message in (("1,2\n", "rows do not match the header width"),
+                             ("1,2,x\n", "malformed numeric cell")):
+            path.write_text("t,u,y\n" + "".join(lines[:-1]) + bad, encoding="utf-8")
+            with pytest.raises(ValidationError, match=message):
+                read_csv_columns(path)
+
+    def test_read_holds_no_more_than_its_columns_twice(self, tmp_path):
+        # The text is streamed. The file's text is 1.46x the columns' bytes, so
+        # a reader that held it whole, or held its lines or cells, would
+        # exceed the bound. Cells of one character keep the traced run short.
+        rows = 100_000
+        path = tmp_path / "long.csv"
+        path.write_text("t,u,y\n" + "".join([f"{k:>30},1,1\n" for k in range(rows)]), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            cols = read_csv_columns(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        column_bytes = sum(c.itemsize * len(c) for c in cols.values())
+        assert column_bytes == 3 * 8 * rows
+        assert peak <= 2 * column_bytes
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,10 +1,12 @@
 import hashlib
+import math
+import random
 import sys
 import threading
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -17,7 +19,7 @@ from regforge import sim
 from regforge.errors import NumericalError, ValidationError
 from regforge.lti import StateSpaceModel, TransferFunction, dc_gain, ss_to_tf, tf_to_ss
 from regforge.observer import design_observer_gain
-from regforge.output import read_timeseries_csv
+from regforge.output import column_step_metrics, read_timeseries_csv
 from regforge.plant import PRESETS, REFERENCE_PARAMS, plant_tf, rounded_plant_tf
 from regforge.scenario import (
     DEFAULT_OUTPUTS,
@@ -904,6 +906,122 @@ class TestStepMetrics:
         m = step_metrics(ts)
         assert not m.settled
         assert m.settling_time is None
+
+
+def numpy_figures(t, y, diverged=False) -> StepMetrics:
+    """`step_metrics` of the series (t, y); non-finite samples may warn, which is not checked here."""
+    n = len(y)
+    ts = TimeSeries(times=np.asarray(t, dtype=float), inputs=np.ones(n),
+                    outputs=np.asarray(y, dtype=float), states=np.zeros((n, 0)), diverged=diverged)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return step_metrics(ts)
+
+
+def column_figures(t, y, diverged=False) -> StepMetrics:
+    return column_step_metrics(list(t), list(y), diverged)
+
+
+FIGURE_PATHS = {"numpy": numpy_figures, "columns": column_figures}
+
+
+class TestNonFiniteSamples:
+    """A NaN or inf output sample lies outside every band, on both paths."""
+
+    @pytest.fixture(params=sorted(FIGURE_PATHS))
+    def figures(self, request):
+        return FIGURE_PATHS[request.param]
+
+    @staticmethod
+    def step(n=200):
+        # 1 - 0.9^k at dt = 0.01 enters the 2 % band at k = 38
+        return [k * 0.01 for k in range(n)], [1.0 - 0.9 ** k for k in range(n)]
+
+    def test_finite_reference(self, figures):
+        m = figures(*self.step())
+        assert (m.settling_time, m.settled) == (0.38, True)
+        assert 0.0 < m.overshoot_pct < 1e-5
+
+    @pytest.mark.parametrize("diverged", [False, True])
+    def test_nan_last_output_leaves_the_series_unsettled(self, figures, diverged):
+        t, y = self.step()
+        y[-1] = math.nan
+        m = figures(t, y, diverged)
+        assert math.isnan(m.steady_state) and math.isnan(m.overshoot_pct)
+        assert (m.settling_time, m.settled) == (None, False)
+
+    def test_nan_mid_series_ends_the_settling_after_it(self, figures):
+        t, y = self.step()
+        y[50] = math.nan
+        m = figures(t, y)
+        assert m.steady_state == figures(*self.step()).steady_state
+        assert math.isnan(m.overshoot_pct)
+        assert (m.settling_time, m.settled) == (t[51], True)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_inf_mid_series_keeps_the_finite_steady_state(self, figures, value):
+        t, y = self.step()
+        y[50] = value
+        m = figures(t, y)
+        finite = figures(*self.step())
+        assert m.steady_state == finite.steady_state
+        assert m.overshoot_pct == (math.inf if value > 0 else finite.overshoot_pct)
+        assert (m.settling_time, m.settled) == (t[51], True)
+
+    def test_zero_steady_state_against_an_inf_peak_counts_as_zero(self, figures):
+        t, y = self.step()
+        y = [0.0] * len(y)
+        y[50] = math.inf
+        assert figures(t, y) == StepMetrics(0.0, 0.0, None, None, settled=False)
+
+
+SPECIAL_SAMPLES = [math.nan, math.inf, -math.inf, -0.0]
+
+
+def dyadic_series(seed: int) -> list[float]:
+    """A step response on the grid k/1024, |k| < 2^20, with a few samples replaced.
+
+    Every tail sum of such a series is exact in any order, so the two paths
+    must agree bit for bit. Half the replacements fall in the tail.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(100, 300)
+    final = rng.randint(-(2 ** 19), 2 ** 19)
+    rate = rng.choice([0.0, 0.5, 0.9, 0.97, 0.995])
+    y = [round(final * (1.0 - rate ** k)) / 1024 for k in range(n)]
+    for _ in range(rng.randint(0, 4)):
+        i = rng.randrange(n) if rng.random() < 0.5 else rng.randrange(n - 15, n)
+        y[i] = (rng.choice(SPECIAL_SAMPLES) if rng.random() < 0.6
+                else rng.randint(-(2 ** 20) + 1, 2 ** 20 - 1) / 1024)
+    return y
+
+
+class TestColumnStepMetrics:
+    """`output.column_step_metrics` against `sim.step_metrics`, its numpy twin."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), diverged=st.booleans())
+    def test_same_figures_where_sums_are_exact(self, seed, diverged):
+        y = dyadic_series(seed)
+        t = [k * 0.01 for k in range(len(y))]
+        # repr tells NaN from NaN and -0.0 from 0.0
+        assert repr(astuple(column_figures(t, y, diverged))) == repr(astuple(numpy_figures(t, y, diverged)))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(100, 300), seed=st.integers(0, 2 ** 32 - 1))
+    def test_steady_states_agree_within_rounding(self, n, seed):
+        # a noisy first-order step on any scale; the tails sum in other orders
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-300, 300)
+        y = (scale * (1.0 - 0.97 ** np.arange(n) + rng.normal(scale=0.3, size=n))).tolist()
+        t = [k * 0.01 for k in range(n)]
+        tail = y[len(y) - max(1, round(0.05 * len(y))):]
+        scale = sum(map(abs, tail)) / len(tail)
+        a, b = column_figures(t, y).steady_state, numpy_figures(t, y).steady_state
+        assert abs(a - b) <= 1e-13 * scale
+
+    def test_short_series_rejected(self):
+        with pytest.raises(ValidationError, match="at least 100 samples"):
+            column_step_metrics([0.0] * 99, [1.0] * 99)
 
 
 class TestElectricalTrace:

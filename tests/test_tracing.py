@@ -64,4 +64,4 @@ def test_tracer_sees_calls_through_on_use_imports(monkeypatch, capsys, tmp_path)
 
     assert {"scenario.load_scenario", "scenario.run_scenario", "sim.simulate",
             "output.write_timeseries_csv"} <= simulate_names
-    assert {"output.read_timeseries_csv", "sim.step_metrics", "cli.cmd_metrics"} <= metrics_names
+    assert {"output.read_csv_columns", "output.column_step_metrics", "cli.cmd_metrics"} <= metrics_names
