@@ -19,16 +19,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import NumericalError, ValidationError
 from .report import RunReport, fmt, fmt_vector
 
-# Each command imports the other modules it runs, and numpy, when it runs: a
-# `metrics` process loads no numpy and no model, simulation, synthesis or
-# scenario code, and `plant` no `output`. tests/test_cli.py (TestImportOnUse)
-# pins both module sets.
+# Each command imports the other modules it runs, numpy and dataclasses when
+# it runs: a `metrics` process loads no numpy, no dataclasses and no model,
+# simulation, synthesis or scenario code, and `plant` no `output`.
+# tests/test_cli.py (TestImportOnUse) pins both module sets.
 
 REPRODUCE_INFLOW = 5.0
 REPRODUCE_REFERENCE = 220.0
@@ -336,6 +335,8 @@ def _open_loop_figure(args, figure: int, preset: str, report: RunReport) -> list
 
 
 def _figure8_legs(args, preset: str, report: RunReport) -> list:
+    from dataclasses import replace
+
     import numpy as np
 
     from .observer import design_observer_gain

@@ -7,7 +7,6 @@ labeled as published values next to the recomputed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .steps import SETTLING_BAND
@@ -46,13 +45,17 @@ def _fmt_ss(ss: StateSpaceModel) -> list[str]:
     ]
 
 
-@dataclass
 class RunReport:
-    """Accumulates the facts of one command invocation."""
+    """Accumulates the facts of one command invocation.
 
-    scenario: str
-    sections: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    A plain class, not a dataclass: `dataclasses` imports `inspect`, about
+    7 ms of a `metrics` process.
+    """
+
+    def __init__(self, scenario: str):
+        self.scenario = scenario
+        self.sections: list[str] = []
+        self.warnings: list[str] = []
 
     def add_line(self, text: str = "") -> None:
         self.sections.append(text)

@@ -70,8 +70,9 @@ from .plant import (
     preset_tf,
 )
 from .riccati import CostWeights, RiccatiSolution, solve_care
-from .sim import ElectricalTrace, SimConfig, StepMetrics, TimeSeries, electrical_trace
+from .sim import ElectricalTrace, SimConfig, TimeSeries, electrical_trace
 from .sim import reference_prescaler, simulate, state_feedback_loop, step_metrics
+from .steps import StepMetrics
 
 __all__ = [
     "parse_kv_file",

@@ -84,21 +84,19 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .steps import SETTLING_BAND, STEADY_STATE_FRACTION, StepMetrics
 
-if TYPE_CHECKING:  # annotations only: `metrics` reads a CSV without the model modules
+if TYPE_CHECKING:  # annotations only: reading a CSV into a TimeSeries loads no model module
     from .lti import StateSpaceModel
     from .plant import PlantParams
 
 __all__ = [
     "SimConfig",
     "TimeSeries",
-    "StepMetrics",
     "ElectricalTrace",
     "simulate",
     "step_metrics",
     "electrical_trace",
     "reference_prescaler",
     "state_feedback_loop",
-    "SETTLING_BAND",
 ]
 
 # The largest magnitude a power of the step map may reach in `simulate`.
@@ -145,8 +143,8 @@ class TimeSeries:
     view may be strided: `simulate`'s states are the first n columns of its
     `(samples, n + 1)` scan array, and its inputs have stride 0. Only the
     ranks and the column lengths are checked. `simulate` spaces its samples uniformly
-    by construction, and times from outside enter through
-    `output.read_timeseries_csv`, which checks their spacing.
+    by construction, and times from outside enter through the CSV reader,
+    `output.read_csv_columns`, which checks their spacing.
     """
 
     times: np.ndarray

@@ -6,7 +6,7 @@ import threading
 import tracemalloc
 import warnings
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -1004,7 +1004,7 @@ class TestColumnStepMetrics:
         y = dyadic_series(seed)
         t = [k * 0.01 for k in range(len(y))]
         # repr tells NaN from NaN and -0.0 from 0.0
-        assert repr(astuple(column_figures(t, y, diverged))) == repr(astuple(numpy_figures(t, y, diverged)))
+        assert repr(column_figures(t, y, diverged)) == repr(numpy_figures(t, y, diverged))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(n=st.integers(100, 300), seed=st.integers(0, 2 ** 32 - 1))
