@@ -219,9 +219,9 @@ def _check_spacing(path, times: array) -> None:
 def column_step_metrics(times, outputs, diverged: bool = False) -> StepMetrics:
     """`sim.step_metrics` of a series given as float sequences, on Python floats.
 
-    The rules are `sim`'s. The tail is summed in index order from 0.0, where
-    numpy sums pairwise, so the steady state may differ from `step_metrics`'s
-    in its last bits; every other operation is the same.
+    The rules are `sim`'s, and every operation is the same, so the figures
+    are `step_metrics`'s to the bit: the tail is summed in numpy's pairwise
+    order (`_pairwise_sum`).
     """
     y, n = outputs, len(outputs)
     if n < 100:
@@ -237,10 +237,7 @@ def column_step_metrics(times, outputs, diverged: bool = False) -> StepMetrics:
         return StepMetrics(0.0, 0.0, 0.0, 0.0, settled=True, degenerate=True)
 
     tail = max(1, int(round(STEADY_STATE_FRACTION * n)))
-    total = 0.0
-    for v in y[n - tail:]:
-        total += v
-    ss_value = total / tail
+    ss_value = _pairwise_sum(y, n - tail, tail) / tail
     if abs(ss_value) <= sys.float_info.epsilon * peak < math.inf or ss_value == 0.0:
         return StepMetrics(0.0, 0.0, None, None, settled=False)
 
@@ -265,6 +262,33 @@ def column_step_metrics(times, outputs, diverged: bool = False) -> StepMetrics:
         rise = times[i90] - times[i10]
 
     return StepMetrics(ss_value, overshoot, settling, rise, settled=settled)
+
+
+def _pairwise_sum(x, lo: int, n: int) -> float:
+    """The sum of ``x[lo:lo + n]`` in the order of numpy's float sum.
+
+    numpy adds runs of up to 128 values with eight strided accumulators and
+    splits longer runs in two at a multiple of 8 (`pairwise_sum` in its
+    loops). An index-order sum differs in the last bits, and a steady state
+    a few ulps away moves the printed overshoot of a response that barely
+    passes it (1.2e-14 % against 1.6e-12 %).
+    """
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x, lo, half) + _pairwise_sum(x, lo + half, n - half)
+    total = 0.0
+    rest = lo
+    if n >= 8:
+        acc = list(x[lo:lo + 8])
+        rest = lo + n - n % 8
+        for i in range(lo + 8, rest, 8):
+            for j in range(8):
+                acc[j] += x[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    # Loops, not sum(): from Python 3.12 on, sum() of floats compensates.
+    for v in x[rest:lo + n]:
+        total += v
+    return total
 
 
 def _strided(x: np.ndarray) -> np.ndarray:

@@ -61,9 +61,10 @@ the overshoot NaN. A steady state within rounding of zero against a finite
 peak (|ss| <= eps * peak), or exactly zero, counts as zero and unsettled;
 against an infinite peak a nonzero one stands. `step_metrics` applies these
 rules to numpy arrays; `output.column_step_metrics` applies them to the
-float columns of a CSV readback, for `regforge metrics`, and sums the tail
-in index order from 0.0 where numpy sums pairwise, so the two steady states
-may differ in their last bits.
+float columns of a CSV readback, for `regforge metrics`, without numpy. It
+sums the tail in numpy's pairwise order, not in index order, so the two
+give the same bits: a tail sum a few ulps off moves the printed overshoot
+of a response that barely passes its steady state.
 
 A bare state-feedback regulator drives its output to zero, not to a
 voltage target, so tracking loops take an explicit reference prescaler
