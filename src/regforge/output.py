@@ -271,7 +271,8 @@ def _pairwise_sum(x, lo: int, n: int) -> float:
     splits longer runs in two at a multiple of 8 (`pairwise_sum` in its
     loops). An index-order sum differs in the last bits, and a steady state
     a few ulps away moves the printed overshoot of a response that barely
-    passes it (1.2e-14 % against 1.6e-12 %).
+    passes it: a seeded LQR run of the cli-figures cycle prints 2.27116e-14 %
+    with numpy's order and 0 % with index order.
     """
     if n > 128:
         half = n // 2 - n // 2 % 8
