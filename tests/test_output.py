@@ -149,6 +149,14 @@ class TestCsv:
             read_timeseries_csv(path)
         assert str(info.value).startswith(f"{path}: {message}")
 
+    @pytest.mark.parametrize("times", ["0,0.5,nan,1.5", "0,0.5,1,nan"])
+    def test_nan_time_after_the_first_gap_rejected(self, tmp_path, times):
+        # Python's max() skips a NaN that is not its first element; the gap check must not
+        path = tmp_path / "bad.csv"
+        path.write_text("t,u,y\n" + "".join(f"{t},1,2\n" for t in times.split(",")))
+        with pytest.raises(ValidationError, match="uniform spacing"):
+            read_csv_columns(path)
+
     def test_whitespace_only_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.csv"
         path.write_bytes(b"\n  \nt,u,y\n\n0,1,2\n \t \n1,3,4\r\n\n")
