@@ -60,11 +60,14 @@ ends the settling no earlier than the sample after it. A NaN sample makes
 the overshoot NaN. A steady state within rounding of zero against a finite
 peak (|ss| <= eps * peak), or exactly zero, counts as zero and unsettled;
 against an infinite peak a nonzero one stands. `step_metrics` applies these
-rules to numpy arrays; `output.column_step_metrics` applies them to the
-float columns of a CSV readback, for `regforge metrics`, without numpy. It
-sums the tail in numpy's pairwise order, not in index order, so the two
-give the same bits: a tail sum a few ulps off moves the printed overshoot
-of a response that barely passes its steady state.
+rules to numpy arrays, under an errstate that ignores invalid values and
+overflow (about 1 us a call), so an inf in the tail raises no warning;
+`output.column_step_metrics` applies them to the float columns of a CSV
+readback, for `regforge metrics`, without numpy, and takes every run as
+not diverged, as a CSV carries no such flag. It sums the tail in numpy's
+pairwise order, not in index order, so the two give the same bits: a tail
+sum a few ulps off moves the printed overshoot of a response that barely
+passes its steady state.
 
 A bare state-feedback regulator drives its output to zero, not to a
 voltage target, so tracking loops take an explicit reference prescaler
@@ -368,6 +371,9 @@ def _truncated(z: np.ndarray, outputs: np.ndarray, u: float, dt: float, samples:
     )
 
 
+# An inf in the tail makes the steady state inf or NaN, and y - ss and y / ss
+# then hold inf - inf or inf / inf; the figures carry the NaN without a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def step_metrics(ts: TimeSeries) -> StepMetrics:
     """Steady state, overshoot, settling, and rise figures for a step run."""
     y = ts.outputs
