@@ -70,6 +70,10 @@ __all__ = [
 # circle: with it no start point is real, so the iterates of a real
 # polynomial can leave the real axis for its complex roots.
 START_ANGLE = 0.4
+# The Durand-Kerner iteration stops when every step is below
+# DK_TOL * max(1, |z_i|), or after DK_MAX_ITER sweeps.
+DK_MAX_ITER = 200
+DK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +172,7 @@ class Polynomial:
         return head + "".join(f" {s} {t}" for s, t in terms[1:])
 
 
-def _durand_kerner(coeffs, max_iter: int = 200, tol: float = 1e-12) -> tuple[np.ndarray, int, bool]:
+def _durand_kerner(coeffs) -> tuple[np.ndarray, int, bool]:
     """Simultaneous (Weierstrass) root iteration for small real polynomials.
 
     Returns (roots, iterations, converged). Every root moves at once from
@@ -183,8 +187,8 @@ def _durand_kerner(coeffs, max_iter: int = 200, tol: float = 1e-12) -> tuple[np.
     (1 + max|a_k|) * (0.4 + 0.9j)**k.
 
     The iteration stops when every step satisfies
-    |dz_i| < tol * max(1, |z_i|), so large roots are held to the same
-    relative accuracy as small ones, or after max_iter sweeps with
+    |dz_i| < DK_TOL * max(1, |z_i|), so large roots are held to the same
+    relative accuracy as small ones, or after DK_MAX_ITER sweeps with
     converged False: repeated roots converge only linearly and plateau
     near eps**(1/m) of their multiplicity m.
 
@@ -220,7 +224,7 @@ def _durand_kerner(coeffs, max_iter: int = 200, tol: float = 1e-12) -> tuple[np.
     others = [[j for j in range(n) if j != i] for i in range(n)]
     converged = False
     try:
-        for it in range(1, max_iter + 1):
+        for it in range(1, DK_MAX_ITER + 1):
             step = []
             for i, zi in enumerate(z):
                 pz = 1.0 + 0.0j
@@ -232,7 +236,7 @@ def _durand_kerner(coeffs, max_iter: int = 200, tol: float = 1e-12) -> tuple[np.
                 step.append(pz / den)
             z = [zi - d for zi, d in zip(z, step)]
             for zi, d in zip(z, step):
-                if not abs(d) < tol * max(1.0, abs(zi)):
+                if not abs(d) < DK_TOL * max(1.0, abs(zi)):
                     break
             else:
                 converged = True
@@ -267,10 +271,6 @@ class TransferFunction:
     @property
     def is_proper(self) -> bool:
         return self.num.degree <= self.den.degree
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return self.num.is_zero or self.num.degree < self.den.degree
 
     def normalized(self) -> "TransferFunction":
         """Equivalent form with a monic denominator."""

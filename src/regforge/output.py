@@ -22,10 +22,10 @@ raises ``ValidationError`` naming the file. The rows stream in chunks of
 (``read_csv_columns``), so the file's text and its cells are never held
 whole. The spacing check is made there and nowhere else: ``TimeSeries``
 holds views of the arrays it is given and checks only that their lengths
-agree. ``read_timeseries_csv`` wraps the columns as numpy arrays without a
-copy, and ``column_step_metrics`` reads the step figures off the ``t`` and
-``y`` columns as they are. This module imports numpy, and ``sim``, in the
-functions that use them, so ``regforge metrics`` loads neither.
+agree. ``column_step_metrics`` reads the step figures off the ``t`` and
+``y`` columns as they are. This module imports numpy in the functions that
+use it, and ``sim`` for annotations only, so ``regforge metrics`` loads
+neither.
 
 Every artifact is written through ``open_artifact``, which replaces a
 regular file already at the path with a new file (truncating it in place
@@ -61,7 +61,6 @@ __all__ = [
     "open_artifact",
     "write_timeseries_csv",
     "read_csv_columns",
-    "read_timeseries_csv",
     "column_step_metrics",
     "line_chart_svg",
 ]
@@ -180,28 +179,6 @@ def _parse_rows(path, rows: list[str], width: int) -> array:
         return array("d", map(float, cells))
     except ValueError as exc:
         raise ValidationError(f"{path}: malformed numeric cell: {exc}") from exc
-
-
-def read_timeseries_csv(path) -> tuple[TimeSeries, dict[str, np.ndarray]]:
-    """Read a trajectory CSV back into a TimeSeries plus extra columns.
-
-    The columns of `read_csv_columns`, viewed as numpy arrays.
-    """
-    import numpy as np
-
-    from .sim import TimeSeries
-
-    cols = {name: np.frombuffer(column) for name, column in read_csv_columns(path).items()}
-    state_names = sorted((n for n in cols if n.startswith("x") and n[1:].isdigit()),
-                         key=lambda n: int(n[1:]))
-    states = (
-        np.column_stack([cols[n] for n in state_names])
-        if state_names
-        else np.zeros((len(cols["t"]), 0))
-    )
-    ts = TimeSeries(times=cols["t"], inputs=cols["u"], outputs=cols["y"], states=states)
-    extras = {n: cols[n] for n in cols if n not in ("t", "u", "y") and n not in state_names}
-    return ts, extras
 
 
 def _check_spacing(path, times: array) -> None:

@@ -151,10 +151,10 @@ def rounded_plant_tf() -> TransferFunction:
 PRESETS = ("exact", "paper-rounded")
 
 
-def preset_tf(name: str, params: PlantParams = REFERENCE_PARAMS) -> TransferFunction:
-    """Named plant model: 'exact' (from params) or 'paper-rounded'."""
+def preset_tf(name: str) -> TransferFunction:
+    """Named plant model: 'exact' (from REFERENCE_PARAMS) or 'paper-rounded'."""
     if name == "exact":
-        return plant_tf(params)
+        return plant_tf(REFERENCE_PARAMS)
     if name == "paper-rounded":
         return rounded_plant_tf()
     raise ValidationError(f"unknown preset {name!r}; choose one of {PRESETS}")

@@ -68,6 +68,7 @@ from .plant import (
     TurbineParams,
     plant_tf as physical_plant_tf,
     preset_tf,
+    steady_state_report,
 )
 from .riccati import CostWeights, RiccatiSolution, solve_care
 from .sim import ElectricalTrace, SimConfig, TimeSeries, electrical_trace
@@ -333,6 +334,14 @@ def load_scenario(path) -> Scenario:
     # A closed loop always steps to `reference`: the key would do nothing.
     if controller.kind != "none" and amplitude_given:
         raise ValidationError("sim.amplitude requires controller.type = none; a closed loop steps to reference")
+    # An open loop on a physical plant reports its operating point at the
+    # amplitude as steam inflow; an inflow that report refuses fails here, before the run.
+    plant_params = plant[2]
+    if controller.kind == "none" and plant_params is not None:
+        try:
+            steady_state_report(plant_params, sim.input_amplitude)
+        except ValidationError as exc:
+            raise ValidationError(f"sim.amplitude: {exc}") from None
 
     outputs = (
         tuple(mapping.pop("outputs").replace(",", " ").split()) if "outputs" in mapping else DEFAULT_OUTPUTS

@@ -36,15 +36,15 @@ C-contiguous float64 operands it makes the BLAS call `@` makes, so the bits
 are the same, without matmul's gufunc dispatch, about 0.25 us a call (a
 7 x 7 square: 0.36 against 0.63 us).
 Q_1 and its squares depend on (A, B, dt, u) alone, so each ladder Q_1, Q_2,
-Q_4, ... is built once: a module-level map keyed by the shape and bytes of
-A and B and the bit patterns of dt and u (0.0 and -0.0 are two keys) holds
-it as a tuple of read-only arrays, with whether POWER_LIMIT capped it. A
-longer horizon squares on from the top rung. The map keeps at most 64
-entries, a constant, and drops the oldest first. A cold call computes the
-products a run without the map would, in the same order, so the bits are
-the same; a warm call reads them back. A 1000-step run takes about 25
+Q_4, ... is built once: `_ladder`, a `functools.lru_cache` of at most 64
+entries, keyed by n, the bytes of A and B, the bit patterns of dt and u
+(0.0 and -0.0 are two keys) and the number of rungs the horizon climbs,
+returns it as a tuple of read-only arrays. A longer horizon builds its own
+entry, whose first rungs are the shorter one's. A cold call computes the
+products a run without the cache would, in the same order, so the bits
+are the same; a warm call reads them back. A 1000-step run takes about 25
 products cold and 12 warm. At n = 2, `simulate` plus `step_metrics`
-takes about 108 us cold and 63 us warm, where it took 88 us without the map
+takes about 108 us cold and 63 us warm, where it took 88 us without the cache
 (medians of 6 runs, one CPU of a 2-CPU AMD EPYC, OpenBLAS SkylakeX kernels).
 A run allocates its trajectory once, an (N + 1, n + 1) array: the checks
 use min and max, which allocate nothing, and `TimeSeries` keeps views of
@@ -77,19 +77,19 @@ N = 1 / (C (-(A-BK))^-1 B) ahead of the loop (`reference_prescaler`,
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, NamedTuple
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .lti import StateSpaceModel, lu_factor, lu_solve, ordered_dot
 from .steps import SETTLING_BAND, STEADY_STATE_FRACTION, StepMetrics
 
-if TYPE_CHECKING:  # annotations only: reading a CSV into a TimeSeries loads no model module
-    from .lti import StateSpaceModel
+if TYPE_CHECKING:
     from .plant import PlantParams
 
 __all__ = [
@@ -195,49 +195,17 @@ def _rk4_maps(a: np.ndarray, b: np.ndarray, dt: float) -> tuple[np.ndarray, np.n
     return m, g
 
 
-class _Propagator(NamedTuple):
-    """The doubling ladder of one (A, B, dt, u): ladder[k] is Q_(2^k), read-only.
+# At most 64 ladders of at most 24 rungs (the 1e7-sample guard) of at most 7 x 7 floats: 0.6 MB.
+@functools.lru_cache(maxsize=64)
+def _ladder(n: int, a_bytes: bytes, b_bytes: bytes, dt_u_bits: bytes, levels: int) -> tuple[np.ndarray, ...]:
+    """The doubling ladder Q_1, Q_2, ..., Q_(2^(levels-1)) of (A, B, dt, u), read-only.
 
-    `capped` marks a ladder whose next square was non-finite or beyond
-    POWER_LIMIT; it never grows, and the scan slides at its top width.
+    A and B are an n x n and an n x 1 float64 matrix as bytes, dt and u two
+    doubles packed as "<2d". The ladder stops before its first square that
+    is non-finite or beyond POWER_LIMIT, and the scan slides at its top width.
     """
-
-    ladder: tuple[np.ndarray, ...]
-    capped: bool
-    safe_2h: float
-
-
-# The propagators `simulate` has built, oldest first. At most _PROPAGATORS_MAX
-# ladders of at most 24 rungs (the 1e7-sample guard) of at most 7 x 7 floats: 0.6 MB.
-_PROPAGATORS: dict[tuple, _Propagator] = {}
-_PROPAGATORS_MAX = 64
-_PROPAGATORS_LOCK = threading.Lock()
-
-
-def _propagator(a: np.ndarray, b: np.ndarray, dt: float, u: float, steps: int) -> _Propagator:
-    """The ladder of (A, B, dt, u) up to Q_(2^k), 2^k <= steps, or to its cap, memoized.
-
-    The key holds the bytes of A and B and the bit patterns of dt and u, so
-    0.0 and -0.0 are two keys. A cold call squares up the ladder the scan
-    climbs, in the order it climbs it; a warm one reads it back, and a
-    longer horizon squares on from the top of the ladder it finds.
-    """
-    key = (a.shape, a.tobytes(), b.shape, b.tobytes(), struct.pack("<2d", dt, u))
-    prop = _PROPAGATORS.get(key)
-    if prop is not None and (prop.capped or len(prop.ladder) >= steps.bit_length()):
-        return prop
-    prop = _extend(_step_map(a, b, dt, u) if prop is None else prop, steps.bit_length())
-    # Entries are never changed in place: a race between two threads can only repeat work.
-    with _PROPAGATORS_LOCK:
-        if key not in _PROPAGATORS and len(_PROPAGATORS) >= _PROPAGATORS_MAX:
-            del _PROPAGATORS[next(iter(_PROPAGATORS))]
-        _PROPAGATORS[key] = prop
-    return prop
-
-
-def _step_map(a: np.ndarray, b: np.ndarray, dt: float, u: float) -> _Propagator:
-    n = a.shape[0]
-    m, g = _rk4_maps(a, b, dt)
+    dt, u = struct.unpack("<2d", dt_u_bits)
+    m, g = _rk4_maps(np.frombuffer(a_bytes).reshape(n, n), np.frombuffer(b_bytes).reshape(n, 1), dt)
     # Entries of M^k are at most beta^k, beta = ||M||_inf: a square M^2h with
     # beta^2h within POWER_LIMIT / 2 (a margin for rounding) needs no test.
     row_sums = [sum(map(abs, row)) for row in m.tolist()]
@@ -249,22 +217,16 @@ def _step_map(a: np.ndarray, b: np.ndarray, dt: float, u: float) -> _Propagator:
     q[n, :n] = (g * u).ravel()
     q[n, n] = 1.0
     q.flags.writeable = False
-    return _Propagator((q,), False, safe_2h)
-
-
-def _extend(prop: _Propagator, levels: int) -> _Propagator:
-    """`prop` with its ladder squared up to `levels` rungs, or until a square fails."""
-    ladder = list(prop.ladder)
-    n = len(ladder[0]) - 1
-    for k in range(len(ladder), levels):
-        q2 = np.dot(ladder[-1], ladder[-1])
+    ladder = [q]
+    for k in range(1, levels):
+        q = np.dot(q, q)
         # Past POWER_LIMIT the window stops growing and slides instead.
-        if (1 << k) > prop.safe_2h and not (-POWER_LIMIT <= q2[:n, :n].min(initial=0.0)
-                                            and q2[:n, :n].max(initial=0.0) <= POWER_LIMIT):
-            return _Propagator(tuple(ladder), True, prop.safe_2h)
-        q2.flags.writeable = False
-        ladder.append(q2)
-    return _Propagator(tuple(ladder), False, prop.safe_2h)
+        if (1 << k) > safe_2h and not (-POWER_LIMIT <= q[:n, :n].min(initial=0.0)
+                                       and q[:n, :n].max(initial=0.0) <= POWER_LIMIT):
+            break
+        q.flags.writeable = False
+        ladder.append(q)
+    return tuple(ladder)
 
 
 def _initial_state(x0, n: int) -> np.ndarray:
@@ -308,7 +270,9 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
     state_out = False
     # Overflow on the way to divergence is expected; the checks below report it.
     with np.errstate(over="ignore", invalid="ignore"):
-        ladder = _propagator(ss.a, ss.b, float(cfg.dt), u, steps).ladder
+        # Keyed by bit patterns, so 0.0 and -0.0 are two keys.
+        ladder = _ladder(n, ss.a.tobytes(), ss.b.tobytes(), struct.pack("<2d", cfg.dt, u),
+                         steps.bit_length())
         # f samples are known; each chunk extends them from the h before by q = Q_h.
         q = ladder[0]
         while f <= steps:
@@ -324,7 +288,7 @@ def simulate(ss: StateSpaceModel, cfg: SimConfig, x0=None) -> TimeSeries:
                     state_out = True
                     break
                 checked = f
-            # Q_2h is the next rung; a capped ladder has none, and the window slides.
+            # Q_2h is the next rung; past the ladder's top the window slides.
             if f == 2 * h and h.bit_length() < len(ladder):
                 q, h = ladder[h.bit_length()], f
         if state_out:
@@ -460,8 +424,6 @@ def reference_prescaler(plant: StateSpaceModel, k) -> float:
     zero (relative to |C| |(-(A-BK))^-1 B|) counts as zero: its reciprocal
     would be rounding noise.
     """
-    from .lti import lu_factor, lu_solve, ordered_dot
-
     b = plant.b[:, 0].tolist()
     k = np.asarray(k, dtype=float).reshape(-1).tolist()
     if len(k) != len(b):
@@ -482,8 +444,6 @@ def reference_prescaler(plant: StateSpaceModel, k) -> float:
 
 def state_feedback_loop(plant: StateSpaceModel, k, reference_gain: float = 1.0) -> StateSpaceModel:
     """Full-state-feedback loop u = reference_gain * r - K x."""
-    from .lti import StateSpaceModel
-
     k = np.atleast_2d(np.asarray(k, dtype=float))
     return StateSpaceModel(
         plant.a - plant.b @ k, float(reference_gain) * plant.b, plant.c, plant.d

@@ -27,8 +27,7 @@ PINNED = set()
 
 # (module, function) that may take no product by `@` or matmul. sim's
 # module level is listed so that a matmul bound to a name there cannot hide.
-DOT_ONLY = {("sim", "<module>"), ("sim", "simulate"), ("sim", "_rk4_maps"),
-            ("sim", "_propagator"), ("sim", "_step_map"), ("sim", "_extend")}
+DOT_ONLY = {("sim", "<module>"), ("sim", "simulate"), ("sim", "_rk4_maps"), ("sim", "_ladder")}
 
 # (module, function) of the design path, which may take no product by `@`,
 # matmul, dot, convolve or correlate.

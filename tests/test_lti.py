@@ -274,7 +274,6 @@ class TestTransferFunction:
         npt.assert_allclose(g.num.coeffs, [256.0 / 14.0])
 
     def test_properness_flags(self):
-        assert reference_plant().is_strictly_proper
         assert TransferFunction([1.0, 0.0], [1.0, 1.0]).is_proper
         assert not TransferFunction([1.0, 0.0, 0.0], [1.0, 1.0]).is_proper
 

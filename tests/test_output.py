@@ -20,7 +20,6 @@ from regforge.output import (
     line_chart_svg,
     open_artifact,
     read_csv_columns,
-    read_timeseries_csv,
     write_timeseries_csv,
 )
 from regforge.plant import REFERENCE_PARAMS
@@ -105,7 +104,10 @@ class TestCsv:
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
         write_timeseries_csv(first, sample_series())
-        series, _ = read_timeseries_csv(first)
+        cols = read_csv_columns(first)
+        assert list(cols) == ["t", "u", "y", "x1"]
+        series = TimeSeries(times=cols["t"], inputs=cols["u"], outputs=cols["y"],
+                            states=np.column_stack([cols["x1"]]))
         write_timeseries_csv(second, series)
         assert first.read_bytes() == second.read_bytes()
 
@@ -113,18 +115,18 @@ class TestCsv:
         path = tmp_path / "run.csv"
         original = sample_series()
         write_timeseries_csv(path, original)
-        series, extras = read_timeseries_csv(path)
-        assert extras == {}
-        npt.assert_allclose(series.times, original.times, atol=1e-7)
-        assert series.states.shape == original.states.shape
+        cols = read_csv_columns(path)
+        assert list(cols) == ["t", "u", "y", "x1"]
+        npt.assert_allclose(cols["t"], original.times, atol=1e-7)
+        assert original.states.shape == (len(cols["x1"]), 1)
 
     def test_replot_after_round_trip_identical(self, tmp_path):
         path = tmp_path / "run.csv"
         original = sample_series()
         write_timeseries_csv(path, original)
-        series, _ = read_timeseries_csv(path)
+        cols = read_csv_columns(path)
         chart_a = line_chart_svg([("y", original.times, original.outputs)], "r", "t", "y")
-        chart_b = line_chart_svg([("y", series.times, series.outputs)], "r", "t", "y")
+        chart_b = line_chart_svg([("y", np.frombuffer(cols["t"]), np.frombuffer(cols["y"]))], "r", "t", "y")
         assert chart_a == chart_b
 
     def test_unix_newlines(self, tmp_path):
@@ -138,7 +140,7 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("t,u,y\n0,1,oops\n")
         with pytest.raises(ValidationError):
-            read_timeseries_csv(path)
+            read_csv_columns(path)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CSVS))
     def test_malformed_file_rejected(self, tmp_path, case):
@@ -146,7 +148,7 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_bytes(content)
         with pytest.raises(ValidationError) as info:
-            read_timeseries_csv(path)
+            read_csv_columns(path)
         assert str(info.value).startswith(f"{path}: {message}")
 
     @pytest.mark.parametrize("times", ["0,0.5,nan,1.5", "0,0.5,1,nan"])
@@ -160,11 +162,9 @@ class TestCsv:
     def test_whitespace_only_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.csv"
         path.write_bytes(b"\n  \nt,u,y\n\n0,1,2\n \t \n1,3,4\r\n\n")
-        series, extras = read_timeseries_csv(path)
-        assert extras == {}
-        assert series.times.tolist() == [0.0, 1.0]
-        assert series.inputs.tolist() == [1.0, 3.0]
-        assert series.outputs.tolist() == [2.0, 4.0]
+        cols = read_csv_columns(path)
+        assert {name: column.tolist() for name, column in cols.items()} == {
+            "t": [0.0, 1.0], "u": [1.0, 3.0], "y": [2.0, 4.0]}
 
     @pytest.mark.filterwarnings("error")
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -184,9 +184,9 @@ class TestCsv:
         series = TimeSeries(times=t, inputs=cols[0], outputs=cols[1], states=cols[2:4].T)
         path = tmp_path_factory.mktemp("round-trip") / "run.csv"
         write_timeseries_csv(path, series, ElectricalTrace(t, *cols[4:8]))
-        back, extras = read_timeseries_csv(path)
-        got = np.column_stack([back.times, back.inputs, back.outputs, back.states]
-                              + [extras[n] for n in ("i_a", "e_g", "p_out", "p_in")])
+        back = read_csv_columns(path)
+        assert list(back) == ["t", "u", "y", "x1", "x2", "i_a", "e_g", "p_out", "p_in"]
+        got = np.column_stack([np.frombuffer(column) for column in back.values()])
         expected = np.array([[float(format_value(v)) for v in row] for row in zip(t, *cols)])
         assert got.tobytes() == expected.tobytes()
 
@@ -210,10 +210,10 @@ class TestCsv:
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "export.csv"
         path.write_bytes(b"\xef\xbb\xbft,u,y\n0,1,2\n0.5,1,3\n")
-        series, extras = read_timeseries_csv(path)
-        assert extras == {}
-        assert series.times.tolist() == [0.0, 0.5]
-        assert series.outputs.tolist() == [2.0, 3.0]
+        cols = read_csv_columns(path)
+        assert list(cols) == ["t", "u", "y"]
+        assert cols["t"].tolist() == [0.0, 0.5]
+        assert cols["y"].tolist() == [2.0, 3.0]
 
     def test_columns_across_read_chunks(self, tmp_path):
         # a ragged row and a bad cell are found in a later chunk, and the
@@ -253,7 +253,7 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("t,u\n0,1\n")
         with pytest.raises(ValidationError):
-            read_timeseries_csv(path)
+            read_csv_columns(path)
 
 
 class TestOpenArtifact:

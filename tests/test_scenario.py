@@ -234,6 +234,26 @@ class TestScenario:
                 "plant.preset = exact\ncontroller.type = lqr\ncontroller.q_diag = 1 1\n"
             )))
 
+    @pytest.mark.parametrize("plant", [
+        "plant.preset = exact",
+        "plant.preset = paper-rounded",
+        "plant.turbine.tau_t = 2\n" + "".join(f"plant.generator.{key} = 1\n" for key in
+                                             ("k1", "n", "l_f", "r_f", "l_a", "r_a", "r_l")),
+    ], ids=["exact", "paper-rounded", "params"])
+    def test_negative_inflow_on_a_physical_plant_rejected(self, tmp_path, plant):
+        # The open loop's steady-state circuit report takes the amplitude as
+        # steam inflow, which may not be negative: the key is named before the run.
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(write(tmp_path, "s.cfg", f"{plant}\ncontroller.type = none\nsim.amplitude = -5\n"))
+        assert str(exc.value) == "sim.amplitude: steam inflow must be finite and nonnegative, got -5.0"
+
+    def test_negative_amplitude_without_plant_params_accepted(self, tmp_path):
+        # A transfer-function plant has no circuit report, so its input may be negative.
+        scn = load_scenario(write(tmp_path, "s.cfg", (
+            "plant.tf.num = 1\nplant.tf.den = 1 1\ncontroller.type = none\nsim.amplitude = -5\n"
+        )))
+        assert scn.plant_params is None and scn.sim.input_amplitude == -5.0
+
     def test_bad_outputs_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="outputs"):
             load_scenario(write(tmp_path, "s.cfg", (

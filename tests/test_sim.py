@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import struct
 import sys
 import threading
 import tracemalloc
@@ -19,7 +20,7 @@ from regforge import sim
 from regforge.errors import NumericalError, ValidationError
 from regforge.lti import StateSpaceModel, TransferFunction, dc_gain, ss_to_tf, tf_to_ss
 from regforge.observer import design_observer_gain
-from regforge.output import column_step_metrics, read_timeseries_csv
+from regforge.output import column_step_metrics, read_csv_columns
 from regforge.plant import PRESETS, REFERENCE_PARAMS, plant_tf, rounded_plant_tf
 from regforge.scenario import (
     DEFAULT_OUTPUTS,
@@ -511,22 +512,37 @@ def run_bytes(ts: TimeSeries) -> tuple:
     return ts.times.tobytes(), ts.inputs.tobytes(), ts.outputs.tobytes(), ts.states.tobytes(), ts.diverged
 
 
+def cached_ladder(ss: StateSpaceModel, cfg: SimConfig) -> tuple:
+    """`sim._ladder` called with the key `simulate` gives it for (ss, cfg)."""
+    return sim._ladder(ss.n_states, ss.a.tobytes(), ss.b.tobytes(),
+                       struct.pack("<2d", cfg.dt, cfg.input_amplitude), cfg.n_steps.bit_length())
+
+
 @pytest.mark.filterwarnings("error")
 class TestPropagatorMemo:
     """A warm `simulate` reads back the ladder a cold one builds, bit for bit."""
 
     @staticmethod
     def assert_warm_is_cold(runs) -> None:
-        """Each (ss, cfg, x0) of `runs`, run in turn on one memo, equals itself run on an empty memo.
+        """Each (ss, cfg, x0) of `runs`, run in turn on one cache, equals itself run on an empty cache.
 
-        The memo is left as the runs in turn leave it.
+        The cache is left as the runs in turn leave it.
         """
         cold = []
         for run in runs:
-            sim._PROPAGATORS.clear()
+            sim._ladder.cache_clear()
             cold.append(run_bytes(simulate(*run)))
-        sim._PROPAGATORS.clear()
+        sim._ladder.cache_clear()
         assert [run_bytes(simulate(*run)) for run in runs] == cold
+
+    @staticmethod
+    def assert_cached(ss: StateSpaceModel, cfg: SimConfig) -> tuple:
+        """The ladder `simulate` left in the cache for (ss, cfg): reading it builds nothing."""
+        before = sim._ladder.cache_info()
+        ladder = cached_ladder(ss, cfg)
+        after = sim._ladder.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, before.currsize)
+        return ladder
 
     @pytest.mark.parametrize("unstable", [False, True], ids=["stable", "unstable"])
     def test_random_models(self, unstable):
@@ -543,21 +559,22 @@ class TestPropagatorMemo:
                      (ss, replace(runs[-1][1], dt=5e-3), None),
                      (ss, replace(runs[-1][1], input_amplitude=2.0), None)]
         self.assert_warm_is_cold(runs)
-        # Five keys a model with states. The zero-state model has no A or B to
-        # change, so three; unstable, a gain of 2e12, it leaves the bounds at
-        # sample 0 and builds none.
-        assert len(sim._PROPAGATORS) == (30 if unstable else 33)
+        # Seven keys a model with states: three horizons, of 10, 3 and 11
+        # rungs, and A, B, dt and u each changed. The zero-state model has no
+        # A or B to change, so five; unstable, a gain of 2e12, it leaves the
+        # bounds at sample 0 and builds none.
+        assert sim._ladder.cache_info().currsize == (42 if unstable else 47)
 
-    def test_a_longer_horizon_extends_the_ladder(self):
+    def test_a_longer_horizon_starts_with_the_shorter_ladder(self):
         cfg = SimConfig(dt=1e-2, duration=LENGTH * 1e-2)
         longer = replace(cfg, duration=4 * LENGTH * 1e-2)
         ss = first_order()
         self.assert_warm_is_cold([(ss, cfg, None), (ss, longer, None), (ss, cfg, None)])
-        (prop,) = sim._PROPAGATORS.values()
-        assert len(prop.ladder) == (4 * LENGTH).bit_length() and not prop.capped
-        # A horizon the ladder covers reuses it as it is.
-        simulate(ss, cfg)
-        assert next(iter(sim._PROPAGATORS.values())) is prop
+        assert sim._ladder.cache_info().currsize == 2
+        short, long = self.assert_cached(ss, cfg), self.assert_cached(ss, longer)
+        assert (len(short), len(long)) == (LENGTH.bit_length(), (4 * LENGTH).bit_length())
+        assert [q.tobytes() for q in long[:len(short)]] == [q.tobytes() for q in short]
+        assert not any(q.flags.writeable for q in long)
 
     def test_a_capped_ladder_slides(self):
         # The fast mode's powers pass POWER_LIMIT near 55, so the ladder stops
@@ -566,8 +583,8 @@ class TestPropagatorMemo:
         cfg = SimConfig(dt=0.1, duration=100.0)
         longer = replace(cfg, duration=400.0)
         self.assert_warm_is_cold([(ss, cfg, [0.0, 1.0]), (ss, longer, [0.0, 1.0]), (ss, cfg, [0.0, 1.0])])
-        (prop,) = sim._PROPAGATORS.values()
-        assert prop.capped and len(prop.ladder) == 6
+        assert [len(self.assert_cached(ss, c)) for c in (cfg, longer)] == [6, 6]
+        assert longer.n_steps.bit_length() > 6
         assert simulate(ss, longer, [0.0, 1.0]).n_samples == longer.n_steps + 1
 
     def test_truncated_runs(self):
@@ -583,9 +600,9 @@ class TestPropagatorMemo:
         ss = first_order()
         plus, minus = (SimConfig(dt=1e-2, duration=5.0, input_amplitude=u) for u in (0.0, -0.0))
         self.assert_warm_is_cold([(ss, plus, None), (ss, minus, None)])
-        assert len(sim._PROPAGATORS) == 2
+        assert sim._ladder.cache_info().currsize == 2
         # Q_1's last row is g u: -0.0 under the negative zero, not the positive zero's 0.0.
-        signs = [bool(np.signbit(prop.ladder[0][1, 0])) for prop in sim._PROPAGATORS.values()]
+        signs = [bool(np.signbit(self.assert_cached(ss, cfg)[0][1, 0])) for cfg in (plus, minus)]
         assert signs == [False, True]
 
     def test_figure_presets_share_one_propagator(self):
@@ -599,27 +616,30 @@ class TestPropagatorMemo:
         npt.assert_array_equal(exact.b, rounded.b)
         assert not np.array_equal(exact.c, rounded.c)
         self.assert_warm_is_cold([(scn.plant_model, scn.sim, None) for scn in scenarios])
-        assert len(sim._PROPAGATORS) == 1
+        assert sim._ladder.cache_info().currsize == 1
 
     def test_the_memo_is_bounded(self):
-        sim._PROPAGATORS.clear()
-        for k in range(sim._PROPAGATORS_MAX + 5):
+        sim._ladder.cache_clear()
+        maxsize = sim._ladder.cache_info().maxsize
+        assert maxsize == 64
+        for k in range(maxsize + 5):
             cfg = SimConfig(dt=1e-3 * (k + 1), duration=1e-2 * (k + 1))
             simulate(first_order(), cfg)
-            assert len(sim._PROPAGATORS) == min(k + 1, sim._PROPAGATORS_MAX)
+            assert sim._ladder.cache_info().currsize == min(k + 1, maxsize)
         # The newest entry is held: running it again builds nothing.
-        held = list(sim._PROPAGATORS.values())
+        misses = sim._ladder.cache_info().misses
         simulate(first_order(), cfg)
-        assert all(a is b for a, b in zip(sim._PROPAGATORS.values(), held, strict=True))
+        assert sim._ladder.cache_info().misses == misses
+        self.assert_cached(first_order(), cfg)
 
     def test_threads_share_the_memo(self):
         # More keys than the bound, run from more threads than CPUs that switch
         # often, so entries are built, replaced and dropped concurrently.
-        runs = [(first_order(1.0 + 0.1 * k), SimConfig(dt=1e-2, duration=1.0))
-                for k in range(sim._PROPAGATORS_MAX + 8)]
+        maxsize = sim._ladder.cache_info().maxsize
+        runs = [(first_order(1.0 + 0.1 * k), SimConfig(dt=1e-2, duration=1.0)) for k in range(maxsize + 8)]
         cold = []
         for run in runs:
-            sim._PROPAGATORS.clear()
+            sim._ladder.cache_clear()
             cold.append(run_bytes(simulate(*run)))
         errors = []
 
@@ -644,7 +664,7 @@ class TestPropagatorMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(sim._PROPAGATORS) <= sim._PROPAGATORS_MAX
+        assert sim._ladder.cache_info().currsize <= maxsize
 
 
 def paper_runs() -> dict:
@@ -751,7 +771,7 @@ class TestTimeSeries:
     def read(tmp_path, times):
         path = tmp_path / "times.csv"
         path.write_text("t,u,y\n" + "".join(f"{float(t)!r},0,0\n" for t in times))
-        return read_timeseries_csv(path)[0]
+        return read_csv_columns(path)["t"]
 
     @pytest.mark.parametrize("times", [
         np.arange(1001) * 1e-3,
@@ -759,8 +779,7 @@ class TestTimeSeries:
         np.array([5.0]),
     ], ids=["uniform", "within-1e-6", "single-sample"])
     def test_accepts(self, tmp_path, times):
-        ts = self.read(tmp_path, times)
-        npt.assert_array_equal(ts.times, times)
+        assert self.read(tmp_path, times).tolist() == times.tolist()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("times", [
