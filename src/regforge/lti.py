@@ -11,8 +11,8 @@ Durand-Kerner root finding on that polynomial, and stability verdicts from
 a Routh-Hurwitz table. Durand-Kerner starts on Aberth's circle, centred at
 the roots' centroid with a radius on the roots' own scale; only when that
 radius is 0 or not finite does it start on the circle of radius
-1 + max|a_k|. Symmetric spectra (the semidefiniteness check on the
-Riccati solution) are computed by cyclic Jacobi in `riccati` instead. All
+1 + max|a_k|. The semidefiniteness check on the Riccati solution needs
+no spectrum: `riccati` decides it from the pivots of one elimination. All
 systems in this toolkit are small (n <= 6), where these methods are exact
 up to rounding.
 
@@ -100,8 +100,8 @@ class Polynomial:
         object.__setattr__(self, "coeffs", (0.0,) if lead is None else tuple(c[lead:]))
 
     @classmethod
-    def from_roots(cls, roots, leading: float = 1.0) -> "Polynomial":
-        """Monic polynomial (times ``leading``) with the given roots.
+    def from_roots(cls, roots) -> "Polynomial":
+        """Monic polynomial with the given roots.
 
         Complex roots must come in conjugate pairs so the product is real;
         residual imaginary parts are checked, not silently dropped.
@@ -113,7 +113,7 @@ class Polynomial:
             c = [c[0]] + [c_i + c_prev * -r for c_i, c_prev in zip(c[1:], c)] + [c[-1] * -r]
         if roots and max(abs(x.imag) for x in c) > 1e-9 * max(1.0, max(abs(x.real) for x in c)):
             raise ValidationError("root set is not closed under conjugation")
-        return cls([leading * x.real for x in c])
+        return cls([x.real for x in c])
 
     @property
     def degree(self) -> int:

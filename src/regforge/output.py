@@ -67,6 +67,7 @@ __all__ = [
 
 MAX_SVG_POINTS = 1000
 SVG_WIDTH, SVG_HEIGHT = 720, 440
+SVG_TICKS = 5  # tick marks per axis
 CSV_CHUNK_ROWS = 4096
 # Rows the reader parses at a time: a chunk's cells, several times its text,
 # stay small enough for the allocator to reuse their memory chunk after chunk.
@@ -284,12 +285,12 @@ def _strided(x: np.ndarray) -> np.ndarray:
     return x[idx]
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> np.ndarray:
+def _ticks(lo: float, hi: float) -> np.ndarray:
     import numpy as np
 
     if hi == lo:
         hi = lo + 1.0
-    return np.linspace(lo, hi, count)
+    return np.linspace(lo, hi, SVG_TICKS)
 
 
 def line_chart_svg(series, title: str, xlabel: str, ylabel: str) -> str:

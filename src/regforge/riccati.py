@@ -33,11 +33,10 @@ symmetric by construction), and A - BK Hurwitz for the returned gain
 K = B'P / r, formed as B'P times 1/r.
 
 The weights are checked by sign: q >= -PSD_TOLERANCE entrywise and r > 0,
-with 1/r finite.
-Semidefiniteness of P is judged from its spectrum, computed by cyclic
-Jacobi rotations (`_symmetric_eigenvalues`): quadratically convergent on
-repeated eigenvalues, where a polynomial root finder stalls. Hurwitz
-checks go through char_poly and the Routh table.
+with 1/r finite. P is accepted as semidefinite when P + PSD_TOLERANCE * I
+passes Sylvester's criterion, every pivot of one elimination without
+pivoting > 0 (`_semidefinite`); no spectrum is computed. Hurwitz checks go
+through char_poly and the Routh table.
 """
 
 from __future__ import annotations
@@ -64,51 +63,36 @@ RESIDUAL_SUCCESS = 1e-8
 RESIDUAL_TARGET = 1e-12
 MAX_ITERATIONS = 50
 PSD_TOLERANCE = 1e-9
-JACOBI_TOLERANCE = 1e-15
-JACOBI_MAX_SWEEPS = 30
 
 
-def _symmetric_eigenvalues(m: list[list[float]]) -> list[float]:
-    # Cyclic Jacobi (Golub and Van Loan, Matrix Computations, 8.5) on the
-    # rows of a symmetric M: sweep the pairs (p, q) in row order and zero
-    # each a_pq with one rotation, until the off-diagonal Frobenius norm is
-    # within JACOBI_TOLERANCE of ||M||. The matrix is first scaled by a
-    # power of two to max|a| in [0.5, 1), so no square can overflow; a
-    # diagonal input takes no sweep and is returned exactly.
+def _semidefinite(m: list[list[float]]) -> bool:
+    # Whether every eigenvalue of the symmetric M is above -PSD_TOLERANCE, by
+    # Sylvester's criterion: M + PSD_TOLERANCE * I is positive definite
+    # exactly when every pivot of its elimination without pivoting is > 0,
+    # and on such a matrix that elimination is backward stable (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, ch. 10). M is
+    # first scaled by a power of two to max|m_ij| in [0.5, 1), so no product
+    # overflows. The first pivot that is not > 0 (zero, negative or NaN)
+    # returns False. A non-finite peak (an inf, or a NaN m_00) returns False
+    # at once; any other NaN entry makes a later pivot NaN.
     n = len(m)
-    if not all(math.isfinite(x) for row in m for x in row):
-        raise NumericalError("symmetric eigenvalue input is not finite")
-    exponent = math.frexp(max((abs(x) for row in m for x in row), default=0.0))[1]
+    peak = max((abs(x) for row in m for x in row), default=0.0)
+    if not math.isfinite(peak):
+        return False
+    exponent = math.frexp(peak)[1]
     a = [[math.ldexp(x, -exponent) for x in row] for row in m]
-    pairs = [(p, q) for p in range(n - 1) for q in range(p + 1, n)]
-    limit = JACOBI_TOLERANCE**2 * sum(x * x for row in a for x in row)
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        if 2.0 * sum(a[p][q] * a[p][q] for p, q in pairs) <= limit:
-            break
-        if sweep == JACOBI_MAX_SWEEPS:
-            raise NumericalError(f"Jacobi rotations did not converge in {sweep} sweeps")
-        for p, q in pairs:
-            apq = a[p][q]
-            if apq == 0.0:
-                continue
-            # t = sign(theta) / (|theta| + hypot(1, theta)) for
-            # theta = d / (2 a_pq), multiplied through by 2 |a_pq| so that
-            # theta, which overflows for a nearly zeroed pair, is never formed.
-            d = a[q][q] - a[p][p]
-            t = math.copysign(2.0, d) * apq / (abs(d) + math.hypot(d, 2.0 * apq))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            a[p][p] -= t * apq
-            a[q][q] += t * apq
-            a[p][q] = a[q][p] = 0.0
-            for r in range(n):
-                if r != p and r != q:
-                    g, h = a[r][p], a[r][q]
-                    a[r][p] = a[p][r] = c * g - s * h
-                    a[r][q] = a[q][r] = s * g + c * h
-    if sweep == 0:
-        return [m[i][i] for i in range(n)]
-    return [math.ldexp(a[i][i], exponent) for i in range(n)]
+    shift = math.ldexp(PSD_TOLERANCE, -exponent)
+    for i in range(n):
+        a[i][i] += shift
+    for k in range(n):
+        pivot = a[k][k]
+        if not pivot > 0.0:
+            return False
+        for r in range(k + 1, n):
+            factor = a[r][k] / pivot
+            for c in range(k + 1, n):
+                a[r][c] -= factor * a[k][c]
+    return True
 
 
 @dataclass(frozen=True)
@@ -130,7 +114,7 @@ class CostWeights:
         r = float(r)
         if not (np.isfinite(q_diag).all() and math.isfinite(r)):
             raise ValidationError("cost weights must be finite")
-        if q_diag.min(initial=0.0) < -PSD_TOLERANCE:
+        if (q_diag < -PSD_TOLERANCE).any():
             raise ValidationError("Q must be positive semidefinite")
         if not r > 0.0:
             raise ValidationError("R must be positive definite")
@@ -269,8 +253,8 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
 
     Raises CareConvergenceError when the residual stays above 1e-8 after
     the iteration cap or goes non-finite, and NumericalError if the
-    converged P fails the symmetric-PSD check or A - BK fails the Hurwitz
-    check.
+    converged P + PSD_TOLERANCE * I is not positive definite or A - BK
+    fails the Hurwitz check.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.asarray(b, dtype=float)
@@ -320,7 +304,7 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
 
     # P is exactly symmetric: solve_lyapunov fills p_ij and p_ji from one unknown.
     if n > 0:
-        if min(_symmetric_eigenvalues(p)) < -PSD_TOLERANCE:
+        if not _semidefinite(p):
             raise NumericalError("Riccati solution is not positive semidefinite")
         if not is_hurwitz(char_poly(_closed_loop(rows_a, col_b, k))):
             raise NumericalError("closed loop A - BK is not Hurwitz after synthesis")

@@ -292,6 +292,8 @@ def _resolve_controller(mapping) -> ControllerSpec:
         if kind == "lqr":
             return ControllerSpec(kind="lqr", q_diag=q_diag, r=r)
         h = _parse_vector("controller.h", _required(mapping, "controller.h"))
+        if not np.isfinite(h).all():
+            raise ValidationError("controller.h: observer gain must be finite")
         convention = mapping.pop("controller.convention", ControllerSpec.convention)
         if convention not in CONVENTIONS:
             raise ValidationError(
@@ -319,10 +321,17 @@ def load_scenario(path) -> Scenario:
 
     plant = _resolve_plant(mapping)
     controller = _resolve_controller(mapping)
+    # The weight diagonal and the observer gain take one entry per plant state.
+    n = plant[0].n_states
+    for key, vector in (("controller.q_diag", controller.q_diag), ("controller.h", controller.h)):
+        if vector is not None and len(vector) != n:
+            raise ValidationError(f"{key}: expected {n} entries, one per plant state, got {len(vector)}")
 
     reference = _optional_float(mapping, "reference", None)
     if reference is not None and controller.kind == "none":
         raise ValidationError("reference requires a controller block")
+    if reference is not None and not np.isfinite(reference):
+        raise ValidationError(f"reference: must be finite, got {reference!r}")
 
     default_duration = 15.0 if controller.kind != "none" else 20.0
     amplitude_given = "sim.amplitude" in mapping

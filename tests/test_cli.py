@@ -445,7 +445,7 @@ def test_zero_state_lqr_plant_fails_alike(capsys, tmp_path, monkeypatch):
     for command in ("synthesize", "simulate"):
         assert main([command, "--scenario", str(scn)]) == 1
         errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] == "error: Q must be 0x0, got (1, 1)\n"
+    assert errors[0] == errors[1] == "error: controller.q_diag: expected 0 entries, one per plant state, got 1\n"
 
 
 class TestEntryPoint:

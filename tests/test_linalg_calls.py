@@ -33,7 +33,7 @@ DOT_ONLY = {("sim", "<module>"), ("sim", "simulate"), ("sim", "_rk4_maps"), ("si
 # matmul, dot, convolve or correlate.
 NO_BLAS = {
     ("riccati", "solve_care"), ("riccati", "solve_lyapunov"), ("riccati", "care_residual"),
-    ("riccati", "_initial_stabilizing_gain"), ("riccati", "_symmetric_eigenvalues"),
+    ("riccati", "_initial_stabilizing_gain"), ("riccati", "_semidefinite"),
     ("riccati", "_closed_loop"), ("riccati", "_gain_row"),
     ("lti", "_faddeev_leverrier"), ("lti", "char_poly"), ("lti", "ss_to_tf"),
     ("lti", "from_roots"), ("lti", "lu_factor"), ("lti", "lu_solve"),

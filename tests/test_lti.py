@@ -345,9 +345,7 @@ class TestSsToTf:
             if num_deg == 0:
                 num = Polynomial([rng.uniform(0.5, 3.0)])
             else:
-                num = Polynomial.from_roots(
-                    random_stable_poles(rng, num_deg), leading=rng.uniform(0.5, 3.0)
-                )
+                num = Polynomial.from_roots(random_stable_poles(rng, num_deg)).scaled(rng.uniform(0.5, 3.0))
             g = TransferFunction(num, den)
             back = ss_to_tf(tf_to_ss(g)).normalized()
             ref = g.normalized()

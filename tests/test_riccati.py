@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regforge import riccati
+from regforge.cli import main
 from regforge.errors import CareConvergenceError, NumericalError, ValidationError
 from regforge.lti import char_poly, is_hurwitz, tf_to_ss
 from regforge.plant import (
@@ -22,13 +24,15 @@ from regforge.plant import (
 from regforge.riccati import (
     PSD_TOLERANCE,
     CostWeights,
-    _symmetric_eigenvalues,
+    _semidefinite,
     care_residual,
     solve_care,
     solve_lyapunov,
 )
 
 from oracles import care_2x2_bruteforce, random_controllable_siso, random_q_diag, scalar_care
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 PLANT_A = np.array([[-2.5, -1.0], [1.0, 0.0]])
 PLANT_B = np.array([[1.0], [0.0]])
@@ -122,6 +126,8 @@ def symmetric_matrices(draw):
 
 @pytest.mark.filterwarnings("error")
 class TestSymmetricEigenvalues:
+    """`_semidefinite` against the smallest eigenvalue of the symmetric spectrum."""
+
     @settings(max_examples=300, deadline=None)
     @example(("diagonal", np.eye(4)))
     @example(("tiny-off", np.array([[1.0, 0.5, 1e-300], [0.5, 2.0, 1e-160], [1e-300, 1e-160, 3.0]])))
@@ -129,26 +135,38 @@ class TestSymmetricEigenvalues:
     @given(symmetric_matrices())
     def test_matches_eigvalsh(self, case):
         kind, m = case
-        got = np.sort(_symmetric_eigenvalues(m.tolist()))
-        if kind == "diagonal":
-            assert got.tobytes() == np.sort(np.diag(m)).tobytes()
-        else:
-            peak = np.max(np.abs(m))
-            npt.assert_allclose(got, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-13 * peak)
+        lowest = np.diag(m).min() if kind == "diagonal" else np.linalg.eigvalsh(m).min()
+        # Both the elimination and eigvalsh are backward stable: each answers
+        # for a matrix within a few n * eps * max|m_ij| of M, so a smallest
+        # eigenvalue that close to -PSD_TOLERANCE may fall either way.
+        n = len(m)
+        band = 8.0 * n * n * np.finfo(float).eps * np.max(np.abs(m))
+        if abs(lowest + PSD_TOLERANCE) <= band:
+            return
+        assert _semidefinite(m.tolist()) is bool(lowest >= -PSD_TOLERANCE)
 
-    def test_sweep_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(riccati, "JACOBI_MAX_SWEEPS", 0)
-        with pytest.raises(NumericalError, match="did not converge"):
-            _symmetric_eigenvalues([[2.0, 1.0], [1.0, 2.0]])
-        assert _symmetric_eigenvalues([[3.0, 0.0], [0.0, 3.0]]) == [3.0, 3.0]
+    def test_non_finite_input_rejected(self):
+        nan, inf = math.nan, math.inf
+        for m in ([[1.0, nan], [nan, 1.0]], [[nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, nan]],
+                  [[1.0, 0.0], [0.0, inf]], [[nan, 0.0], [0.0, inf]]):
+            assert _semidefinite(m) is False
 
-    def test_non_finite_input_raises(self):
-        with pytest.raises(NumericalError):
-            _symmetric_eigenvalues([[1.0, math.nan], [math.nan, 1.0]])
+    # The test is strict: M + PSD_TOLERANCE * I must be positive definite. The
+    # shift lifts a zero pivot of a singular M, and a pivot of exactly zero fails.
+    @pytest.mark.parametrize("m, semidefinite", [
+        ([], True),
+        ([[0.0] * 3] * 3, True),
+        ([[1.0, 1.0], [1.0, 1.0]], True),
+        ([[2.0, 0.0], [0.0, -0.5 * PSD_TOLERANCE]], True),
+        ([[2.0, 0.0], [0.0, -PSD_TOLERANCE]], False),
+        ([[-PSD_TOLERANCE]], False),
+    ], ids=["0x0", "zero-3x3", "ones-2x2", "half-tolerance", "at-tolerance", "1x1-at-tolerance"])
+    def test_boundary(self, m, semidefinite):
+        assert _semidefinite(m) is semidefinite
 
     # PSD_TOLERANCE is 1e-9: an eigenvalue of -5e-10 is accepted, -2e-9 is not.
     # A diagonal goes through CostWeights; a rotated matrix, whose check now
-    # guards only the Riccati solution P, goes through the Jacobi spectrum.
+    # guards only the Riccati solution P, goes through `_semidefinite`.
     @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
     @pytest.mark.parametrize(
         "spectrum",
@@ -157,7 +175,7 @@ class TestSymmetricEigenvalues:
     )
     def test_near_singular_q_accepted(self, spectrum, rotate):
         if rotate:
-            assert min(_symmetric_eigenvalues(_rotated(spectrum, seed=len(spectrum)).tolist())) >= -PSD_TOLERANCE
+            assert _semidefinite(_rotated(spectrum, seed=len(spectrum)).tolist())
         else:
             CostWeights(spectrum, 1.0)
 
@@ -169,7 +187,7 @@ class TestSymmetricEigenvalues:
     )
     def test_indefinite_q_rejected(self, spectrum, rotate):
         if rotate:
-            assert min(_symmetric_eigenvalues(_rotated(spectrum, seed=len(spectrum)).tolist())) < -PSD_TOLERANCE
+            assert not _semidefinite(_rotated(spectrum, seed=len(spectrum)).tolist())
         else:
             with pytest.raises(ValidationError, match="Q must be positive semidefinite"):
                 CostWeights(spectrum, 1.0)
@@ -228,6 +246,17 @@ class TestLyapunov:
 
 
 class TestSolveCare:
+    def test_indefinite_solution_rejected(self, monkeypatch, capsys, tmp_path):
+        # The paper-lqr P has eigenvalues 0.648 and 5.116: with the tolerance
+        # at -1.0 the check asks for P - I > 0, which it fails.
+        monkeypatch.setattr(riccati, "PSD_TOLERANCE", -1.0)
+        monkeypatch.setenv("REGFORGE_OUT", str(tmp_path))
+        plant = tf_to_ss(preset_tf("paper-rounded"))
+        with pytest.raises(NumericalError, match="^Riccati solution is not positive semidefinite$"):
+            solve_care(plant.a, plant.b, CostWeights([3.0, 3.0], 5.0))
+        assert main(["synthesize", "--scenario", str(SCENARIOS / "paper-lqr.cfg")]) == 2
+        assert capsys.readouterr().err == "numerical failure: Riccati solution is not positive semidefinite\n"
+
     def test_scalar_analytic(self):
         sol = solve_care(np.array([[-1.0]]), np.array([[1.0]]), CostWeights([1.0], 1.0))
         assert sol.p[0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-12)

@@ -206,6 +206,32 @@ class TestScenario:
             load_scenario(write(tmp_path, "s.cfg", text))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("lines,message", [
+        ("controller.type = observer\ncontroller.q_diag = 1 1\ncontroller.r = 1\ncontroller.h = 1 2 3\n",
+         "controller.h: expected 2 entries, one per plant state, got 3"),
+        ("controller.type = observer\ncontroller.q_diag = 1 1\ncontroller.r = 1\ncontroller.h = inf 0\n",
+         "controller.h: observer gain must be finite"),
+        ("controller.type = observer\ncontroller.q_diag = 1 1\ncontroller.r = 1\ncontroller.h = nan 0\n",
+         "controller.h: observer gain must be finite"),
+        ("controller.type = lqr\ncontroller.q_diag = 1 1 1\ncontroller.r = 1\n",
+         "controller.q_diag: expected 2 entries, one per plant state, got 3"),
+        ("controller.type = observer\ncontroller.q_diag = 1\ncontroller.r = 1\ncontroller.h = 2 -0.5\n",
+         "controller.q_diag: expected 2 entries, one per plant state, got 1"),
+        ("controller.type = lqr\ncontroller.q_diag = 1 1\ncontroller.r = 1\nreference = nan\n",
+         "reference: must be finite, got nan"),
+        ("controller.type = lqr\ncontroller.q_diag = 1 1\ncontroller.r = 1\nreference = inf\n",
+         "reference: must be finite, got inf"),
+        ("controller.type = ss\ncontroller.a = -1\ncontroller.b = 1\ncontroller.c = 1\nreference = -inf\n",
+         "reference: must be finite, got -inf"),
+    ], ids=["h-long", "h-inf", "h-nan", "q-long", "q-short", "reference-nan", "reference-inf",
+            "ss-reference-inf"])
+    def test_controller_values_checked_at_load(self, tmp_path, lines, message):
+        # Each of these used to fail only after synthesis or the run, naming
+        # no key, or (a non-finite reference under synthesize) not at all.
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(write(tmp_path, "s.cfg", f"plant.preset = exact\n{lines}"))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("kind,line", [
         ("lqr", "controller.h = 2 -0.5"),
         ("lqr", "controller.convention = paper-numeric"),
