@@ -53,6 +53,8 @@ __all__ = [
     "Polynomial",
     "TransferFunction",
     "StateSpaceModel",
+    "as_gain_row",
+    "as_gain_col",
     "tf_to_ss",
     "ss_to_tf",
     "tf_series",
@@ -273,9 +275,13 @@ class TransferFunction:
         return self.num.degree <= self.den.degree
 
     def normalized(self) -> "TransferFunction":
-        """Equivalent form with a monic denominator."""
+        """Equivalent form with a monic denominator; dividing by a tiny leading coefficient may overflow."""
         lead = self.den.coeffs[0]
-        return TransferFunction(self.num.scaled(1.0 / lead), self.den.monic())
+        try:
+            return TransferFunction(self.num.scaled(1.0 / lead), self.den.monic())
+        except ValidationError:  # a finite polynomial divided by lead came out non-finite
+            msg = f"normalizing by the leading denominator coefficient {lead!r} overflows"
+            raise ValidationError(msg) from None
 
     def __str__(self) -> str:
         return f"({self.num}) / ({self.den})"
@@ -335,6 +341,26 @@ class StateSpaceModel:
     @property
     def n_states(self) -> int:
         return self.a.shape[0]
+
+
+def as_gain_row(k, n: int) -> np.ndarray:
+    """A state-feedback gain K for an n-state model as a 1 x n array; a 1-D K is a row, as C is."""
+    k = np.asarray(k, dtype=float)
+    if k.ndim == 1:
+        k = k.reshape(1, -1)
+    if k.shape != (1, n):
+        raise ValidationError(f"state-feedback gain must be 1x{n}, got {k.shape}")
+    return k
+
+
+def as_gain_col(h, n: int) -> np.ndarray:
+    """An observer gain H for an n-state model, as an n x 1 array; a 1-D H is a column, as B is."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim == 1:
+        h = h.reshape(-1, 1)
+    if h.shape != (n, 1):
+        raise ValidationError(f"observer gain must be {n}x1, got {h.shape}")
+    return h
 
 
 def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:

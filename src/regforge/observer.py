@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lti import Polynomial, StateSpaceModel, char_poly, is_hurwitz, lu_factor, lu_solve, ordered_dot
+from .lti import Polynomial, StateSpaceModel, as_gain_col, as_gain_row, char_poly, is_hurwitz
+from .lti import lu_factor, lu_solve, ordered_dot
 
 __all__ = [
     "CONVENTIONS",
@@ -60,24 +61,6 @@ class ObserverBasedController:
     audit: ObserverAudit
 
 
-def _as_gain_row(k, n: int) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    if k.ndim == 1:
-        k = k.reshape(1, -1)
-    if k.shape != (1, n):
-        raise ValidationError(f"state-feedback gain must be 1x{n}, got {k.shape}")
-    return k
-
-
-def _as_gain_col(h, n: int) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.ndim == 1:
-        h = h.reshape(-1, 1)
-    if h.shape != (n, 1):
-        raise ValidationError(f"observer gain must be {n}x1, got {h.shape}")
-    return h
-
-
 def build_observer_controller(plant: StateSpaceModel, k, h, convention: str) -> ObserverBasedController:
     """Assemble the compensator for a strictly proper SISO plant.
 
@@ -90,8 +73,8 @@ def build_observer_controller(plant: StateSpaceModel, k, h, convention: str) -> 
     if convention not in CONVENTIONS:
         raise ValidationError(f"unknown convention {convention!r}; choose one of {CONVENTIONS}")
     n = plant.n_states
-    k = _as_gain_row(k, n)
-    h = _as_gain_col(h, n)
+    k = as_gain_row(k, n)
+    h = as_gain_col(h, n)
     a, b, c = plant.a, plant.b, plant.c
     bk, hc = b @ k, h @ c
     a_c = a - bk - hc
@@ -190,8 +173,8 @@ def luenberger_loop(
     if plant.d[0, 0] != 0.0:
         raise ValidationError("plants with direct feedthrough are unsupported")
     n = plant.n_states
-    k = _as_gain_row(k, n)
-    h = _as_gain_col(h, n)
+    k = as_gain_row(k, n)
+    h = as_gain_col(h, n)
     a, b, c = plant.a, plant.b, plant.c
     bn = float(reference_gain) * b
     bk, hc = b @ k, h @ c

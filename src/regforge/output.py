@@ -23,7 +23,8 @@ raises ``ValidationError`` naming the file. The rows stream in chunks of
 whole. The spacing check is made there and nowhere else: ``TimeSeries``
 holds views of the arrays it is given and checks only that their lengths
 agree. ``column_step_metrics`` reads the step figures off the ``t`` and
-``y`` columns as they are. This module imports numpy in the functions that
+``y`` columns as they are, by the rules stated in ``regforge.steps``, with
+loops for the scans. This module imports numpy in the functions that
 use it, and ``sim`` for annotations only, so ``regforge metrics`` loads
 neither.
 
@@ -44,12 +45,11 @@ import itertools
 import math
 import os
 import stat
-import sys
 from array import array
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .steps import SETTLING_BAND, STEADY_STATE_FRACTION, StepMetrics
+from .steps import StepMetrics, step_figures
 
 if TYPE_CHECKING:  # annotations only: a CSV and its figures are read without numpy
     import numpy as np
@@ -57,7 +57,6 @@ if TYPE_CHECKING:  # annotations only: a CSV and its figures are read without nu
     from .sim import ElectricalTrace, TimeSeries
 
 __all__ = [
-    "format_value",
     "open_artifact",
     "write_timeseries_csv",
     "read_csv_columns",
@@ -73,11 +72,6 @@ CSV_CHUNK_ROWS = 4096
 # stay small enough for the allocator to reuse their memory chunk after chunk.
 CSV_READ_ROWS = 1024
 _PALETTE = ("#1f6fb4", "#d94f30", "#3a9648", "#8450a8", "#b58900", "#3c3c3c")
-
-
-def format_value(x: float) -> str:
-    """Canonical cell format: 9 significant digits."""
-    return f"{x:.9g}"
 
 
 def open_artifact(path):
@@ -108,9 +102,8 @@ def write_timeseries_csv(path, ts: TimeSeries, electrical: ElectricalTrace | Non
             raise ValidationError("electrical trace does not match the trajectory length")
         header += ["i_a", "e_g", "p_out", "p_in"]
         columns += [electrical.i_a, electrical.e_g, electrical.p_out, electrical.p_in]
-    # The row template formats exactly like format_value per cell; each chunk
-    # is one % over the template repeated per row, so no full copy of the
-    # table is held as text.
+    # Each cell is formatted "%.9g"; each chunk is one % over the row
+    # template repeated per row, so no full copy of the table is held as text.
     template = ",".join(["%.9g"] * len(columns)) + "\n"
     table = np.column_stack(columns)
     with open_artifact(path) as fh:
@@ -197,52 +190,25 @@ def _check_spacing(path, times: array) -> None:
 
 
 def column_step_metrics(times, outputs) -> StepMetrics:
-    """`sim.step_metrics` of a series given as float sequences, on Python floats.
+    """`sim.step_metrics` of a series given as float sequences, with loops for its scans.
 
-    The series is taken as a run that did not diverge: a CSV carries no
-    such flag. The rules are `sim`'s, and every operation is the same, so
-    the figures are `step_metrics`'s to the bit: the tail is summed in
-    numpy's pairwise order (`_pairwise_sum`).
+    The run is taken as not diverged: a CSV carries no such flag. Each scan
+    gives numpy's result, the tail sum too (`_pairwise_sum`), so the figures
+    are `step_metrics`'s to the bit.
     """
     y, n = outputs, len(outputs)
-    if n < 100:
-        raise ValidationError(f"need at least 100 samples for metrics, got {n}")
-    # numpy's max and min are NaN when any sample is; Python's skip a NaN
-    # that is not the first.
-    if any(map(math.isnan, y)):
-        y_max = y_min = math.nan
-    else:
-        y_max, y_min = max(y), min(y)
-    peak = max(y_max, -y_min)
-    if peak == 0.0:
-        return StepMetrics(0.0, 0.0, 0.0, 0.0, settled=True, degenerate=True)
 
-    tail = max(1, int(round(STEADY_STATE_FRACTION * n)))
-    ss_value = _pairwise_sum(y, n - tail, tail) / tail
-    if abs(ss_value) <= sys.float_info.epsilon * peak < math.inf or ss_value == 0.0:
-        return StepMetrics(0.0, 0.0, None, None, settled=False)
+    def extremes():
+        # numpy's max and min are NaN when any sample is; Python's skip a NaN that is not the first.
+        return (math.nan, math.nan) if any(map(math.isnan, y)) else (max(y), min(y))
 
-    peak_along = y_max if ss_value > 0.0 else -y_min
-    overshoot = 100.0 * (peak_along - abs(ss_value)) / abs(ss_value)
-    overshoot = 0.0 if overshoot <= 0.0 else overshoot
+    def scan(ss: float, band: float):
+        last_out = next((i for i in range(n - 1, -1, -1) if not abs(y[i] - ss) <= band), -1)
+        i90 = next((i for i, v in enumerate(y) if v / ss >= 0.9), None)
+        i10 = None if i90 is None else next(i for i, v in enumerate(y) if v / ss >= 0.1)
+        return last_out, i90, i10
 
-    band = SETTLING_BAND * abs(ss_value)
-    last_out = next((i for i in range(n - 1, -1, -1) if not abs(y[i] - ss_value) <= band), -1)
-    if last_out < 0:
-        settling: float | None = 0.0
-        settled = True
-    elif last_out == n - 1:
-        settling, settled = None, False
-    else:
-        settling, settled = times[last_out + 1], True
-
-    rise: float | None = None
-    i90 = next((i for i, v in enumerate(y) if v / ss_value >= 0.9), None)
-    if i90 is not None:
-        i10 = next(i for i, v in enumerate(y) if v / ss_value >= 0.1)
-        rise = times[i90] - times[i10]
-
-    return StepMetrics(ss_value, overshoot, settling, rise, settled=settled)
+    return step_figures(times, extremes, lambda lo: _pairwise_sum(y, lo, n - lo), scan)
 
 
 def _pairwise_sum(x, lo: int, n: int) -> float:

@@ -95,7 +95,7 @@ def _semidefinite(m: list[list[float]]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostWeights:
     """State weight Q = diag(q_diag) (q_diag >= 0) and input weight R = [[r]] (r > 0).
 

@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .lti import (
+    Polynomial,
     StateSpaceModel,
     TransferFunction,
     char_poly,
@@ -167,6 +168,14 @@ def _required(mapping, key: str) -> str:
     return mapping.pop(key)
 
 
+def _keyed(key: str, build, *args):
+    """``build(*args)``, a ValidationError it raises prefixed with the scenario key at fault."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{key}: {exc}") from None
+
+
 def _optional_float(mapping, key: str, default: float | None) -> float | None:
     """Take an optional number out of `mapping`, or `default` when it is absent."""
     return _parse_float(key, mapping.pop(key)) if key in mapping else default
@@ -265,9 +274,10 @@ def _resolve_plant(mapping):
         tf = physical_plant_tf(params)
         return tf_to_ss(tf), tf, params, None
     if "tf" in sources:
-        num, den = (_required(mapping, key) for key in ("plant.tf.num", "plant.tf.den"))
-        tf = TransferFunction(_parse_vector("plant.tf.num", num), _parse_vector("plant.tf.den", den))
-        return tf_to_ss(tf), tf, None, None
+        num, den = (_parse_vector(key, _required(mapping, key)) for key in ("plant.tf.num", "plant.tf.den"))
+        tf = _keyed("plant.tf.den", TransferFunction, _keyed("plant.tf.num", Polynomial, num), den)
+        # An improper pair is the numerator's fault, an overflowing normalization the denominator's.
+        return _keyed("plant.tf.den" if tf.is_proper else "plant.tf.num", tf_to_ss, tf), tf, None, None
     if "ss" in sources:
         model = _parse_ss(mapping, "plant.ss.")
         return model, ss_to_tf(model), None, None
@@ -285,10 +295,7 @@ def _resolve_controller(mapping) -> ControllerSpec:
         # Each weight is checked on its own (r = 1 beside q_diag, no q beside r),
         # so a bad one exits 1 naming its key before any synthesis.
         for key, weights in (("controller.q_diag", (q_diag, 1.0)), ("controller.r", ((), r))):
-            try:
-                CostWeights(*weights)
-            except ValidationError as exc:
-                raise ValidationError(f"{key}: {exc}") from None
+            _keyed(key, CostWeights, *weights)
         if kind == "lqr":
             return ControllerSpec(kind="lqr", q_diag=q_diag, r=r)
         h = _parse_vector("controller.h", _required(mapping, "controller.h"))
@@ -347,10 +354,7 @@ def load_scenario(path) -> Scenario:
     # amplitude as steam inflow; an inflow that report refuses fails here, before the run.
     plant_params = plant[2]
     if controller.kind == "none" and plant_params is not None:
-        try:
-            steady_state_report(plant_params, sim.input_amplitude)
-        except ValidationError as exc:
-            raise ValidationError(f"sim.amplitude: {exc}") from None
+        _keyed("sim.amplitude", steady_state_report, plant_params, sim.input_amplitude)
 
     outputs = (
         tuple(mapping.pop("outputs").replace(",", " ").split()) if "outputs" in mapping else DEFAULT_OUTPUTS

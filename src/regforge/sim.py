@@ -51,23 +51,11 @@ use min and max, which allocate nothing, and `TimeSeries` keeps views of
 the arrays it is given. A truncated run returns copies of the samples it
 kept instead, so it does not hold the rest of the horizon's buffers.
 
-The settling band used everywhere is +/-2 % of the steady-state value
-(declared in all outputs so published settling figures are compared
-like-for-like). Steady state is the mean of the final 5 % of samples.
-A non-finite sample lies outside every band, so a NaN steady state (a
-NaN in the tail) leaves the series unsettled, and a NaN or inf anywhere
-ends the settling no earlier than the sample after it. A NaN sample makes
-the overshoot NaN. A steady state within rounding of zero against a finite
-peak (|ss| <= eps * peak), or exactly zero, counts as zero and unsettled;
-against an infinite peak a nonzero one stands. `step_metrics` applies these
-rules to numpy arrays, under an errstate that ignores invalid values and
-overflow (about 1 us a call), so an inf in the tail raises no warning;
-`output.column_step_metrics` applies them to the float columns of a CSV
-readback, for `regforge metrics`, without numpy, and takes every run as
-not diverged, as a CSV carries no such flag. It sums the tail in numpy's
-pairwise order, not in index order, so the two give the same bits: a tail
-sum a few ulps off moves the printed overshoot of a response that barely
-passes its steady state.
+`step_metrics` reads the step figures of a run by the rules stated once, in
+`regforge.steps`. It makes only the scans, on numpy arrays, under an
+errstate that ignores invalid values and overflow (about 1 us a call), so
+an inf in the tail raises no warning; `output.column_step_metrics` makes
+the same scans with loops, on the float columns of a CSV readback.
 
 A bare state-feedback regulator drives its output to zero, not to a
 voltage target, so tracking loops take an explicit reference prescaler
@@ -86,8 +74,8 @@ from typing import TYPE_CHECKING, ClassVar
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .lti import StateSpaceModel, lu_factor, lu_solve, ordered_dot
-from .steps import SETTLING_BAND, STEADY_STATE_FRACTION, StepMetrics
+from .lti import StateSpaceModel, as_gain_row, lu_factor, lu_solve, ordered_dot
+from .steps import StepMetrics, step_figures
 
 if TYPE_CHECKING:
     from .plant import PlantParams
@@ -339,56 +327,27 @@ def _truncated(z: np.ndarray, outputs: np.ndarray, u: float, dt: float, samples:
 # then hold inf - inf or inf / inf; the figures carry the NaN without a warning.
 @np.errstate(over="ignore", invalid="ignore")
 def step_metrics(ts: TimeSeries) -> StepMetrics:
-    """Steady state, overshoot, settling, and rise figures for a step run."""
+    """Steady state, overshoot, settling, and rise figures for a step run.
+
+    `steps.step_figures` with numpy's scans: min and max allocate nothing,
+    and the one full-length temporary holds |y - ss|, then y / ss.
+    """
     y = ts.outputs
-    t = ts.times
-    if len(y) < 100:
-        raise ValidationError(f"need at least 100 samples for metrics, got {len(y)}")
-    # The extremes come from min and max, which allocate nothing; the one
-    # full-length temporary is `dev`.
-    y_max, y_min = float(y.max()), float(y.min())
-    peak = max(y_max, -y_min)
-    if peak == 0.0:
-        return StepMetrics(0.0, 0.0, 0.0, 0.0, settled=True, degenerate=True)
 
-    tail = max(1, int(round(STEADY_STATE_FRACTION * len(y))))
-    # The bits of y[-tail:].mean(), at a third of its call cost.
-    ss_value = float(y[-tail:].sum()) / tail
-    # A steady state lost in rounding against a finite peak counts as zero:
-    # normalizing by it would overflow. An exact zero counts as zero against any peak.
-    if abs(ss_value) <= np.finfo(float).eps * peak < math.inf or ss_value == 0.0:
-        return StepMetrics(0.0, 0.0, None, None, settled=False)
+    def scan(ss: float, band: float):
+        dev = np.subtract(y, ss)
+        inside = np.abs(dev, out=dev) <= band
+        last_out = len(y) - 1 - int(inside[::-1].argmin())
+        last_out = -1 if inside[last_out] else last_out
+        yn = np.divide(y, ss, out=dev)
+        i90 = int(np.greater_equal(yn, 0.9, out=inside).argmax())
+        if not inside[i90]:
+            return last_out, None, None
+        return last_out, i90, int(np.greater_equal(yn, 0.1, out=inside).argmax())
 
-    # Overshoot is the peak beyond the steady state, in its direction; a NaN
-    # peak makes it NaN.
-    peak_along = y_max if ss_value > 0.0 else -y_min
-    overshoot = 100.0 * (peak_along - abs(ss_value)) / abs(ss_value)
-    overshoot = 0.0 if overshoot <= 0.0 else overshoot
-
-    band = SETTLING_BAND * abs(ss_value)
-    dev = np.subtract(y, ss_value)
-    # Written so that a non-finite sample lies outside the band.
-    inside = np.abs(dev, out=dev) <= band
-    # The last sample outside the band; none is outside when even it is in.
-    last_out = len(y) - 1 - int(inside[::-1].argmin())
-    if inside[last_out]:
-        settling: float | None = 0.0
-        settled = True
-    elif last_out == len(y) - 1 or ts.diverged:
-        settling, settled = None, False
-    else:
-        settling, settled = float(t[last_out + 1]), True
-
-    # First samples at 10 % and 90 % of the steady state; reaching 90 %
-    # implies reaching 10 %.
-    yn = np.divide(y, ss_value, out=dev)
-    rise: float | None = None
-    i90 = int(np.greater_equal(yn, 0.9, out=inside).argmax())
-    if inside[i90]:
-        i10 = int(np.greater_equal(yn, 0.1, out=inside).argmax())
-        rise = float(t[i90] - t[i10])
-
-    return StepMetrics(ss_value, overshoot, settling, rise, settled=settled)
+    # The tail's sum, which `steps` divides: the bits of mean(), at a third of its call cost.
+    return step_figures(ts.times, lambda: (float(y.max()), float(y.min())),
+                        lambda lo: float(y[lo:].sum()), scan, ts.diverged)
 
 
 # A diverged run's samples may be huge or inf; the traces carry them as they come.
@@ -425,9 +384,7 @@ def reference_prescaler(plant: StateSpaceModel, k) -> float:
     would be rounding noise.
     """
     b = plant.b[:, 0].tolist()
-    k = np.asarray(k, dtype=float).reshape(-1).tolist()
-    if len(k) != len(b):
-        raise ValidationError(f"state-feedback gain must have {len(b)} entries, got {len(k)}")
+    k = as_gain_row(k, len(b))[0].tolist()
     # -(A - BK), each entry of BK one product, on Python floats.
     lu, perm, rank = lu_factor(
         [[-(a_ij - b_i * k_j) for a_ij, k_j in zip(row, k)] for row, b_i in zip(plant.a.tolist(), b)]
@@ -444,7 +401,7 @@ def reference_prescaler(plant: StateSpaceModel, k) -> float:
 
 def state_feedback_loop(plant: StateSpaceModel, k, reference_gain: float = 1.0) -> StateSpaceModel:
     """Full-state-feedback loop u = reference_gain * r - K x."""
-    k = np.atleast_2d(np.asarray(k, dtype=float))
+    k = as_gain_row(k, plant.n_states)
     return StateSpaceModel(
         plant.a - plant.b @ k, float(reference_gain) * plant.b, plant.c, plant.d
     )

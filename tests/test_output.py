@@ -16,7 +16,6 @@ from regforge.output import (
     CSV_CHUNK_ROWS,
     CSV_READ_ROWS,
     MAX_SVG_POINTS,
-    format_value,
     line_chart_svg,
     open_artifact,
     read_csv_columns,
@@ -56,11 +55,20 @@ def sample_series(duration=0.5):
     return simulate(ss, SimConfig(dt=1e-3, duration=duration))
 
 
+def format_value(x: float) -> str:
+    """The CSV cell format: 9 significant digits."""
+    return f"{x:.9g}"
+
+
 class TestFormat:
-    def test_nine_significant_digits(self):
-        assert format_value(91.42857142857143) == "91.4285714"
-        assert format_value(0.0) == "0"
-        assert format_value(1.0 / 3.0) == "0.333333333"
+    def test_nine_significant_digits(self, tmp_path):
+        n = 3
+        series = TimeSeries(times=np.arange(n) * 1e-3, inputs=np.zeros(n),
+                            outputs=np.array([91.42857142857143, 0.0, 1.0 / 3.0]), states=np.zeros((n, 0)))
+        path = tmp_path / "run.csv"
+        write_timeseries_csv(path, series)
+        cells = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+        assert cells == ["91.4285714", "0", "0.333333333"]
 
 
 class TestCsv:

@@ -56,6 +56,12 @@ class TestCostWeights:
         with pytest.raises(ValidationError, match="1-D diagonal of Q and a scalar R"):
             CostWeights(q_diag, r)
 
+    def test_compared_and_hashed_by_identity(self):
+        # array fields: a field-wise == raised on an ambiguous truth value, and hash() on an unhashable array
+        w = CostWeights([1.0, 2.0], 1.0)
+        assert w == w and w != CostWeights([1.0, 2.0], 1.0)
+        assert hash(w) == hash(w) and {w: 1}[w] == 1
+
     def test_indefinite_r_rejected(self):
         with pytest.raises(ValidationError):
             CostWeights([1.0, 1.0], -1.0)

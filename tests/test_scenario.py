@@ -206,6 +206,20 @@ class TestScenario:
             load_scenario(write(tmp_path, "s.cfg", text))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("num,den,message", [
+        ("inf", "1 1", "plant.tf.num: polynomial coefficients must be finite"),
+        ("1", "1 nan", "plant.tf.den: polynomial coefficients must be finite"),
+        # every coefficient is finite, but 1 / 1e-320 is not
+        ("1", "1e-320 1", "plant.tf.den: normalizing by the leading denominator coefficient 1e-320 overflows"),
+        ("1e300", "1e-10 1", "plant.tf.den: normalizing by the leading denominator coefficient 1e-10 overflows"),
+        ("1", "0 0", "plant.tf.den: transfer function denominator is identically zero"),
+        ("1 2 3", "1 1", "plant.tf.num: improper transfer function (deg num > deg den) is unsupported"),
+    ])
+    def test_transfer_function_errors_name_their_key(self, tmp_path, num, den, message):
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(write(tmp_path, "s.cfg", f"plant.tf.num = {num}\nplant.tf.den = {den}\n"))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("lines,message", [
         ("controller.type = observer\ncontroller.q_diag = 1 1\ncontroller.r = 1\ncontroller.h = 1 2 3\n",
          "controller.h: expected 2 entries, one per plant state, got 3"),

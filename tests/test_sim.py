@@ -1143,8 +1143,20 @@ class TestClosedLoop:
 
     def test_prescaler_rejects_a_gain_of_the_wrong_length(self):
         plant = tf_to_ss(rounded_plant_tf())
-        with pytest.raises(ValidationError, match="must have 2 entries, got 3"):
+        with pytest.raises(ValidationError, match=r"must be 1x2, got \(1, 3\)"):
             reference_prescaler(plant, np.ones((1, 3)))
+
+    @pytest.mark.parametrize("k", [[1.0], [1.0, 2.0, 3.0], [[1.0], [2.0]], np.ones((2, 2))])
+    def test_state_feedback_loop_rejects_a_gain_of_the_wrong_shape(self, k):
+        # a 1-entry K was broadcast over both states; the others raised numpy's ValueError
+        plant = tf_to_ss(rounded_plant_tf())
+        with pytest.raises(ValidationError, match="state-feedback gain must be 1x2"):
+            state_feedback_loop(plant, k)
+
+    def test_state_feedback_loop_takes_a_1d_gain_as_a_row(self):
+        plant = tf_to_ss(rounded_plant_tf())
+        row = state_feedback_loop(plant, K_LOW[0].tolist())
+        npt.assert_array_equal(row.a, state_feedback_loop(plant, K_LOW).a)
 
     def test_prescaler_rejects_rounded_zero_dc_gain(self):
         # the plant zero at the origin makes C (-(A-BK))^-1 B vanish; in
