@@ -16,6 +16,20 @@ no spectrum: `riccati` decides it from the pivots of one elimination. All
 systems in this toolkit are small (n <= 6), where these methods are exact
 up to rounding.
 
+Every model is single-input, single-output, and every design and loop
+entry point (`StateSpaceModel`, `char_poly`, `riccati.solve_care`, the
+`observer` builders, `sim.state_feedback_loop` and
+`sim.reference_prescaler`) checks its matrices through the private helpers
+here, so each rule is written once: A is square (`_square`); B and an
+observer gain H are n x 1 (`_column`, a scalar or 1-D input is the
+column); C, a state-feedback gain K and D are 1 x n, 1 x n and 1 x 1
+(`_row`, a scalar or 1-D input is the row). A shape fault raises
+ValidationError in one form, "B must be 2x1, got (2, 2)". The LQR,
+observer and prescaler chain assumes a strictly proper plant, y = Cx:
+`_strictly_proper` rejects D != 0 with "plants with direct feedthrough are
+unsupported". `tf_to_ss`, `ss_to_tf` and `feedback_interconnect` carry
+any D.
+
 Python floats are the one number representation inside; numpy arrays stay
 at the edges (the matrices of `StateSpaceModel` and `char_poly`, the roots
 `eigenvalues` returns). `Polynomial.coeffs` is a tuple of floats, and the
@@ -53,8 +67,6 @@ __all__ = [
     "Polynomial",
     "TransferFunction",
     "StateSpaceModel",
-    "as_gain_row",
-    "as_gain_col",
     "tf_to_ss",
     "ss_to_tf",
     "tf_series",
@@ -291,12 +303,11 @@ class TransferFunction:
 class StateSpaceModel:
     """Dense real matrices (A, B, C, D) for x' = Ax + Bu, y = Cx + Du.
 
-    Every model is single-input single-output: B is n x 1, C is 1 x n and
-    D is 1 x 1, checked here once so that no consumer re-checks. A 1-D B
-    is taken as a column and a 1-D C as a row; D defaults to zero.
-    Zero-state models (n = 0) are allowed and represent static gains, so
-    pure-gain controllers flow through interconnections unchanged (see
-    `static_gain`).
+    The shapes follow the module's SISO contract, checked on construction
+    by the same helpers as every other entry point; every entry must also
+    be finite, and D defaults to zero. Zero-state models (n = 0) are
+    allowed and represent static gains, so pure-gain controllers flow
+    through interconnections unchanged (see `static_gain`).
     """
 
     a: np.ndarray
@@ -307,23 +318,10 @@ class StateSpaceModel:
     def __init__(self, a, b, c, d=None):
         # One copy of each matrix, owned by the model: later writes to the
         # arguments do not reach it.
-        a = np.array(a, dtype=float, ndmin=2)
-        b = np.array(b, dtype=float)
-        c = np.array(c, dtype=float)
-        if b.ndim == 1:
-            b = b.reshape(-1, 1)
-        if c.ndim == 1:
-            c = c.reshape(1, -1)
+        a = _square(a)
         n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValidationError(f"A must be square, got {a.shape}")
-        if b.shape != (n, 1):
-            raise ValidationError(f"B must be {n}x1, got {b.shape}")
-        if c.shape != (1, n):
-            raise ValidationError(f"C must be 1x{n}, got {c.shape}")
-        d = np.zeros((1, 1)) if d is None else np.array(d, dtype=float, ndmin=2)
-        if d.shape != (1, 1):
-            raise ValidationError(f"D must be 1x1, got {d.shape}")
+        b, c = _column(b, n, "B"), _row(c, n, "C")
+        d = _row(0.0 if d is None else d, 1, "D")
         for name, mat in (("A", a), ("B", b), ("C", c), ("D", d)):
             if not all(map(math.isfinite, mat.ravel().tolist())):
                 raise ValidationError(f"{name} contains non-finite entries")
@@ -343,24 +341,38 @@ class StateSpaceModel:
         return self.a.shape[0]
 
 
-def as_gain_row(k, n: int) -> np.ndarray:
-    """A state-feedback gain K for an n-state model as a 1 x n array; a 1-D K is a row, as C is."""
-    k = np.asarray(k, dtype=float)
-    if k.ndim == 1:
-        k = k.reshape(1, -1)
-    if k.shape != (1, n):
-        raise ValidationError(f"state-feedback gain must be 1x{n}, got {k.shape}")
-    return k
+def _square(a) -> np.ndarray:
+    """A copy of `a` as a square float array, at least 2-D (A)."""
+    a = np.array(a, dtype=float, ndmin=2)
+    if a.shape != (len(a), len(a)):
+        raise ValidationError(f"A must be square, got {a.shape}")
+    return a
 
 
-def as_gain_col(h, n: int) -> np.ndarray:
-    """An observer gain H for an n-state model, as an n x 1 array; a 1-D H is a column, as B is."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim == 1:
-        h = h.reshape(-1, 1)
-    if h.shape != (n, 1):
-        raise ValidationError(f"observer gain must be {n}x1, got {h.shape}")
-    return h
+def _row(x, n: int, name: str) -> np.ndarray:
+    """A copy of `x` as a 1 x n float array; a scalar or 1-D `x` is the row (C, K)."""
+    x = np.array(x, dtype=float, ndmin=1)
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
+    if x.shape != (1, n):
+        raise ValidationError(f"{name} must be 1x{n}, got {x.shape}")
+    return x
+
+
+def _column(x, n: int, name: str) -> np.ndarray:
+    """A copy of `x` as an n x 1 float array; a scalar or 1-D `x` is the column (B, H)."""
+    x = np.array(x, dtype=float, ndmin=1)
+    if x.ndim == 1:
+        x = x.reshape(-1, 1)
+    if x.shape != (n, 1):
+        raise ValidationError(f"{name} must be {n}x1, got {x.shape}")
+    return x
+
+
+def _strictly_proper(plant: StateSpaceModel) -> None:
+    """Reject a plant with D != 0: the design and loop builders assume y = Cx."""
+    if plant.d[0, 0] != 0.0:
+        raise ValidationError("plants with direct feedthrough are unsupported")
 
 
 def tf_to_ss(tf: TransferFunction) -> StateSpaceModel:
@@ -443,12 +455,9 @@ def _faddeev_leverrier(a: list[list[float]]) -> tuple[list[float], list[list[lis
 
 def char_poly(a: np.ndarray) -> Polynomial:
     """Monic characteristic polynomial det(sI - A) via Faddeev-LeVerrier."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0:
+    if np.size(a) == 0:
         return Polynomial([1.0])
-    if a.shape[0] != a.shape[1]:
-        raise ValidationError(f"char_poly needs a square matrix, got {a.shape}")
-    coeffs, _ = _faddeev_leverrier(a.tolist())
+    coeffs, _ = _faddeev_leverrier(_square(a).tolist())
     return Polynomial(coeffs)
 
 

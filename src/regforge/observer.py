@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .lti import Polynomial, StateSpaceModel, as_gain_col, as_gain_row, char_poly, is_hurwitz
-from .lti import lu_factor, lu_solve, ordered_dot
+from .lti import Polynomial, StateSpaceModel, char_poly, is_hurwitz, lu_factor, lu_solve, ordered_dot
+from .lti import _column, _row, _square, _strictly_proper
 
 __all__ = [
     "CONVENTIONS",
@@ -68,13 +68,11 @@ def build_observer_controller(plant: StateSpaceModel, k, h, convention: str) -> 
     convention table in the module docstring. The attached audit carries
     the Hurwitz verdicts of A - BK and A - HC.
     """
-    if plant.d[0, 0] != 0.0:
-        raise ValidationError("plants with direct feedthrough are unsupported")
+    _strictly_proper(plant)
     if convention not in CONVENTIONS:
         raise ValidationError(f"unknown convention {convention!r}; choose one of {CONVENTIONS}")
     n = plant.n_states
-    k = as_gain_row(k, n)
-    h = as_gain_col(h, n)
+    k, h = _row(k, n, "state-feedback gain"), _column(h, n, "observer gain")
     a, b, c = plant.a, plant.b, plant.c
     bk, hc = b @ k, h @ c
     a_c = a - bk - hc
@@ -105,13 +103,9 @@ def place_poles(a, b, desired) -> np.ndarray:
 
     Returns K as a 1 x n row matrix.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
+    a = _square(a)
     n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n, 1):
-        raise ValidationError("place_poles needs square A and a single-column B")
+    b = _column(b, n, "B")
     desired = np.atleast_1d(np.asarray(desired, dtype=complex))
     if desired.size != n:
         raise ValidationError(f"need exactly {n} desired poles, got {desired.size}")
@@ -150,11 +144,8 @@ def design_observer_gain(a, c, desired) -> np.ndarray:
 
     Returns H as an n x 1 column matrix.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    c = np.asarray(c, dtype=float)
-    if c.ndim == 1:
-        c = c.reshape(1, -1)
-    return place_poles(a.T, c.T, desired).T
+    a = _square(a)
+    return place_poles(a.T, _row(c, a.shape[0], "C").T, desired).T
 
 
 def luenberger_loop(
@@ -170,11 +161,9 @@ def luenberger_loop(
 
     State is [x_plant; x_hat], input r, output the plant output.
     """
-    if plant.d[0, 0] != 0.0:
-        raise ValidationError("plants with direct feedthrough are unsupported")
+    _strictly_proper(plant)
     n = plant.n_states
-    k = as_gain_row(k, n)
-    h = as_gain_col(h, n)
+    k, h = _row(k, n, "state-feedback gain"), _column(h, n, "observer gain")
     a, b, c = plant.a, plant.b, plant.c
     bn = float(reference_gain) * b
     bk, hc = b @ k, h @ c

@@ -8,9 +8,10 @@ byte-identical files and golden-file comparisons are meaningful.
 The reader accepts UTF-8 text, with or without a byte-order mark (as
 spreadsheet exports write it), whose first non-blank line is a header naming
 at least ``t``, ``u`` and ``y``, followed by one or more rows with exactly
-as many comma-separated cells as the header. Lines end at ``\\n``, ``\\r\\n``
-or ``\\r`` only, and lines holding only whitespace are skipped. A cell is
-stripped with ``str.strip()`` and parsed with ``float()``, which takes a
+as many comma-separated cells as the header. Lines end at ``\\n``,
+``\\r\\n`` or ``\\r`` only, and lines holding only whitespace are skipped.
+Each header name and each cell is stripped with ``str.strip()`` before the
+names are compared and the cells parsed with ``float()``, which takes a
 decimal or exponent float literal, or ``nan``, ``inf`` or ``infinity`` in
 any case and with either sign; a stripped cell holding ``_`` or a non-ASCII
 character is rejected, so underscore digit separators and non-ASCII digits,
@@ -24,9 +25,8 @@ whole. The spacing check is made there and nowhere else: ``TimeSeries``
 holds views of the arrays it is given and checks only that their lengths
 agree. ``column_step_metrics`` reads the step figures off the ``t`` and
 ``y`` columns as they are, by the rules stated in ``regforge.steps``, with
-loops for the scans. This module imports numpy in the functions that
-use it, and ``sim`` for annotations only, so ``regforge metrics`` loads
-neither.
+loops for the scans. This module imports numpy in the functions that use it,
+and ``sim`` for annotations only, so ``regforge metrics`` loads neither.
 
 Every artifact is written through ``open_artifact``, which replaces a
 regular file already at the path with a new file (truncating it in place
@@ -125,7 +125,7 @@ def read_csv_columns(path) -> dict[str, array]:
             header_line = next(lines, None)
             if header_line is None:
                 raise ValidationError(f"{path}: empty CSV")
-            header = header_line.rstrip("\n").split(",")
+            header = [name.strip() for name in header_line.split(",")]
             for name in header:
                 if header.count(name) > 1:
                     raise ValidationError(f"{path}: duplicate column {name!r}")

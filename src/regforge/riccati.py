@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CareConvergenceError, NumericalError, ValidationError
-from .lti import char_poly, is_hurwitz, lu_factor, lu_solve
+from .lti import _column, _square, char_poly, is_hurwitz, lu_factor, lu_solve
 from .observer import place_poles
 
 __all__ = [
@@ -256,13 +256,9 @@ def solve_care(a, b, weights: CostWeights) -> RiccatiSolution:
     converged P + PSD_TOLERANCE * I is not positive definite or A - BK
     fails the Hurwitz check.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
+    a = _square(a)
     n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n, 1):
-        raise ValidationError(f"A must be square and B must be {n}x1, got {a.shape} and {b.shape}")
+    b = _column(b, n, "B")
     q, r = weights.q, weights.r
     if q.shape != (n, n):
         raise ValidationError(f"Q must be {n}x{n}, got {q.shape}")

@@ -494,7 +494,7 @@ def run_scenario(scn: Scenario) -> ScenarioRun:
             _check_step(plant.a, is_hurwitz(char_poly(plant.a)), scn.sim.dt)
         series = simulate(plant, scn.sim)
         electrical = electrical_trace(scn.plant_params, series) if scn.plant_params else None
-        metrics = None if series.diverged else step_metrics(series)
+        metrics = None if series.diverged else _keyed("sim.duration", step_metrics, series)
         return ScenarioRun(scn, series, metrics, electrical=electrical)
     if scn.reference is None:
         raise ValidationError("closed-loop scenario needs a reference")
@@ -504,5 +504,5 @@ def run_scenario(scn: Scenario) -> ScenarioRun:
     _check_step(loop.model.a, loop.hurwitz, scn.sim.dt)
     cfg = replace(scn.sim, input_amplitude=scn.reference)
     series = simulate(loop.model, cfg, loop.x0)
-    metrics = None if series.diverged else step_metrics(series)
+    metrics = None if series.diverged else _keyed("sim.duration", step_metrics, series)
     return ScenarioRun(scn, series, metrics, loop=loop)

@@ -60,7 +60,8 @@ the same scans with loops, on the float columns of a CSV readback.
 A bare state-feedback regulator drives its output to zero, not to a
 voltage target, so tracking loops take an explicit reference prescaler
 N = 1 / (C (-(A-BK))^-1 B) ahead of the loop (`reference_prescaler`,
-`state_feedback_loop`).
+`state_feedback_loop`). Both take a strictly proper plant, as the
+observer builders do: `lti._strictly_proper` rejects D != 0.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from typing import TYPE_CHECKING, ClassVar
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .lti import StateSpaceModel, as_gain_row, lu_factor, lu_solve, ordered_dot
+from .lti import StateSpaceModel, _row, _strictly_proper, lu_factor, lu_solve, ordered_dot
 from .steps import StepMetrics, step_figures
 
 if TYPE_CHECKING:
@@ -376,15 +377,16 @@ def electrical_trace(p: PlantParams, ts: TimeSeries) -> ElectricalTrace:
 
 
 def reference_prescaler(plant: StateSpaceModel, k) -> float:
-    """Feedforward gain N = 1/(C (-(A-BK))^-1 B) making dc output equal r.
+    """Feedforward gain N = 1/(C (-(A-BK))^-1 B) making dc output equal r; D must be 0.
 
     The solve goes through `lti.lu_factor`; a zero pivot (a closed-loop
     pole at the origin) raises NumericalError. A dc gain within rounding of
     zero (relative to |C| |(-(A-BK))^-1 B|) counts as zero: its reciprocal
     would be rounding noise.
     """
+    _strictly_proper(plant)
     b = plant.b[:, 0].tolist()
-    k = as_gain_row(k, len(b))[0].tolist()
+    k = _row(k, len(b), "state-feedback gain")[0].tolist()
     # -(A - BK), each entry of BK one product, on Python floats.
     lu, perm, rank = lu_factor(
         [[-(a_ij - b_i * k_j) for a_ij, k_j in zip(row, k)] for row, b_i in zip(plant.a.tolist(), b)]
@@ -400,8 +402,7 @@ def reference_prescaler(plant: StateSpaceModel, k) -> float:
 
 
 def state_feedback_loop(plant: StateSpaceModel, k, reference_gain: float = 1.0) -> StateSpaceModel:
-    """Full-state-feedback loop u = reference_gain * r - K x."""
-    k = as_gain_row(k, plant.n_states)
-    return StateSpaceModel(
-        plant.a - plant.b @ k, float(reference_gain) * plant.b, plant.c, plant.d
-    )
+    """Full-state-feedback loop u = reference_gain * r - K x of a strictly proper plant."""
+    _strictly_proper(plant)
+    k = _row(k, plant.n_states, "state-feedback gain")
+    return StateSpaceModel(plant.a - plant.b @ k, float(reference_gain) * plant.b, plant.c, plant.d)

@@ -328,6 +328,21 @@ class TestMetricsCommand:
         assert "settling time" in out
         assert "steady state       : 219.9" in out
 
+    def test_header_names_stripped_as_cells_are(self, capsys, tmp_path):
+        run(capsys, "simulate", "--scenario", str(SCENARIOS / "paper-lqr.cfg"),
+            "--out", str(tmp_path))
+        plain = tmp_path / "paper-lqr.csv"
+        header, body = plain.read_text().split("\n", 1)
+        assert header.startswith("t,u,y,")
+        padded = tmp_path / "padded.csv"
+        padded.write_text(" t , u,\ty" + header[5:] + "\n" + body)
+        figures = []
+        for path in (plain, padded):
+            code, out = run(capsys, "metrics", str(path))
+            assert code == 0
+            figures.append(out.split("\n", 1)[1])  # after the line naming the file
+        assert figures[0] == figures[1]
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CSVS))
     def test_malformed_csv_exit_1(self, capsys, tmp_path, case):
         content, message = MALFORMED_CSVS[case]
@@ -446,6 +461,19 @@ def test_zero_state_lqr_plant_fails_alike(capsys, tmp_path, monkeypatch):
         assert main([command, "--scenario", str(scn)]) == 1
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == "error: controller.q_diag: expected 0 entries, one per plant state, got 1\n"
+
+
+def test_feedthrough_plant_fails_alike(capsys, tmp_path):
+    # y = x + u: the lqr loop and its prescaler assume y = Cx, and with D
+    # ignored the run would settle at twice its reference.
+    scn = tmp_path / "feedthrough.cfg"
+    scn.write_text("plant.ss.a = -1\nplant.ss.b = 1\nplant.ss.c = 1\nplant.ss.d = 1\n"
+                   "controller.type = lqr\ncontroller.q_diag = 1\ncontroller.r = 1\nreference = 1\n")
+    out = tmp_path / "out"
+    for command in (["synthesize"], ["simulate", "--out", str(out)]):
+        assert main([*command, "--scenario", str(scn)]) == 1
+        assert capsys.readouterr().err == "error: plants with direct feedthrough are unsupported\n"
+    assert not out.exists()
 
 
 class TestEntryPoint:

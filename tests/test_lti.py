@@ -8,6 +8,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regforge.errors import NumericalError, ValidationError
+from regforge.observer import build_observer_controller, design_observer_gain, luenberger_loop, place_poles
+from regforge.riccati import CostWeights, solve_care
+from regforge.sim import reference_prescaler, state_feedback_loop
 from regforge.lti import (
     Polynomial,
     START_ANGLE,
@@ -586,6 +589,65 @@ class TestImmutability:
         ss = StateSpaceModel(a, PLANT_B, PLANT_C)
         a[0, 0] = 99.0
         assert ss.a[0, 0] == -2.5
+
+
+# Every design and loop entry point checks the SISO contract through lti's
+# helpers: one message per fault, whichever entry point meets it.
+WIDE, SQUARE = np.ones((2, 3)), np.eye(2)
+GAIN_K, GAIN_H, POLES, LUENBERGER = [[1.0, 2.0]], [[1.0], [2.0]], [-1.0, -2.0], "standard-luenberger"
+STRICT = StateSpaceModel(PLANT_A, PLANT_B, PLANT_C)
+WITH_D = StateSpaceModel(PLANT_A, PLANT_B, PLANT_C, [[1.0]])
+WEIGHTS = CostWeights([1.0, 1.0], 1.0)
+A_FAULT = r"^A must be square, got \(2, 3\)$"
+B_FAULT, H_FAULT = r"^B must be 2x1, got \(2, 2\)$", r"^observer gain must be 2x1, got \(2, 2\)$"
+C_FAULT, K_FAULT = r"^C must be 1x2, got \(2, 2\)$", r"^state-feedback gain must be 1x2, got \(2, 2\)$"
+FEEDTHROUGH = "^plants with direct feedthrough are unsupported$"
+
+CONTRACT_CASES = {
+    "model-a": (lambda: StateSpaceModel(WIDE, PLANT_B, PLANT_C), A_FAULT),
+    "model-b": (lambda: StateSpaceModel(PLANT_A, SQUARE, PLANT_C), B_FAULT),
+    "model-c": (lambda: StateSpaceModel(PLANT_A, PLANT_B, SQUARE), C_FAULT),
+    "model-d": (lambda: StateSpaceModel(PLANT_A, PLANT_B, PLANT_C, [[0.0, 0.0]]),
+                r"^D must be 1x1, got \(1, 2\)$"),
+    "char_poly-a": (lambda: char_poly(WIDE), A_FAULT),
+    "solve_care-a": (lambda: solve_care(WIDE, PLANT_B, WEIGHTS), A_FAULT),
+    "solve_care-b": (lambda: solve_care(PLANT_A, SQUARE, WEIGHTS), B_FAULT),
+    "place_poles-a": (lambda: place_poles(WIDE, PLANT_B, POLES), A_FAULT),
+    "place_poles-b": (lambda: place_poles(PLANT_A, SQUARE, POLES), B_FAULT),
+    "design_observer_gain-a": (lambda: design_observer_gain(WIDE, PLANT_C, POLES), A_FAULT),
+    "design_observer_gain-c": (lambda: design_observer_gain(PLANT_A, SQUARE, POLES), C_FAULT),
+    "build_observer_controller-k": (
+        lambda: build_observer_controller(STRICT, SQUARE, GAIN_H, LUENBERGER), K_FAULT),
+    "build_observer_controller-h": (
+        lambda: build_observer_controller(STRICT, GAIN_K, SQUARE, LUENBERGER), H_FAULT),
+    "build_observer_controller-d": (
+        lambda: build_observer_controller(WITH_D, GAIN_K, GAIN_H, LUENBERGER), FEEDTHROUGH),
+    "luenberger_loop-k": (lambda: luenberger_loop(STRICT, SQUARE, GAIN_H), K_FAULT),
+    "luenberger_loop-h": (lambda: luenberger_loop(STRICT, GAIN_K, SQUARE), H_FAULT),
+    "luenberger_loop-d": (lambda: luenberger_loop(WITH_D, GAIN_K, GAIN_H), FEEDTHROUGH),
+    "state_feedback_loop-k": (lambda: state_feedback_loop(STRICT, SQUARE), K_FAULT),
+    "state_feedback_loop-d": (lambda: state_feedback_loop(WITH_D, GAIN_K), FEEDTHROUGH),
+    "reference_prescaler-k": (lambda: reference_prescaler(STRICT, SQUARE), K_FAULT),
+    "reference_prescaler-d": (lambda: reference_prescaler(WITH_D, GAIN_K), FEEDTHROUGH),
+}
+
+
+class TestSisoContract:
+    @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+    def test_entry_point_rejects_with_the_shared_message(self, case):
+        call, message = CONTRACT_CASES[case]
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+    def test_char_poly_of_an_empty_matrix_is_one(self):
+        # the size test comes before the square test: a 2 x 0 A is empty, not wide
+        assert char_poly(np.zeros((2, 0))).coeffs == (1.0,)
+        assert char_poly(np.zeros((0, 0))).coeffs == (1.0,)
+
+    def test_a_scalar_is_one_by_one(self):
+        ss = StateSpaceModel(-1.0, 2.0, 3.0, 0.0)
+        assert (ss.a.shape, ss.b.shape, ss.c.shape, ss.d.shape) == ((1, 1),) * 4
+        assert state_feedback_loop(ss, 0.5).a[0, 0] == -2.0
 
 
 # Polynomial and eigen-solvers outside the paper's methods: numpy's and

@@ -38,6 +38,7 @@ MALFORMED_CSVS = {
     "underscore-digits": (b"t,u,y\n0,1,1_0\n", "malformed numeric cell"),
     "not-utf8": (b"t,u,y\n0,1,\xff\n", "not UTF-8 text"),
     "duplicate-column": (b"t,u,y,y\n0,1,2,-2\n", "duplicate column 'y'"),
+    "duplicate-padded-column": (b"t,u,y, y\n0,1,2,-2\n", "duplicate column 'y'"),
     "non-uniform-time": (b"t,u,y\n0,1,2\n1,1,2\n3,1,2\n",
                          "sample instants must increase with uniform spacing"),
 }

@@ -329,6 +329,15 @@ class TestRunScenario:
         assert run.loop.prescaler is None
         assert run_scenario(scn).loop.observer.convention == "standard-luenberger"
 
+    @pytest.mark.parametrize("controller", ["none", "lqr"])
+    def test_run_too_short_for_figures_names_its_key(self, tmp_path, controller):
+        scn = load_scenario(write(tmp_path, "short.cfg", (
+            f"plant.preset = exact\ncontroller.type = {controller}\n"
+            f"{CONTROLLER_KEYS[controller]}sim.duration = 0.05\n")))
+        with pytest.raises(ValidationError,
+                           match=r"^sim\.duration: need at least 100 samples for metrics, got 51$"):
+            run_scenario(scn)
+
     def test_closed_loop_needs_reference(self):
         spec = ControllerSpec(kind="lqr", q_diag=np.array([3.0, 3.0]), r=5.0)
         with pytest.raises(ValidationError, match="reference"):
