@@ -256,11 +256,10 @@ class TestBlockedScan:
         assert ts.diverged and ts.n_samples > 5 * LENGTH
 
     @pytest.mark.filterwarnings("error")
-    def test_norm_bound_switches_the_power_test_on(self):
+    def test_far_from_normal_map_doubles_to_the_end(self):
         # A stable but far from normal step map: ||M||_inf ~ 10.9, so the
-        # norm bound on M^2h rules POWER_LIMIT out only up to 2h ~ 96 and
-        # the squares from M^128 on are tested; they pass, the run stays
-        # stable and doubles to the end.
+        # norm bound on M^128 and later squares is beyond POWER_LIMIT. Every
+        # square is tested and passes; the run stays stable and doubles to the end.
         ss = StateSpaceModel([[-1.0, 1000.0], [0.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]])
         cfg = SimConfig(dt=1e-2, duration=4 * LENGTH * 1e-2, input_amplitude=3.0)
         m, _ = _rk4_maps(ss.a, ss.b, cfg.dt)
@@ -300,9 +299,9 @@ def matmul_scan(ss: StateSpaceModel, cfg: SimConfig, x0=None):
     """`simulate`'s scan with every product written as `@` or np.matmul.
 
     It is the scan as it stood before its products went through np.dot,
-    with the power and batch tests written out in full (the norm bound
-    only skips power tests that pass). Returns the outputs, the states and
-    the diverged flag of the samples `simulate` keeps.
+    with the power and batch tests written out in full. Returns the
+    outputs, the states and the diverged flag of the samples `simulate`
+    keeps.
     """
     n, steps, u, dt = ss.n_states, cfg.n_steps, float(cfg.input_amplitude), cfg.dt
     eye = np.eye(n)
