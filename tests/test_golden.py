@@ -189,11 +189,12 @@ def _design_cases() -> dict:
     rng = np.random.default_rng(20201)
     ref = plant.REFERENCE_PARAMS
     g = ref.generator
-    reference = np.array([ref.turbine.tau_t, g.k1, g.n, g.l_f, g.r_f, g.l_a, g.r_a, g.r_l])
+    reference = (ref.turbine.tau_t, g.k1, g.n, g.l_f, g.r_f, g.l_a, g.r_a, g.r_l)
     for i in range(SEEDED_PLANTS):
-        tau_t, k1, n, l_f, r_f, l_a, r_a, r_l = (
-            float(v) for v in reference * 2.0 ** rng.uniform(-1.0, 1.0, size=reference.size)
-        )
+        # One scalar C-library pow per entry: numpy's array power rounds by
+        # the SIMD loop it dispatches to, so its last bits depend on the CPU.
+        exponents = rng.uniform(-1.0, 1.0, size=len(reference)).tolist()
+        tau_t, k1, n, l_f, r_f, l_a, r_a, r_l = (x * 2.0 ** u for x, u in zip(reference, exponents))
         params = plant.PlantParams(
             turbine=plant.TurbineParams(tau_t=tau_t),
             generator=plant.GeneratorParams(k1=k1, n=n, l_f=l_f, r_f=r_f, l_a=l_a, r_a=r_a, r_l=r_l),
