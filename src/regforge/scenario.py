@@ -38,7 +38,7 @@ NUL or be ``.`` or ``..``. ``outputs`` names the artifacts ``simulate``
 writes when ``--format`` is not given; ``--format``, when given, decides
 instead. ``report`` is accepted but changes nothing: the text report is
 always printed. The file is the whole run description: no command-line
-option overrides a key.
+option but ``--format`` overrides a key.
 """
 
 from __future__ import annotations
